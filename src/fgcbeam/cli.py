@@ -23,8 +23,7 @@ from pathlib import Path
 from .benchmarks import TABLE_IDS, BenchReport, benchmark_compare
 from .config import CaseConfig, ConfigError, parse_config
 from .postproc import thickness_profile
-from .section import compute_rigidities
-from .solver import solve_static
+from .solver import SingularSystemError
 from .studies import convergence_study, evaluate_case, sweep
 
 
@@ -285,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, ValueError, SingularSystemError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

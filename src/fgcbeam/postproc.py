@@ -122,15 +122,21 @@ def strains_at(sol: Solution, x: float) -> GeneralizedStrains:
     return GeneralizedStrains(*map(float, eps))
 
 
-def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float,
-              side: str | None = None) -> StressSample:
-    """Recover (sigma_x, tau_xz) at a point; ``side`` resolves interface z."""
-    eps = strains_at(sol, x)
+def _stresses(eps: GeneralizedStrains, mat: MaterialPair, layup: Layup, z: float,
+              side: str | None) -> tuple[float, float]:
+    """(sigma_x, tau_xz) at height z from the generalized strains of a station."""
     E = effective_modulus(mat, layup, z, side=side)
     C11, C55 = stiffness_coeffs(E, mat.nu)
     h = layup.h
     sigma = C11 * (eps.eps0 + z * eps.eps1 + float(f_shear(z, h)) * eps.eps2)
     tau = C55 * float(g_shear(z, h)) * eps.gamma0
+    return sigma, tau
+
+
+def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float,
+              side: str | None = None) -> StressSample:
+    """Recover (sigma_x, tau_xz) at a point; ``side`` resolves interface z."""
+    sigma, tau = _stresses(strains_at(sol, x), mat, layup, z, side)
     return StressSample(x=x, z=z, sigma_x=sigma, tau_xz=tau)
 
 
@@ -189,9 +195,9 @@ def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
         pts.append((zi, "below"))
         pts.append((zi, "above"))
     pts.sort(key=lambda t: (t[0], 0 if t[1] in ("", "below") else 1))
+    strains = strains_at(sol, x)
     rows = []
     for z, side in pts:
-        s = stress_at(sol, mat, layup, x, z, side=side or None)
-        rows.append(ProfileRow(z=z, z_over_h=z / h, sigma_x=s.sigma_x,
-                               tau_xz=s.tau_xz, side=side))
+        sigma, tau = _stresses(strains, mat, layup, z, side or None)
+        rows.append(ProfileRow(z=z, z_over_h=z / h, sigma_x=sigma, tau_xz=tau, side=side))
     return rows

@@ -44,7 +44,7 @@ def random_case(rng: np.random.Generator, udl_only: bool = False) -> CaseConfig:
     L_over_h = float(rng.uniform(4.0, 25.0))
     R_over_L = math.inf if rng.random() < 0.4 else float(rng.uniform(2.0, 100.0))
     bc = str(rng.choice(["SS", "CC", "CF"]))
-    ne = int(rng.choice([4, 8, 12, 16]))
+    ne = int(rng.choice([4, 8, 12, 16, 32, 64, 256]))
     if udl_only or rng.random() < 0.7:
         load = LoadCase.udl(float(rng.uniform(0.1, 10.0)))
     else:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from fgcbeam import ConfigError, LayupKind, parse_config
+from fgcbeam import ConfigError, LayupKind, SingularSystemError, parse_config, studies
 from fgcbeam.cli import main
 from fgcbeam.config import with_parameter
 
@@ -191,6 +191,29 @@ class TestCliConverge:
         assert main(["converge", str(sandwich_file), "--ne", "16"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_default_mesh_list_on_refined_cantilever(self, sandwich_file, tmp_path, capsys):
+        # the default list runs to ne = 32, where a relative-residual gate
+        # used to reject this cantilever's correct solve
+        cf = tmp_path / "cf.ini"
+        cf.write_text(sandwich_file.read_text().replace("type = SS", "type = CF"),
+                      encoding="utf-8")
+        assert main(["converge", str(cf)]) == 0
+        captured = capsys.readouterr()
+        rows = captured.out.strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["2", "4", "8", "12", "16", "24", "32"]
+        assert captured.err == ""
+
+    def test_singular_system_is_a_clean_error(self, sandwich_file, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularSystemError("stiffness is not positive definite at node 3, dof u0")
+
+        monkeypatch.setattr(studies, "solve_static", singular)
+        assert main(["converge", str(sandwich_file), "--ne", "4,8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: stiffness is not positive definite at "
+                                "node 3, dof u0\n")
+        assert "Traceback" not in captured.out + captured.err
 
     def test_symmetric_sandwich_flat_convergence(self, sandwich_file, capsys):
         main(["converge", str(sandwich_file), "--ne", "2,32"])

@@ -301,6 +301,19 @@ class TestThicknessProfile:
         with pytest.raises(ValueError):
             thickness_profile(sol, MAT, cfg.layup, 1.0, 1)
 
+    @pytest.mark.parametrize("kind,scheme", [("A", None), ("B", (2, 2, 1)),
+                                             ("C", (1, 8, 1))])
+    def test_rows_equal_pointwise_stress_at(self, kind, scheme):
+        # the profile evaluates the station's strains once; every row must
+        # still be bit-identical to a per-sample stress_at call
+        cfg = make_case(kind, scheme, p=2.0, R_over_L=10.0, ne=8)
+        sol, _ = solve_cfg(cfg)
+        for x in (0.0, cfg.L / 2, cfg.L / 8, 0.3 * cfg.L, cfg.L):
+            rows = thickness_profile(sol, MAT, cfg.layup, x, 201)
+            for r in rows:
+                s = stress_at(sol, MAT, cfg.layup, x, r.z, side=r.side or None)
+                assert (r.sigma_x, r.tau_xz) == (s.sigma_x, s.tau_xz)
+
 
 class TestRandomizedSurfaceCondition:
     def test_many_random_cases(self, rng):
