@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .materials import DEFAULT_MATERIAL, Layup, LayupKind, MaterialPair
-from .solver import BoundaryCondition, LoadCase, Mesh
+from .solver import BoundaryCondition, LoadCase, Mesh, check_load
 
 DEFAULT_NE = 16
 
@@ -69,6 +69,12 @@ def parse_scheme(text: str) -> tuple[float, float, float]:
     if min(a, b, c) < 0 or a + b + c <= 0:
         raise ConfigError(f"scheme ratios must be nonnegative with a positive sum, got {text!r}")
     return a, b, c
+
+
+def _one_of(names) -> str:
+    """'a, b or c' for an error message."""
+    *head, last = names
+    return f"{', '.join(head)} or {last}"
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str,
@@ -125,7 +131,8 @@ def parse_config(text: str) -> CaseConfig:
     try:
         kind = LayupKind(kind_raw)
     except ValueError as err:
-        raise ConfigError(f"layup.kind: must be A, B or C, got {kind_raw!r}") from err
+        raise ConfigError(f"layup.kind: must be {_one_of(k.value for k in LayupKind)}, "
+                          f"got {kind_raw!r}") from err
     p = _get_float(cp, "layup", "p", nonnegative=True)
     h = _get_float(cp, "geometry", "h", positive=True)
     if kind is LayupKind.A:
@@ -145,11 +152,12 @@ def parse_config(text: str) -> CaseConfig:
     try:
         bc = BoundaryCondition(bc_raw)
     except ValueError as err:
-        raise ConfigError(f"bc.type: must be SS, CC or CF, got {bc_raw!r}") from err
+        raise ConfigError(f"bc.type: must be {_one_of(b.value for b in BoundaryCondition)}, "
+                          f"got {bc_raw!r}") from err
 
     load_kind = _get(cp, "load", "type").lower()
-    if load_kind not in ("udl", "point_end", "point_mid"):
-        raise ConfigError(f"load.type: must be udl, point_end or point_mid, got {load_kind!r}")
+    if load_kind not in LoadCase.KINDS:
+        raise ConfigError(f"load.type: must be {_one_of(LoadCase.KINDS)}, got {load_kind!r}")
     load = LoadCase(load_kind, _get_float(cp, "load", "magnitude", "1.0"))
 
     ne_raw = _get(cp, "mesh", "ne", str(DEFAULT_NE)) if cp.has_section("mesh") else str(DEFAULT_NE)
@@ -162,8 +170,13 @@ def parse_config(text: str) -> CaseConfig:
     if load_kind == "point_mid" and ne % 2 != 0:
         raise ConfigError(f"mesh.ne: mid-span point load needs an even count, got {ne}")
 
-    return CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L,
-                      bc=bc, load=load, ne=ne)
+    cfg = CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L,
+                     bc=bc, load=load, ne=ne)
+    try:
+        check_load(cfg.mesh(), bc, load)
+    except ValueError as err:
+        raise ConfigError(f"load.type: {err}") from err
+    return cfg
 
 
 def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:

@@ -8,9 +8,20 @@ DOF vector is node-interleaved:
 
 Generalized strains (membrane eps0 = u0' + w0/R, bending
 eps1 = -w0'', shear-warp eps2 = phi', shear gamma0 = phi) map from the
-DOFs through the four strain-displacement rows built here.  All
+DOFs through the four strain-displacement rows (B0, B1, B2, Bs).  All
 integrands are polynomials of degree <= 6, so a fixed 4-point Gauss
 rule (exact to degree 7) integrates the stiffness and loads exactly.
+
+One builder, ``strain_rows``, returns the rows at any set of points as
+a (n, 4, 8) array; the stiffness (at the Gauss points), the solver's
+band fill (through ``element_stiffness``) and stress recovery all take
+their rows from it.  It computes in Python floats, and the stiffness
+keeps the term and point order of a per-point ``np.outer`` loop, so
+results are bit-identical to that loop, not merely close.  This is
+deliberate: a closed form ``Ke = sum_k rig_k Le^a (1/R)^b C_k`` or a
+matrix-product reformulation rounds differently, which changes printed
+outputs in their last digits and moves near-zero stresses (a
+cantilever's mid-span profile) by parts in 1e8.
 """
 
 from __future__ import annotations
@@ -52,11 +63,32 @@ class GeneralizedStrains:
         return np.array([self.eps0, self.eps1, self.eps2, self.gamma0])
 
 
+def _lagrange(x: float, L: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    return (1.0 - x / L, x / L), (-1.0 / L, 1.0 / L)
+
+
+def _hermite(x: float, L: float) -> tuple[tuple[float, ...], ...]:
+    x2, x3, L2, L3 = x**2, x**3, L**2, L**3
+    return (
+        (1.0 - 3.0 * x2 / L2 + 2.0 * x3 / L3,
+         x - 2.0 * x2 / L + x3 / L2,
+         3.0 * x2 / L2 - 2.0 * x3 / L3,
+         -x2 / L + x3 / L2),
+        (-6.0 * x / L2 + 6.0 * x2 / L3,
+         1.0 - 4.0 * x / L + 3.0 * x2 / L2,
+         6.0 * x / L2 - 6.0 * x2 / L3,
+         -2.0 * x / L + 3.0 * x2 / L2),
+        (-6.0 / L2 + 12.0 * x / L3,
+         -4.0 / L + 6.0 * x / L2,
+         6.0 / L2 - 12.0 * x / L3,
+         -2.0 / L + 6.0 * x / L2),
+    )
+
+
 def lagrange_shape(xi: float, Le: float) -> tuple[np.ndarray, np.ndarray]:
     """Linear shape functions N = [1 - x/Le, x/Le] and dN/dx at xi."""
-    N = np.array([1.0 - xi / Le, xi / Le])
-    dN = np.array([-1.0 / Le, 1.0 / Le])
-    return N, dN
+    N, dN = _lagrange(float(xi), float(Le))
+    return np.array(N), np.array(dN)
 
 
 def hermite_shape(xi: float, Le: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,59 +97,69 @@ def hermite_shape(xi: float, Le: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     Ordering [translation_1, slope_1, translation_2, slope_2] with the
     nodal properties N1(0) = 1, N2'(0) = 1, N3(Le) = 1, N4'(Le) = 1.
     """
-    x, L = xi, Le
-    N = np.array([
-        1.0 - 3.0 * x**2 / L**2 + 2.0 * x**3 / L**3,
-        x - 2.0 * x**2 / L + x**3 / L**2,
-        3.0 * x**2 / L**2 - 2.0 * x**3 / L**3,
-        -(x**2) / L + x**3 / L**2,
-    ])
-    dN = np.array([
-        -6.0 * x / L**2 + 6.0 * x**2 / L**3,
-        1.0 - 4.0 * x / L + 3.0 * x**2 / L**2,
-        6.0 * x / L**2 - 6.0 * x**2 / L**3,
-        -2.0 * x / L + 3.0 * x**2 / L**2,
-    ])
-    d2N = np.array([
-        -6.0 / L**2 + 12.0 * x / L**3,
-        -4.0 / L + 6.0 * x / L**2,
-        6.0 / L**2 - 12.0 * x / L**3,
-        -2.0 / L + 6.0 * x / L**2,
-    ])
-    return N, dN, d2N
+    N, dN, d2N = _hermite(float(xi), float(Le))
+    return np.array(N), np.array(dN), np.array(d2N)
+
+
+def strain_rows(xs, geom: ElementGeometry) -> np.ndarray:
+    """Rows (B0, B1, B2, Bs) at each local coordinate in xs: shape (len(xs), 4, 8).
+
+    Every entry is computed in Python floats from the same expressions
+    as ``hermite_shape`` and ``lagrange_shape``, so the rows are
+    bit-identical to theirs; array powers would round differently.
+    """
+    Le, r = float(geom.Le), float(geom.inv_R)
+    flat = []
+    for x in xs:
+        (l0, l1), (dl0, dl1) = _lagrange(float(x), Le)
+        (n0, n1, n2, n3), _, (c0, c1, c2, c3) = _hermite(float(x), Le)
+        flat += (dl0, r * n0, r * n1, 0.0, dl1, r * n2, r * n3, 0.0,
+                 0.0, -c0, -c1, 0.0, 0.0, -c2, -c3, 0.0,
+                 0.0, 0.0, 0.0, dl0, 0.0, 0.0, 0.0, dl1,
+                 0.0, 0.0, 0.0, l0, 0.0, 0.0, 0.0, l1)
+    return np.array(flat).reshape(-1, 4, 8)
 
 
 def strain_displacement(xi: float, geom: ElementGeometry
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows (B0, B1, B2, Bs) mapping element DOFs to generalized strains."""
-    N, dN = lagrange_shape(xi, geom.Le)
-    Nb, _, d2Nb = hermite_shape(xi, geom.Le)
-    r = geom.inv_R
-    B0 = np.array([dN[0], r * Nb[0], r * Nb[1], 0.0,
-                   dN[1], r * Nb[2], r * Nb[3], 0.0])
-    B1 = np.array([0.0, -d2Nb[0], -d2Nb[1], 0.0,
-                   0.0, -d2Nb[2], -d2Nb[3], 0.0])
-    B2 = np.array([0.0, 0.0, 0.0, dN[0], 0.0, 0.0, 0.0, dN[1]])
-    Bs = np.array([0.0, 0.0, 0.0, N[0], 0.0, 0.0, 0.0, N[1]])
+    B0, B1, B2, Bs = strain_rows((xi,), geom)[0]
     return B0, B1, B2, Bs
 
 
+# The seven terms of the bilinear form in summation order: the row pair
+# (a, b) of (B0, B1, B2, Bs), and whether the term adds B_b B_a^T.
+_LEFT = np.array([0, 0, 0, 1, 1, 2, 3])
+_RIGHT = np.array([0, 1, 2, 1, 2, 2, 3])
+_CROSS = np.array([False, True, True, False, True, False, False])[:, None, None]
+
+
 def element_stiffness(rig: SectionRigidities, geom: ElementGeometry) -> np.ndarray:
-    """8x8 symmetric element stiffness by 4-point Gauss integration."""
+    """8x8 symmetric element stiffness by 4-point Gauss integration.
+
+    At each Gauss point the integrand is the sum, left to right, of
+
+        A11 B0B0 + B11 (B0B1 + B1B0) + B11s (B0B2 + B2B0) + D11 B1B1
+        + D11s (B1B2 + B2B1) + H11s B2B2 + A55s BsBs
+
+    (outer products), and the points are summed in order.  The seven
+    products of all four points are formed as one (4, 7, 8, 8) array;
+    keeping the summation order keeps ``Ke`` bit-identical to a
+    per-point loop of ``np.outer`` calls, and exactly symmetric.
+    """
+    half = 0.5 * geom.Le
+    B = strain_rows(half * (_GAUSS_X + 1.0), geom)
+    P = B.take(_LEFT, axis=1)[:, :, :, None] * B.take(_RIGHT, axis=1)[:, :, None, :]
+    P = np.where(_CROSS, P + P.swapaxes(2, 3), P)
+    P *= np.array([rig.A11, rig.B11, rig.B11s, rig.D11,
+                   rig.D11s, rig.H11s, rig.A55s])[:, None, None]
+    S = P[:, 0] + P[:, 1]
+    for k in range(2, 7):
+        S += P[:, k]
+    S *= (half * _GAUSS_W)[:, None, None]
     K = np.zeros((8, 8))
-    for x, w in zip(_GAUSS_X, _GAUSS_W):
-        xi = 0.5 * geom.Le * (x + 1.0)
-        wi = 0.5 * geom.Le * w
-        B0, B1, B2, Bs = strain_displacement(xi, geom)
-        K += wi * (
-            rig.A11 * np.outer(B0, B0)
-            + rig.B11 * (np.outer(B0, B1) + np.outer(B1, B0))
-            + rig.B11s * (np.outer(B0, B2) + np.outer(B2, B0))
-            + rig.D11 * np.outer(B1, B1)
-            + rig.D11s * (np.outer(B1, B2) + np.outer(B2, B1))
-            + rig.H11s * np.outer(B2, B2)
-            + rig.A55s * np.outer(Bs, Bs)
-        )
+    for g in range(4):
+        K += S[g]
     return K
 
 

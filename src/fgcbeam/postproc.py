@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import GeneralizedStrains, hermite_shape, lagrange_shape, strain_displacement
+from .element import GeneralizedStrains, hermite_shape, lagrange_shape, strain_rows
 from .materials import Layup, MaterialPair, effective_modulus, stiffness_coeffs
 from .section import SectionRigidities, f_shear, g_shear
 from .solver import BoundaryCondition, Solution
@@ -102,8 +102,7 @@ def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float
 
 def _element_strains(sol: Solution, e: int, xi: float) -> np.ndarray:
     de = sol.d[sol.mesh.element_dofs(e)]
-    geom = sol.mesh.element_geometry()
-    B0, B1, B2, Bs = strain_displacement(xi, geom)
+    B0, B1, B2, Bs = strain_rows((xi,), sol.mesh.element_geometry())[0]
     return np.array([B0 @ de, B1 @ de, B2 @ de, Bs @ de])
 
 

@@ -6,6 +6,12 @@ it straight into LAPACK upper band storage, an (8, ndof) array, and
 factors it with banded Cholesky (``dpbtrf``/``dpbtrs``): time and
 memory are O(ne), and no ndof x ndof matrix is ever formed.
 
+All elements share one ``Ke``.  In band storage it is an (8, 8) slab
+whose first four columns belong to the element's left node and last
+four to its right node, so the band is filled with two slab adds over
+all nodes.  Every band entry gets its (at most two) element terms in
+element order, which makes the band bit-identical to an element loop.
+
 Each constrained DOF k becomes an identity row and column with F[k] = 0.
 The system keeps its full size and stays symmetric positive definite,
 the solution carries exact zeros at constrained DOFs, and a failed
@@ -58,6 +64,10 @@ DOF_NAMES = ("u0", "w0", "w0_x", "phi_x")
 
 #: Half-bandwidth of the global stiffness: an element spans DOFs 4e .. 4e+7.
 HALF_BAND = 7
+
+#: Upper-triangle entries (i, j) of Ke and their places (HALF_BAND + i - j, j) in band storage.
+_KE_UPPER = np.triu_indices(8)
+_KE_BAND = (HALF_BAND + _KE_UPPER[0] - _KE_UPPER[1], _KE_UPPER[1])
 
 
 class SingularSystemError(RuntimeError):
@@ -133,11 +143,11 @@ class LoadCase:
     kind: str
     magnitude: float
 
-    _KINDS = ("udl", "point_end", "point_mid")
+    KINDS = ("udl", "point_end", "point_mid")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"load kind must be one of {self._KINDS}, got {self.kind!r}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"load kind must be one of {self.KINDS}, got {self.kind!r}")
 
     @staticmethod
     def udl(q: float) -> "LoadCase":
@@ -171,15 +181,17 @@ def assemble_banded(mesh: Mesh, rig: SectionRigidities) -> np.ndarray:
 
     Returns ``ab`` of shape (HALF_BAND + 1, ndof) holding
     ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``.
-    Element e puts its entry (i, j) at global (4e + i, 4e + j), so one
-    strided slice per upper entry of ``Ke`` adds it for every element.
+    ``Ke`` in the same storage is an (8, 8) slab; element e adds its
+    first four columns to node e and its last four to node e + 1, so two
+    slab adds over all elements assemble the band.  Each entry receives
+    at most two terms, node e's before node e + 1's as in an element loop.
     """
+    kb = np.zeros((HALF_BAND + 1, 8))
+    kb[_KE_BAND] = element_stiffness(rig, mesh.element_geometry())[_KE_UPPER]
     ab = np.zeros((HALF_BAND + 1, mesh.ndof))
-    Ke = element_stiffness(rig, mesh.element_geometry())
-    stop = 4 * mesh.ne
-    for j in range(8):
-        for i in range(j + 1):
-            ab[HALF_BAND + i - j, j:j + stop:4] += Ke[i, j]
+    nodes = ab.reshape(HALF_BAND + 1, mesh.n_nodes, 4)
+    nodes[:, :-1] += kb[:, None, :4]
+    nodes[:, 1:] += kb[:, None, 4:]
     return ab
 
 
@@ -192,6 +204,16 @@ def assemble(mesh: Mesh, rig: SectionRigidities) -> np.ndarray:
         i = np.arange(n - k)
         K[i, i + k] = K[i + k, i] = ab[HALF_BAND - k, k:]
     return K
+
+
+def _point_dof(mesh: Mesh, load: LoadCase) -> int:
+    """Global w0 DOF of the end node or the mid-span node that a point load acts on."""
+    if load.kind == "point_end":
+        return 4 * mesh.ne + 1
+    if mesh.ne % 2 != 0:
+        raise ValueError(
+            f"mid-span point load needs an even element count, got ne = {mesh.ne}")
+    return 4 * (mesh.ne // 2) + 1
 
 
 def assemble_load(mesh: Mesh, load: LoadCase) -> np.ndarray:
@@ -207,14 +229,22 @@ def assemble_load(mesh: Mesh, load: LoadCase) -> np.ndarray:
         stop = 4 * mesh.ne
         for i in range(8):
             F[i:i + stop:4] += fe[i]
-    elif load.kind == "point_end":
-        F[4 * mesh.ne + 1] = load.magnitude
-    else:  # point_mid
-        if mesh.ne % 2 != 0:
-            raise ValueError(
-                f"mid-span point load needs an even element count, got ne = {mesh.ne}")
-        F[4 * (mesh.ne // 2) + 1] = load.magnitude
+    else:
+        F[_point_dof(mesh, load)] = load.magnitude
     return F
+
+
+def check_load(mesh: Mesh, bc: BoundaryCondition, load: LoadCase) -> None:
+    """Raise ValueError for a point load on a DOF the supports fix.
+
+    The constraint would absorb the whole load and the solve would
+    return d = 0 (an end point load under SS or CC).
+    """
+    if load.kind != "udl":
+        k = _point_dof(mesh, load)
+        if k in bc.constrained_dofs(mesh):
+            raise ValueError(f"a {load.kind} load on {_dof_label(k)} is held by the "
+                             f"{bc.value} supports and would not deflect the beam")
 
 
 def apply_bcs(K: np.ndarray, F: np.ndarray, bc: BoundaryCondition, mesh: Mesh
@@ -280,10 +310,12 @@ def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
                  load: LoadCase) -> Solution:
     """Assemble, constrain and solve K d = F for the static response.
 
-    The returned vector carries exact zeros at constrained DOFs.  The
-    solve is accepted only if its normwise backward error is at most
-    n * eps (see the module docstring).
+    A point load on a constrained DOF raises ValueError.  The returned
+    vector carries exact zeros at constrained DOFs.  The solve is
+    accepted only if its normwise backward error is at most n * eps
+    (see the module docstring).
     """
+    check_load(mesh, bc, load)
     ab = assemble_banded(mesh, rig)
     F = assemble_load(mesh, load)
     _constrain(ab, F, bc.constrained_dofs(mesh))

@@ -15,7 +15,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import CaseConfig, with_parameter
 from .postproc import deflection_point, displacement_at, nondimensionalize, stress_at
@@ -81,9 +81,7 @@ def convergence_study(cfg: CaseConfig, ne_list: list[int]) -> ConvergenceResult:
     for ne in ne_list:
         if ne < 1:
             raise ValueError(f"element counts must be >= 1, got {ne}")
-        res = evaluate_case(CaseConfig(
-            material=cfg.material, layup=cfg.layup, L=cfg.L,
-            R_over_L=cfg.R_over_L, bc=cfg.bc, load=cfg.load, ne=ne))
+        res = evaluate_case(replace(cfg, ne=ne))
         rows.append(ConvergenceRow(ne=ne, value=res.w_bar if quantity == "w_bar" else res.w))
     vals = [r.value for r in rows]
     scale = max(abs(v) for v in vals) or 1.0

@@ -47,9 +47,10 @@ def random_case(rng: np.random.Generator, udl_only: bool = False) -> CaseConfig:
     ne = int(rng.choice([4, 8, 12, 16, 32, 64, 256]))
     if udl_only or rng.random() < 0.7:
         load = LoadCase.udl(float(rng.uniform(0.1, 10.0)))
+    elif rng.random() < 0.5 and bc == "CF":   # only a free end can take an end load
+        load = LoadCase.point_end(float(rng.uniform(0.1, 10.0)))
     else:
-        load = LoadCase.point_end(float(rng.uniform(0.1, 10.0))) if rng.random() < 0.5 \
-            else LoadCase.point_mid(float(rng.uniform(0.1, 10.0)))
+        load = LoadCase.point_mid(float(rng.uniform(0.1, 10.0)))
     h = float(rng.choice([1.0, 0.02, 0.1]))
     return make_case(kind, scheme, p, L_over_h, R_over_L, bc, load, ne, h)
 

@@ -1,10 +1,18 @@
 """Configuration parsing and the command line interface."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from fgcbeam import ConfigError, LayupKind, SingularSystemError, parse_config, studies
+from fgcbeam import (
+    BoundaryCondition,
+    ConfigError,
+    LayupKind,
+    SingularSystemError,
+    parse_config,
+    studies,
+)
 from fgcbeam.cli import main
 from fgcbeam.config import with_parameter
 
@@ -103,6 +111,24 @@ class TestParseConfig:
     def test_negative_p(self):
         with pytest.raises(ConfigError, match="layup.p"):
             parse_config(MINIMAL.replace("p = 0", "p = -2"))
+
+    @pytest.mark.parametrize("bc", ["SS", "CC"])
+    def test_end_point_load_needs_a_free_end(self, bc, tmp_path, capsys):
+        # the support at x = L would absorb the load and d = 0
+        text = MINIMAL.replace("type = SS", f"type = {bc}").replace(
+            "type = udl", "type = point_end\nmagnitude = 3")
+        with pytest.raises(ConfigError, match="load.type: a point_end load on node 16, dof w0"):
+            parse_config(text)
+        path = tmp_path / "case.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: load.type: a point_end load")
+        cfg = parse_config(text.replace(f"type = {bc}", "type = CF"))
+        with pytest.raises(ValueError, match=f"held by the {bc} supports"):
+            studies.evaluate_case(replace(cfg, bc=BoundaryCondition(bc)))
+        assert studies.evaluate_case(cfg).w > 0.0
 
 
 class TestWithParameter:

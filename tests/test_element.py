@@ -26,8 +26,11 @@ from fgcbeam.element import (
     hermite_shape,
     lagrange_shape,
     strain_displacement,
+    strain_rows,
 )
 from fgcbeam.section import SectionRigidities
+
+import reference_element as ref
 
 RIG_A = compute_rigidities(DEFAULT_MATERIAL, Layup.single_layer(2.0, 1.0))
 RIG_SYM = compute_rigidities(DEFAULT_MATERIAL, Layup.fg_faces((1, 1, 1), 2.0, 1.0))
@@ -134,7 +137,7 @@ class TestElementStiffness:
     @pytest.mark.parametrize("inv_R", [0.0, 0.04, 0.5])
     def test_symmetric(self, inv_R):
         K = element_stiffness(RIG_A, ElementGeometry(Le=0.3125, inv_R=inv_R))
-        assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
+        assert np.array_equal(K, K.T)
 
     def test_bending_block_matches_hermite_oracle(self):
         Le = 0.4
@@ -192,6 +195,62 @@ class TestElementStiffness:
             one[n] = getattr(RIG_A, n)
             total += element_stiffness(SectionRigidities(**one), geom)
         assert np.allclose(total, element_stiffness(RIG_A, geom), rtol=1e-12)
+
+
+def random_rigidities(rng, n):
+    """Signed rigidities over 15 decades; every fifth draw has no coupling terms."""
+    vals = rng.choice([-1.0, 1.0], 7) * 10.0 ** rng.uniform(-3.0, 12.0, 7)
+    if n % 5 == 0:
+        vals[[1, 3, 4]] = 0.0                      # B11, B11s, D11s
+    return SectionRigidities(*vals.tolist())
+
+
+def random_geometry(rng, n):
+    """Le in [1e-4, 1e2]; every fourth draw is straight (inv_R = 0)."""
+    Le = float(10.0 ** rng.uniform(-4.0, 2.0))
+    return ElementGeometry(Le, 0.0 if n % 4 == 0 else float(10.0 ** rng.uniform(-3.0, 2.0)))
+
+
+class TestBitIdentity:
+    """The vectorised kernel against the per-point np.outer loop it replaced."""
+
+    def test_shape_functions_bit_equal_to_reference(self):
+        rng = np.random.default_rng(31)
+        for n in range(500):
+            Le = random_geometry(rng, n).Le
+            for x in (0.0, Le, rng.uniform(0.0, Le), float(rng.uniform(0.0, Le))):
+                got = lagrange_shape(x, Le) + hermite_shape(x, Le)
+                want = ref.lagrange_shape(x, Le) + ref.hermite_shape(x, Le)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
+    def test_strain_rows_bit_equal_to_shape_functions(self):
+        rng = np.random.default_rng(32)
+        for n in range(500):
+            geom = random_geometry(rng, n)
+            xs = np.concatenate(([0.0, geom.Le], rng.uniform(0.0, geom.Le, 4)))
+            rows = strain_rows(xs, geom)
+            assert rows.shape == (len(xs), 4, 8)
+            for x, B in zip(xs, rows):
+                N, dN = lagrange_shape(x, geom.Le)
+                Nb, _, d2Nb = hermite_shape(x, geom.Le)
+                r = geom.inv_R
+                want = np.zeros((4, 8))
+                want[0, [0, 4]] = dN
+                want[0, [1, 2, 5, 6]] = r * Nb
+                want[1, [1, 2, 5, 6]] = -d2Nb
+                want[2, [3, 7]] = dN
+                want[3, [3, 7]] = N
+                assert np.array_equal(B, want)
+                assert B.tobytes() == np.stack(ref.strain_displacement(x, geom)).tobytes()
+
+    def test_stiffness_bit_equal_to_outer_product_loop(self):
+        rng = np.random.default_rng(33)
+        for n in range(10_000):
+            rig, geom = random_rigidities(rng, n), random_geometry(rng, n)
+            K = element_stiffness(rig, geom)
+            assert K.tobytes() == ref.element_stiffness(rig, geom).tobytes()
+            assert np.array_equal(K, K.T)
 
 
 class TestElementLoads:

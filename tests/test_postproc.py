@@ -24,6 +24,7 @@ from fgcbeam import (
 from fgcbeam.section import f_shear, g_shear
 from fgcbeam.studies import evaluate_case
 
+import reference_element
 from conftest import make_case, random_case
 
 MAT = DEFAULT_MATERIAL
@@ -102,6 +103,19 @@ class TestStrainsAt:
         left = _element_strains(sol, 1, mesh.Le)
         right = _element_strains(sol, 2, 0.0)
         assert strains_at(sol, x).as_array() == pytest.approx(0.5 * (left + right))
+
+    def test_element_strains_bit_equal_to_reference_rows(self, rng):
+        from fgcbeam.postproc import _element_strains
+        for _ in range(20):
+            cfg = random_case(rng)
+            sol, _ = solve_cfg(cfg)
+            geom = cfg.mesh().element_geometry()
+            for e in rng.integers(0, cfg.ne, 3):
+                de = sol.d[4 * e: 4 * e + 8]
+                for xi in (0.0, geom.Le, float(rng.uniform(0.0, geom.Le))):
+                    want = np.array([B @ de for B in
+                                     reference_element.strain_displacement(xi, geom)])
+                    assert _element_strains(sol, e, xi).tobytes() == want.tobytes()
 
 
 class TestStressAt:

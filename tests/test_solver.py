@@ -31,6 +31,7 @@ from fgcbeam.solver import (
     backward_error,
 )
 
+import reference_element
 from conftest import make_case, make_layup, random_case
 
 MAT = DEFAULT_MATERIAL
@@ -301,6 +302,21 @@ class TestBandedSolve:
                 mesh = Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
                 sol = solve_static(mesh, rig, cfg.bc, cfg.load)
                 assert np.isfinite(sol.d).all()
+        assert len(cases) == 420
+
+    def test_fixture_solutions_bit_equal_to_reference_band(self):
+        # the two-slab band fill and the vectorised Ke change no bit of K or d
+        cases = {cell.case_key(): cell.to_config() for cell in ALL_CELLS}
+        for cfg in cases.values():
+            rig = compute_rigidities(cfg.material, cfg.layup)
+            for ne in (16, 1024):
+                mesh = Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
+                ab = reference_element.assemble_banded(mesh, rig)
+                assert assemble_banded(mesh, rig).tobytes() == ab.tobytes()
+                F = assemble_load(mesh, cfg.load)
+                _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
+                d = solve_static(mesh, rig, cfg.bc, cfg.load).d
+                assert d.tobytes() == _solve_banded(ab, F).tobytes()
         assert len(cases) == 420
 
     def test_gate_rejects_perturbed_solution(self, monkeypatch):
