@@ -38,7 +38,7 @@ from .solver import (
     assemble_load,
     solve_static,
 )
-from .studies import CaseResults, convergence_study, evaluate_case, sweep
+from .studies import CaseResults, convergence_study, evaluate_case, evaluate_cases, sweep
 
 __all__ = [
     "CaseConfig", "ConfigError", "parse_config",
@@ -50,7 +50,7 @@ __all__ = [
     "SectionRigidities", "compute_rigidities", "f_shear", "g_shear",
     "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError", "Solution",
     "apply_bcs", "assemble", "assemble_load", "solve_static",
-    "CaseResults", "convergence_study", "evaluate_case", "sweep",
+    "CaseResults", "convergence_study", "evaluate_case", "evaluate_cases", "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -529,26 +529,28 @@ def benchmark_compare(tables: list[str] | None = None,
                       ne: int = 16) -> BenchReport:
     """Run every gated fixture cell and compare at its tolerance class.
 
-    Cells sharing a physical configuration share one solve.  Suspect
+    Cells sharing a physical configuration share one solve, and all
+    solves go through one ``evaluate_cases`` call.  Suspect
     cells are still evaluated and reported, but marked skipped and
     never counted as failures.
     """
-    from .studies import evaluate_case  # local import to avoid a cycle
+    from .studies import evaluate_cases  # local import to avoid a cycle
 
     if tables is not None:
         unknown = set(tables) - set(TABLE_IDS)
         if unknown:
             raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}")
     tol_overrides = tol_overrides or {}
-    cache: dict[tuple, object] = {}
-    report = BenchReport()
-    for cell in ALL_CELLS:
-        if tables is not None and cell.table not in tables:
-            continue
+    cells = [c for c in ALL_CELLS if tables is None or c.table in tables]
+    cases: dict[tuple, CaseConfig] = {}
+    for cell in cells:
         key = cell.case_key()
-        if key not in cache:
-            cache[key] = evaluate_case(cell.to_config(ne=ne))
-        res = cache[key]
+        if key not in cases:
+            cases[key] = cell.to_config(ne=ne)
+    solved = dict(zip(cases, evaluate_cases(list(cases.values()))))
+    report = BenchReport()
+    for cell in cells:
+        res = solved[cell.case_key()]
         computed = {"w_bar": res.w_bar, "sigma_bar": res.sigma_bar,
                     "tau_bar": res.tau_bar}[cell.quantity]
         rel = abs(computed - cell.expected) / abs(cell.expected)

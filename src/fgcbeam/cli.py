@@ -24,7 +24,7 @@ from .benchmarks import TABLE_IDS, BenchReport, benchmark_compare
 from .config import CaseConfig, ConfigError, parse_config
 from .postproc import thickness_profile
 from .solver import SingularSystemError
-from .studies import convergence_study, evaluate_case, sweep
+from .studies import CaseResults, convergence_study, evaluate_case, sweep
 
 
 def _fmt(x: float) -> str:
@@ -70,7 +70,8 @@ def _cmd_run(args) -> int:
         out.write("nondimensional outputs are defined for the udl load case only\n")
     if args.profile:
         x = _parse_station(args.profile_x, cfg)
-        _write_profile(cfg, x, args.profile_samples, Path(args.profile))
+        Path(args.profile).write_text(_profile_csv(res, x, args.profile_samples),
+                                      encoding="utf-8")
         out.write(f"profile written to {args.profile}\n")
     return 0
 
@@ -91,8 +92,9 @@ def _parse_station(text: str, cfg: CaseConfig) -> float:
     return x
 
 
-def _write_profile(cfg: CaseConfig, x: float, samples: int, path: Path) -> None:
-    res = evaluate_case(cfg)
+def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
+    """Through-thickness profile at x as CSV; nondimensional for the udl case."""
+    cfg = res.config
     rows = thickness_profile(res.solution, cfg.material, cfg.layup, x, samples)
     q = cfg.load.magnitude
     scale = cfg.h / (q * cfg.L) if cfg.load.kind == "udl" else None
@@ -102,27 +104,18 @@ def _write_profile(cfg: CaseConfig, x: float, samples: int, path: Path) -> None:
         s = r.sigma_x * scale if scale is not None else r.sigma_x
         t = r.tau_xz * scale if scale is not None else r.tau_xz
         lines.append(f"{_fmt(r.z_over_h)},{_fmt(s)},{_fmt(t)},{r.side}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_profile(args) -> int:
     cfg = _load_config(args.config)
     x = _parse_station(args.x, cfg)
-    out = Path(args.out) if args.out else None
-    if out is None:
-        res = evaluate_case(cfg)
-        rows = thickness_profile(res.solution, cfg.material, cfg.layup, x, args.samples)
-        q = cfg.load.magnitude
-        scale = cfg.h / (q * cfg.L) if cfg.load.kind == "udl" else None
-        sys.stdout.write("z_over_h,sigma_bar,tau_bar,side\n" if scale is not None
-                         else "z_over_h,sigma_x,tau_xz,side\n")
-        for r in rows:
-            s = r.sigma_x * scale if scale is not None else r.sigma_x
-            t = r.tau_xz * scale if scale is not None else r.tau_xz
-            sys.stdout.write(f"{_fmt(r.z_over_h)},{_fmt(s)},{_fmt(t)},{r.side}\n")
+    text = _profile_csv(evaluate_case(cfg), x, args.samples)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        sys.stdout.write(f"profile written to {args.out}\n")
     else:
-        _write_profile(cfg, x, args.samples, out)
-        sys.stdout.write(f"profile written to {out}\n")
+        sys.stdout.write(text)
     return 0
 
 

@@ -26,6 +26,7 @@ cantilever's mid-span profile) by parts in 1e8.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,33 +135,39 @@ _RIGHT = np.array([0, 1, 2, 1, 2, 2, 3])
 _CROSS = np.array([False, True, True, False, True, False, False])[:, None, None]
 
 
-def element_stiffness(rig: SectionRigidities, geom: ElementGeometry) -> np.ndarray:
-    """8x8 symmetric element stiffness by 4-point Gauss integration.
+def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
+                      geom: ElementGeometry) -> np.ndarray:
+    """Symmetric element stiffness by 4-point Gauss integration.
 
-    At each Gauss point the integrand is the sum, left to right, of
+    ``rig`` is one ``SectionRigidities`` (returns the 8x8 ``Ke``) or a
+    sequence of M of them (returns an (M, 8, 8) stack); the lone call is
+    the M = 1 case.  At each Gauss point the integrand is the sum, left
+    to right, of
 
         A11 B0B0 + B11 (B0B1 + B1B0) + B11s (B0B2 + B2B0) + D11 B1B1
         + D11s (B1B2 + B2B1) + H11s B2B2 + A55s BsBs
 
     (outer products), and the points are summed in order.  The seven
-    products of all four points are formed as one (4, 7, 8, 8) array;
-    keeping the summation order keeps ``Ke`` bit-identical to a
-    per-point loop of ``np.outer`` calls, and exactly symmetric.
+    products of all four points are formed as one (M, 4, 7, 8, 8) array;
+    every step is elementwise, so each slice is bit-identical to a
+    per-point loop of ``np.outer`` calls for its rigidities alone, and
+    exactly symmetric.
     """
+    rigs = [rig] if isinstance(rig, SectionRigidities) else rig
     half = 0.5 * geom.Le
     B = strain_rows(half * (_GAUSS_X + 1.0), geom)
     P = B.take(_LEFT, axis=1)[:, :, :, None] * B.take(_RIGHT, axis=1)[:, :, None, :]
     P = np.where(_CROSS, P + P.swapaxes(2, 3), P)
-    P *= np.array([rig.A11, rig.B11, rig.B11s, rig.D11,
-                   rig.D11s, rig.H11s, rig.A55s])[:, None, None]
-    S = P[:, 0] + P[:, 1]
+    P = P * np.array([[r.A11, r.B11, r.B11s, r.D11, r.D11s, r.H11s, r.A55s]
+                      for r in rigs])[:, None, :, None, None]
+    S = P[:, :, 0] + P[:, :, 1]
     for k in range(2, 7):
-        S += P[:, k]
+        S += P[:, :, k]
     S *= (half * _GAUSS_W)[:, None, None]
-    K = np.zeros((8, 8))
+    K = np.zeros((len(rigs), 8, 8))
     for g in range(4):
-        K += S[g]
-    return K
+        K += S[:, g]
+    return K[0] if isinstance(rig, SectionRigidities) else K
 
 
 def element_load_udl(q: float, Le: float) -> np.ndarray:

@@ -24,6 +24,11 @@ element interfaces; evaluation exactly on an interior node averages the
 two adjacent elements (symmetric cases make the limits equal, and the
 left end support, where tau is reported, uses the only element
 available).
+
+Recovery at a station is split in two: the rows that depend on the
+mesh alone (``_shape_station``, ``_strain_station``) and their products
+with one solution's DOFs.  The point functions below compose the two;
+a batch of solutions on one mesh builds the rows once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from .element import GeneralizedStrains, hermite_shape, lagrange_shape, strain_rows
 from .materials import Layup, MaterialPair, effective_modulus, stiffness_coeffs
 from .section import SectionRigidities, f_shear, g_shear
-from .solver import BoundaryCondition, Solution
+from .solver import BoundaryCondition, Mesh, Solution
 
 _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
 
@@ -75,9 +80,9 @@ class ProfileRow:
     side: str = ""
 
 
-def _locate(sol: Solution, x: float) -> tuple[int, float]:
+def _locate(mesh: Mesh, x: float) -> tuple[int, float]:
     """Element index and local coordinate for a position x in [0, L]."""
-    L, ne, Le = sol.mesh.L, sol.mesh.ne, sol.mesh.Le
+    L, ne, Le = mesh.L, mesh.ne, mesh.Le
     if x < -_NODE_SNAP * L or x > L * (1 + _NODE_SNAP):
         raise ValueError(f"x = {x} outside the beam [0, {L}]")
     x = min(max(x, 0.0), L)
@@ -85,13 +90,18 @@ def _locate(sol: Solution, x: float) -> tuple[int, float]:
     return e, x - e * Le
 
 
-def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
-    """Interpolated (u0, w0, dw0/dx, phi_x) at x."""
-    e, xi = _locate(sol, x)
-    Le = sol.mesh.Le
-    de = sol.d[sol.mesh.element_dofs(e)]
-    N, _ = lagrange_shape(xi, Le)
-    Nb, dNb, _ = hermite_shape(xi, Le)
+def _shape_station(mesh: Mesh, x: float) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+    """Element DOFs and the shape values (N, Nb, dNb/dx) that interpolate at x."""
+    e, xi = _locate(mesh, x)
+    N, _ = lagrange_shape(xi, mesh.Le)
+    Nb, dNb, _ = hermite_shape(xi, mesh.Le)
+    return mesh.element_dofs(e), N, Nb, dNb
+
+
+def _interpolate(d: np.ndarray, station) -> tuple[float, float, float, float]:
+    """(u0, w0, dw0/dx, phi_x) from the DOF vector at a ``_shape_station``."""
+    dofs, N, Nb, dNb = station
+    de = d[dofs]
     u = N[0] * de[0] + N[1] * de[4]
     phi = N[0] * de[3] + N[1] * de[7]
     wdofs = de[[1, 2, 5, 6]]
@@ -100,42 +110,62 @@ def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float
     return float(u), w, dw, float(phi)
 
 
-def _element_strains(sol: Solution, e: int, xi: float) -> np.ndarray:
-    de = sol.d[sol.mesh.element_dofs(e)]
-    B0, B1, B2, Bs = strain_rows((xi,), sol.mesh.element_geometry())[0]
+def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
+    """Interpolated (u0, w0, dw0/dx, phi_x) at x."""
+    return _interpolate(sol.d, _shape_station(sol.mesh, x))
+
+
+def _element_strains(de: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Generalized strains of element DOFs ``de`` from its (4, 8) strain rows."""
+    B0, B1, B2, Bs = rows
     return np.array([B0 @ de, B1 @ de, B2 @ de, Bs @ de])
+
+
+def _strain_station(mesh: Mesh, x: float) -> tuple[tuple[slice, np.ndarray], ...]:
+    """(element DOFs, strain rows) pairs whose strains give the strains at x.
+
+    One pair inside an element; at an interior node, the pairs of both
+    adjacent elements (from one ``strain_rows`` call), to be averaged.
+    """
+    e, xi = _locate(mesh, x)
+    geom = mesh.element_geometry()
+    node = int(round(x / mesh.Le))
+    if abs(x - node * mesh.Le) <= _NODE_SNAP * mesh.L and 0 < node < mesh.ne:
+        left, right = strain_rows((mesh.Le, 0.0), geom)
+        return (mesh.element_dofs(node - 1), left), (mesh.element_dofs(node), right)
+    return ((mesh.element_dofs(e), strain_rows((xi,), geom)[0]),)
+
+
+def _station_strains(d: np.ndarray, station) -> GeneralizedStrains:
+    """Generalized strains from the DOF vector at a ``_strain_station``."""
+    eps = [_element_strains(d[dofs], rows) for dofs, rows in station]
+    return GeneralizedStrains(*map(float, eps[0] if len(eps) == 1 else 0.5 * (eps[0] + eps[1])))
 
 
 def strains_at(sol: Solution, x: float) -> GeneralizedStrains:
     """Generalized strains at x, averaging both elements at interior nodes."""
-    mesh = sol.mesh
-    e, xi = _locate(sol, x)
-    snap = _NODE_SNAP * mesh.L
-    node = int(round(x / mesh.Le))
-    if abs(x - node * mesh.Le) <= snap and 0 < node < mesh.ne:
-        left = _element_strains(sol, node - 1, mesh.Le)
-        right = _element_strains(sol, node, 0.0)
-        eps = 0.5 * (left + right)
-    else:
-        eps = _element_strains(sol, e, xi)
-    return GeneralizedStrains(*map(float, eps))
+    return _station_strains(sol.d, _strain_station(sol.mesh, x))
 
 
-def _stresses(eps: GeneralizedStrains, mat: MaterialPair, layup: Layup, z: float,
-              side: str | None) -> tuple[float, float]:
-    """(sigma_x, tau_xz) at height z from the generalized strains of a station."""
+def _stress_factors(mat: MaterialPair, layup: Layup, z: float,
+                    side: str | None) -> tuple[float, float, float]:
+    """(C11, f, C55 g) at height z: the factors that turn strains into stresses there."""
     E = effective_modulus(mat, layup, z, side=side)
     C11, C55 = stiffness_coeffs(E, mat.nu)
-    h = layup.h
-    sigma = C11 * (eps.eps0 + z * eps.eps1 + float(f_shear(z, h)) * eps.eps2)
-    tau = C55 * float(g_shear(z, h)) * eps.gamma0
-    return sigma, tau
+    return C11, float(f_shear(z, layup.h)), C55 * float(g_shear(z, layup.h))
+
+
+def _stresses(eps: GeneralizedStrains, factors: tuple[float, float, float],
+              z: float) -> tuple[float, float]:
+    """(sigma_x, tau_xz) at height z from a station's strains and ``_stress_factors`` at z."""
+    C11, f, C55g = factors
+    return C11 * (eps.eps0 + z * eps.eps1 + f * eps.eps2), C55g * eps.gamma0
 
 
 def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float,
               side: str | None = None) -> StressSample:
     """Recover (sigma_x, tau_xz) at a point; ``side`` resolves interface z."""
-    sigma, tau = _stresses(strains_at(sol, x), mat, layup, z, side)
+    sigma, tau = _stresses(strains_at(sol, x), _stress_factors(mat, layup, z, side), z)
     return StressSample(x=x, z=z, sigma_x=sigma, tau_xz=tau)
 
 
@@ -197,6 +227,6 @@ def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
     strains = strains_at(sol, x)
     rows = []
     for z, side in pts:
-        sigma, tau = _stresses(strains, mat, layup, z, side or None)
+        sigma, tau = _stresses(strains, _stress_factors(mat, layup, z, side or None), z)
         rows.append(ProfileRow(z=z, z_over_h=z / h, sigma_x=sigma, tau_xz=tau, side=side))
     return rows

@@ -155,11 +155,11 @@ def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
     f = f_shear(z, layup.h)
     g = g_shear(z, layup.h)
     return SectionRigidities(
-        A11=float(np.sum(c11)),
-        B11=float(np.sum(c11 * z)),
-        D11=float(np.sum(c11 * z * z)),
-        B11s=float(np.sum(c11 * f)),
-        D11s=float(np.sum(c11 * z * f)),
-        H11s=float(np.sum(c11 * f * f)),
-        A55s=float(np.sum(c55 * g * g)),
+        A11=float(c11.sum()),
+        B11=float((c11 * z).sum()),
+        D11=float((c11 * z * z).sum()),
+        B11s=float((c11 * f).sum()),
+        D11s=float((c11 * z * f).sum()),
+        H11s=float((c11 * f * f).sum()),
+        A55s=float((c55 * g * g).sum()),
     )

@@ -1,16 +1,26 @@
 """Mesh, assembly, boundary conditions and the linear static solve.
 
 Element e of a uniform mesh couples the eight global DOFs 4e .. 4e+7,
-so the global stiffness has half-bandwidth 7.  ``solve_static`` builds
-it straight into LAPACK upper band storage, an (8, ndof) array, and
+so the global stiffness has half-bandwidth 7.  The solver builds it
+straight into LAPACK upper band storage, an (8, ndof) array, and
 factors it with banded Cholesky (``dpbtrf``/``dpbtrs``): time and
 memory are O(ne), and no ndof x ndof matrix is ever formed.
 
-All elements share one ``Ke``.  In band storage it is an (8, 8) slab
-whose first four columns belong to the element's left node and last
-four to its right node, so the band is filled with two slab adds over
-all nodes.  Every band entry gets its (at most two) element terms in
-element order, which makes the band bit-identical to an element loop.
+``solve_batch`` solves many jobs (rigidities, supports, load) on one
+mesh: one ``element_stiffness`` call gives every job's ``Ke``, each
+distinct load vector is built once, and each job then fills, constrains,
+factors and gates its own band, one job at a time, so memory stays
+O(ndof).  ``solve_static`` is its one-job case.  The jobs are factored
+one by one with banded LAPACK rather than as one batched dense Cholesky:
+that would round differently, need ndof^2 memory per job, and LAPACK
+costs about 10 us a job at ne = 16, which is not where the time goes.
+
+All elements of a mesh share one ``Ke``.  In band storage it is an
+(8, 8) slab whose first four columns belong to the element's left node
+and last four to its right node, so the band is filled with two slab
+adds over all nodes.  Every band entry gets its (at most two) element
+terms in element order, which makes the band bit-identical to an
+element loop.  The uniform load vector is filled the same way.
 
 Each constrained DOF k becomes an identity row and column with F[k] = 0.
 The system keeps its full size and stays symmetric positive definite,
@@ -50,6 +60,7 @@ number of threads concurrently.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,23 +187,39 @@ class Solution:
         return self.d[4 * node: 4 * node + 4]
 
 
-def assemble_banded(mesh: Mesh, rig: SectionRigidities) -> np.ndarray:
-    """Global stiffness in LAPACK upper band storage.
+def _band_slabs(Ke: np.ndarray) -> np.ndarray:
+    """``Ke``, or a stack of them, as (8, 8) band-storage slabs.
 
-    Returns ``ab`` of shape (HALF_BAND + 1, ndof) holding
-    ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``.
-    ``Ke`` in the same storage is an (8, 8) slab; element e adds its
-    first four columns to node e and its last four to node e + 1, so two
-    slab adds over all elements assemble the band.  Each entry receives
-    at most two terms, node e's before node e + 1's as in an element loop.
+    Slab entry (HALF_BAND + i - j, j) holds ``Ke[i, j]`` for i <= j;
+    columns 0-3 belong to the element's left node, 4-7 to its right node.
     """
-    kb = np.zeros((HALF_BAND + 1, 8))
-    kb[_KE_BAND] = element_stiffness(rig, mesh.element_geometry())[_KE_UPPER]
+    kb = np.zeros(Ke.shape)
+    kb[..., _KE_BAND[0], _KE_BAND[1]] = Ke[..., _KE_UPPER[0], _KE_UPPER[1]]
+    return kb
+
+
+def _fill_band(mesh: Mesh, kb: np.ndarray) -> np.ndarray:
+    """Global band of a mesh whose elements all have the band slab ``kb``.
+
+    Element e adds the slab's first four columns to node e and its last
+    four to node e + 1, so two slab adds over all elements assemble the
+    band.  Each entry receives at most two terms, node e's before node
+    e + 1's as in an element loop.
+    """
     ab = np.zeros((HALF_BAND + 1, mesh.ndof))
     nodes = ab.reshape(HALF_BAND + 1, mesh.n_nodes, 4)
     nodes[:, :-1] += kb[:, None, :4]
     nodes[:, 1:] += kb[:, None, 4:]
     return ab
+
+
+def assemble_banded(mesh: Mesh, rig: SectionRigidities) -> np.ndarray:
+    """Global stiffness in LAPACK upper band storage.
+
+    Returns ``ab`` of shape (HALF_BAND + 1, ndof) holding
+    ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``.
+    """
+    return _fill_band(mesh, _band_slabs(element_stiffness(rig, mesh.element_geometry())))
 
 
 def assemble(mesh: Mesh, rig: SectionRigidities) -> np.ndarray:
@@ -226,9 +253,9 @@ def assemble_load(mesh: Mesh, load: LoadCase) -> np.ndarray:
     F = np.zeros(mesh.ndof)
     if load.kind == "udl":
         fe = element_load_udl(load.magnitude, mesh.Le)
-        stop = 4 * mesh.ne
-        for i in range(8):
-            F[i:i + stop:4] += fe[i]
+        nodes = F.reshape(mesh.n_nodes, 4)      # left node's term first, as in an element loop
+        nodes[:-1] += fe[:4]
+        nodes[1:] += fe[4:]
     else:
         F[_point_dof(mesh, load)] = load.magnitude
     return F
@@ -264,12 +291,17 @@ def _dof_label(idx: int) -> str:
 
 
 def _constrain(ab: np.ndarray, F: np.ndarray, dofs: list[int]) -> None:
-    """Turn each DOF's row and column of the band into the identity; F = 0."""
+    """Turn each DOF's row and column of the band into the identity; F = 0.
+
+    Row k right of the diagonal, K[k, k + o] for o = 1 .. HALF_BAND, is
+    stored at ``ab[HALF_BAND - o, k + o]``: in C order, flat positions
+    n - 1 apart that end just before the diagonal's.
+    """
     n = ab.shape[1]
     for k in dofs:
         ab[:, k] = 0.0                                    # column k above the diagonal
-        cols = np.arange(k + 1, min(k + HALF_BAND + 1, n))
-        ab[HALF_BAND + k - cols, cols] = 0.0              # row k right of it
+        diag = HALF_BAND * n + k
+        ab.flat[diag - min(HALF_BAND, n - 1 - k) * (n - 1):diag:n - 1] = 0.0
         ab[HALF_BAND, k] = 1.0
         F[k] = 0.0
 
@@ -306,6 +338,28 @@ def _solve_banded(ab: np.ndarray, F: np.ndarray) -> np.ndarray:
     return d
 
 
+def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryCondition, LoadCase]]
+                ) -> Iterator[Solution]:
+    """Solve K d = F for each job (rig, bc, load) on one mesh; yield the Solutions in order.
+
+    One ``element_stiffness`` call gives every job's ``Ke``, and each
+    distinct load vector is built once.  Each job then fills its own
+    band from its ``Ke``, and is checked, constrained, factored and gated
+    exactly as a lone ``solve_static``, so its solution is bit-identical
+    to that one.  A failing job raises when it is reached.
+    """
+    slabs = _band_slabs(element_stiffness([rig for rig, _, _ in jobs], mesh.element_geometry()))
+    loads: dict[LoadCase, np.ndarray] = {}
+    for (_, bc, load), kb in zip(jobs, slabs):
+        check_load(mesh, bc, load)
+        if load not in loads:
+            loads[load] = assemble_load(mesh, load)
+        ab = _fill_band(mesh, kb)
+        F = loads[load].copy()
+        _constrain(ab, F, bc.constrained_dofs(mesh))
+        yield Solution(d=_solve_banded(ab, F), mesh=mesh, bc=bc, load=load)
+
+
 def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
                  load: LoadCase) -> Solution:
     """Assemble, constrain and solve K d = F for the static response.
@@ -313,11 +367,6 @@ def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
     A point load on a constrained DOF raises ValueError.  The returned
     vector carries exact zeros at constrained DOFs.  The solve is
     accepted only if its normwise backward error is at most n * eps
-    (see the module docstring).
+    (see the module docstring).  This is the one-job ``solve_batch``.
     """
-    check_load(mesh, bc, load)
-    ab = assemble_banded(mesh, rig)
-    F = assemble_load(mesh, load)
-    _constrain(ab, F, bc.constrained_dofs(mesh))
-    d = _solve_banded(ab, F)
-    return Solution(d=d, mesh=mesh, bc=bc, load=load)
+    return next(solve_batch(mesh, [(rig, bc, load)]))

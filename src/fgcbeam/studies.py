@@ -1,16 +1,30 @@
 """Case evaluation, mesh-convergence studies and parameter sweeps.
 
-``evaluate_case`` runs the full pipeline for one configuration:
-rigidities, assembly, solve, then the three reported quantities
+``evaluate_cases`` runs the full pipeline for a list of configurations
+and reports, per case,
 
     w_bar     at x = L/2 (SS, CC) or x = L (CF)
     sigma_bar at (L/2, +h/2)
     tau_bar   at (0, 0)
 
 Nondimensional values are defined for the uniform load case; point-load
-cases report the dimensional deflection only.  Every function here is
-deterministic and stateless, so independent studies can run
-concurrently.
+cases report the dimensional deflection only.
+
+Parametric studies repeat sections and meshes, so the work is shared in
+three layers, all within one call:
+
+    section  one ``compute_rigidities`` per distinct (material, layup),
+             and for uniform-load cases its C11(h/2), f(h/2) and C55 g(0);
+    solver   the cases are grouped by ``Mesh``; one ``element_stiffness``
+             call per group gives every ``Ke``, and ``solve_batch`` fills,
+             constrains, factors and gates one band per case;
+    postproc the recovery rows of the deflection point and of the two
+             stress stations are built once per group.
+
+Each case's arithmetic is that of evaluating it alone, so results are
+bit-identical to ``evaluate_case``, which is the one-case list.  Nothing
+is cached across calls.  Every function here is deterministic and
+stateless, so independent studies can run concurrently.
 """
 
 from __future__ import annotations
@@ -18,9 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .config import CaseConfig, with_parameter
-from .postproc import deflection_point, displacement_at, nondimensionalize, stress_at
+from .postproc import (
+    _interpolate,
+    _shape_station,
+    _station_strains,
+    _strain_station,
+    _stress_factors,
+    _stresses,
+    deflection_point,
+    nondimensionalize,
+)
 from .section import compute_rigidities
-from .solver import Solution, solve_static
+from .solver import SingularSystemError, Solution, solve_batch
+
+#: What a case can raise; a later case's error waits until earlier cases are done.
+_CASE_ERRORS = (ValueError, SingularSystemError)
 
 
 @dataclass(frozen=True)
@@ -38,23 +64,86 @@ class CaseResults:
 
 def evaluate_case(cfg: CaseConfig) -> CaseResults:
     """Solve one case and report the table quantities."""
-    rig = compute_rigidities(cfg.material, cfg.layup)
-    sol = solve_static(cfg.mesh(), rig, cfg.bc, cfg.load)
-    L, h = cfg.L, cfg.h
-    x_w = deflection_point(cfg.bc, L)
-    w = displacement_at(sol, x_w)[1]
-    if cfg.load.kind == "udl":
-        q = cfg.load.magnitude
-        sigma = stress_at(sol, cfg.material, cfg.layup, L / 2.0, h / 2.0).sigma_x
-        tau = stress_at(sol, cfg.material, cfg.layup, 0.0, 0.0).tau_xz
-        return CaseResults(
-            config=cfg, solution=sol, x_deflection=x_w, w=w,
-            w_bar=nondimensionalize(w, "deflection", cfg.material, L, h, q),
-            sigma_bar=nondimensionalize(sigma, "sigma", cfg.material, L, h, q),
-            tau_bar=nondimensionalize(tau, "tau", cfg.material, L, h, q),
-        )
-    return CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w,
-                       w_bar=None, sigma_bar=None, tau_bar=None)
+    return evaluate_cases([cfg])[0]
+
+
+class _Section:
+    """One section's rigidities and, once a uniform-load case asks, its stress factors."""
+
+    def __init__(self, cfg: CaseConfig):
+        self.cfg = cfg
+        self.rig = compute_rigidities(cfg.material, cfg.layup)
+        self._factors = None
+
+    def factors(self):
+        """``_stress_factors`` at (z = h/2) for sigma and at (z = 0) for tau."""
+        if self._factors is None:
+            mat, layup = self.cfg.material, self.cfg.layup
+            self._factors = (_stress_factors(mat, layup, self.cfg.h / 2.0, None),
+                             _stress_factors(mat, layup, 0.0, None))
+        return self._factors
+
+
+def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
+    """Solve every case and report the table quantities, in input order.
+
+    If cases fail, the error of the first failing one in input order is
+    raised, as ``evaluate_case`` would raise it for that case.
+    """
+    results: list[CaseResults | None] = [None] * len(configs)
+    errors: dict[int, Exception] = {}
+    sections: dict[tuple, _Section] = {}
+    groups: dict = {}
+    for i, cfg in enumerate(configs):
+        try:
+            key = (cfg.material, cfg.layup)
+            section = sections.get(key)
+            if section is None:
+                section = sections[key] = _Section(cfg)
+            groups.setdefault(cfg.mesh(), []).append((i, cfg, section))
+        except _CASE_ERRORS as err:
+            errors[i] = err
+    for mesh, members in groups.items():
+        w_rows, stations = {}, None
+        solutions = solve_batch(mesh, [(section.rig, cfg.bc, cfg.load)
+                                       for _, cfg, section in members])
+        for i, cfg, section in members:
+            try:
+                sol = next(solutions)
+            except _CASE_ERRORS as err:
+                errors[i] = err
+                break                 # the batch stops at its first failed solve
+            try:
+                x_w = deflection_point(cfg.bc, cfg.L)
+                if x_w not in w_rows:
+                    w_rows[x_w] = _shape_station(mesh, x_w)
+                w = _interpolate(sol.d, w_rows[x_w])[1]
+                if cfg.load.kind != "udl":
+                    results[i] = CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w,
+                                             w_bar=None, sigma_bar=None, tau_bar=None)
+                    continue
+                if stations is None:
+                    stations = _strain_station(mesh, mesh.L / 2.0), _strain_station(mesh, 0.0)
+                results[i] = _uniform_load_results(cfg, sol, x_w, w, stations,
+                                                   section.factors())
+            except _CASE_ERRORS as err:
+                errors[i] = err
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _uniform_load_results(cfg, sol, x_w, w, stations, factors) -> CaseResults:
+    """Nondimensional deflection, sigma at (L/2, h/2) and tau at (0, 0)."""
+    L, h, q = cfg.L, cfg.h, cfg.load.magnitude
+    sigma = _stresses(_station_strains(sol.d, stations[0]), factors[0], h / 2.0)[0]
+    tau = _stresses(_station_strains(sol.d, stations[1]), factors[1], 0.0)[1]
+    return CaseResults(
+        config=cfg, solution=sol, x_deflection=x_w, w=w,
+        w_bar=nondimensionalize(w, "deflection", cfg.material, L, h, q),
+        sigma_bar=nondimensionalize(sigma, "sigma", cfg.material, L, h, q),
+        tau_bar=nondimensionalize(tau, "tau", cfg.material, L, h, q),
+    )
 
 
 @dataclass(frozen=True)
@@ -73,20 +162,23 @@ class ConvergenceResult:
 
 
 def convergence_study(cfg: CaseConfig, ne_list: list[int]) -> ConvergenceResult:
-    """Re-solve the case across mesh sizes and report the deflection."""
+    """Re-solve the case across mesh sizes and report the deflection.
+
+    Every element count is validated before any solve.
+    """
     if not ne_list:
         raise ValueError("ne_list must not be empty")
-    rows = []
-    quantity = "w_bar" if cfg.load.kind == "udl" else "w"
     for ne in ne_list:
         if ne < 1:
             raise ValueError(f"element counts must be >= 1, got {ne}")
-        res = evaluate_case(replace(cfg, ne=ne))
-        rows.append(ConvergenceRow(ne=ne, value=res.w_bar if quantity == "w_bar" else res.w))
+    quantity = "w_bar" if cfg.load.kind == "udl" else "w"
+    results = evaluate_cases([replace(cfg, ne=ne) for ne in ne_list])
+    rows = tuple(ConvergenceRow(ne=ne, value=getattr(res, quantity))
+                 for ne, res in zip(ne_list, results))
     vals = [r.value for r in rows]
     scale = max(abs(v) for v in vals) or 1.0
     monotone = all(b >= a - 1e-12 * scale for a, b in zip(vals, vals[1:]))
-    return ConvergenceResult(rows=tuple(rows), quantity=quantity, monotone=monotone)
+    return ConvergenceResult(rows=rows, quantity=quantity, monotone=monotone)
 
 
 @dataclass(frozen=True)
@@ -101,5 +193,6 @@ def sweep(cfg: CaseConfig, param: str, values: list) -> list[SweepRow]:
     Every value is validated (a bad one rejects the whole sweep before
     any solve); rows keep the input order.
     """
-    configs = [(str(v), with_parameter(cfg, param, v)) for v in values]
-    return [SweepRow(value=label, results=evaluate_case(c)) for label, c in configs]
+    configs = [with_parameter(cfg, param, v) for v in values]
+    return [SweepRow(value=str(v), results=res)
+            for v, res in zip(values, evaluate_cases(configs))]

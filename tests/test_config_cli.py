@@ -11,6 +11,7 @@ from fgcbeam import (
     LayupKind,
     SingularSystemError,
     parse_config,
+    solver,
     studies,
 )
 from fgcbeam.cli import main
@@ -234,7 +235,7 @@ class TestCliConverge:
         def singular(*args, **kwargs):
             raise SingularSystemError("stiffness is not positive definite at node 3, dof u0")
 
-        monkeypatch.setattr(studies, "solve_static", singular)
+        monkeypatch.setattr(solver, "_solve_banded", singular)
         assert main(["converge", str(sandwich_file), "--ne", "4,8"]) == 2
         captured = capsys.readouterr()
         assert captured.err == ("error: stiffness is not positive definite at "
@@ -306,6 +307,24 @@ class TestCliProfile:
 
     def test_bad_station(self, sandwich_file, capsys):
         assert main(["profile", str(sandwich_file), "--x", "7.0"]) == 2
+
+    def test_run_profile_solves_once_and_matches_profile_out(self, sandwich_file, tmp_path,
+                                                             capsys, monkeypatch):
+        solves = []
+        real = solver._solve_banded
+
+        def counting(ab, F):
+            solves.append(len(F))
+            return real(ab, F)
+
+        monkeypatch.setattr(solver, "_solve_banded", counting)
+        from_run, from_profile = tmp_path / "run.csv", tmp_path / "profile.csv"
+        assert main(["run", str(sandwich_file), "--profile", str(from_run),
+                     "--profile-x", "support", "--profile-samples", "41"]) == 0
+        assert len(solves) == 1
+        assert main(["profile", str(sandwich_file), "--x", "support", "--samples", "41",
+                     "--out", str(from_profile)]) == 0
+        assert from_run.read_bytes() == from_profile.read_bytes()
 
 
 class TestCliBench:

@@ -1,0 +1,73 @@
+"""Golden corpus: CLI output must stay byte-identical.
+
+``tests/golden/cases`` holds INI cases covering layup kinds A/B/C,
+SS/CC/CF supports, straight and curved beams, and udl, ``point_mid``
+and ``point_end`` loads.  Next to them are the stored outputs of
+``bench --csv``, ``run`` and ``converge`` on every case, two sweeps and
+the mid-span and support profiles of three cases.  The test reruns each
+command in-process and compares bytes.
+
+After an intended output change, rewrite the corpus with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from fgcbeam import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = sorted(p.stem for p in (GOLDEN / "cases").glob("*.ini"))
+PROFILED = ("b_cc_udl_curved", "b_cf_point_mid", "c_cc_udl_curved_odd")
+
+
+def _corpus() -> dict[str, list[str]]:
+    """Stored file name -> CLI arguments (a case name stands for its INI path)."""
+    out = {"bench.csv": ["bench", "--csv"]}
+    for case in CASES:
+        out[f"{case}.run.txt"] = ["run", case]
+        out[f"{case}.converge.txt"] = ["converge", case]
+    out["a_ss_udl.sweep_p.csv"] = ["sweep", "a_ss_udl", "--param", "p",
+                                   "--values", "0,0.5,1,2,5,10"]
+    out["a_ss_udl.sweep_R_over_L.csv"] = ["sweep", "a_ss_udl", "--param", "R_over_L",
+                                          "--values", "5,10,20,50,100,inf"]
+    for case in PROFILED:
+        for station in ("mid", "support"):
+            out[f"{case}.profile_{station}.csv"] = ["profile", case, "--x", station]
+    return out
+
+
+def generate(name: str) -> bytes:
+    """Output of the command stored as ``name``: stdout, or the CSV for bench."""
+    argv = list(_corpus()[name])
+    if argv[0] != "bench":
+        argv[1] = str(GOLDEN / "cases" / f"{argv[1]}.ini")
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "bench":
+            argv.append(str(Path(tmp) / name))
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(argv)
+        assert code == 0, f"fgcbeam {' '.join(argv)} exited {code}"
+        if argv[0] == "bench":
+            return (Path(tmp) / name).read_bytes()
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(_corpus()))
+def test_output_matches_golden_corpus(name):
+    assert generate(name) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for name in _corpus():
+        (GOLDEN / name).write_bytes(generate(name))
+        sys.stdout.write(f"wrote {name}\n")

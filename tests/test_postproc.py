@@ -21,6 +21,8 @@ from fgcbeam import (
     stress_at,
     thickness_profile,
 )
+from fgcbeam.element import strain_rows
+from fgcbeam.postproc import _element_strains
 from fgcbeam.section import f_shear, g_shear
 from fgcbeam.studies import evaluate_case
 
@@ -33,6 +35,12 @@ MAT = DEFAULT_MATERIAL
 def solve_cfg(cfg):
     rig = compute_rigidities(cfg.material, cfg.layup)
     return solve_static(cfg.mesh(), rig, cfg.bc, cfg.load), rig
+
+
+def element_strains(sol, e, xi):
+    """Strains of element e at local coordinate xi, through the recovery's row product."""
+    rows = strain_rows((xi,), sol.mesh.element_geometry())[0]
+    return _element_strains(sol.d[sol.mesh.element_dofs(e)], rows)
 
 
 class TestDisplacementAt:
@@ -99,13 +107,11 @@ class TestStrainsAt:
         sol, _ = solve_cfg(cfg)
         mesh = cfg.mesh()
         x = 2 * mesh.Le
-        from fgcbeam.postproc import _element_strains
-        left = _element_strains(sol, 1, mesh.Le)
-        right = _element_strains(sol, 2, 0.0)
+        left = element_strains(sol, 1, mesh.Le)
+        right = element_strains(sol, 2, 0.0)
         assert strains_at(sol, x).as_array() == pytest.approx(0.5 * (left + right))
 
     def test_element_strains_bit_equal_to_reference_rows(self, rng):
-        from fgcbeam.postproc import _element_strains
         for _ in range(20):
             cfg = random_case(rng)
             sol, _ = solve_cfg(cfg)
@@ -115,7 +121,7 @@ class TestStrainsAt:
                 for xi in (0.0, geom.Le, float(rng.uniform(0.0, geom.Le))):
                     want = np.array([B @ de for B in
                                      reference_element.strain_displacement(xi, geom)])
-                    assert _element_strains(sol, e, xi).tobytes() == want.tobytes()
+                    assert element_strains(sol, e, xi).tobytes() == want.tobytes()
 
 
 class TestStressAt:

@@ -1,0 +1,141 @@
+"""The batched case engine against the per-case pipeline it replaced."""
+
+import pytest
+
+from fgcbeam import (
+    LoadCase,
+    compute_rigidities,
+    deflection_point,
+    displacement_at,
+    element,
+    nondimensionalize,
+    section,
+    solve_static,
+    solver,
+    stress_at,
+    studies,
+)
+from fgcbeam.benchmarks import ALL_CELLS, benchmark_compare
+from fgcbeam.studies import CaseResults, evaluate_case, evaluate_cases
+
+from conftest import make_case, random_case
+
+
+def reference_evaluate_case(cfg):
+    """One case through solve_static, displacement_at and stress_at, as before batching."""
+    rig = compute_rigidities(cfg.material, cfg.layup)
+    sol = solve_static(cfg.mesh(), rig, cfg.bc, cfg.load)
+    L, h = cfg.L, cfg.h
+    x_w = deflection_point(cfg.bc, L)
+    w = displacement_at(sol, x_w)[1]
+    if cfg.load.kind == "udl":
+        q = cfg.load.magnitude
+        sigma = stress_at(sol, cfg.material, cfg.layup, L / 2.0, h / 2.0).sigma_x
+        tau = stress_at(sol, cfg.material, cfg.layup, 0.0, 0.0).tau_xz
+        return CaseResults(
+            config=cfg, solution=sol, x_deflection=x_w, w=w,
+            w_bar=nondimensionalize(w, "deflection", cfg.material, L, h, q),
+            sigma_bar=nondimensionalize(sigma, "sigma", cfg.material, L, h, q),
+            tau_bar=nondimensionalize(tau, "tau", cfg.material, L, h, q),
+        )
+    return CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w,
+                       w_bar=None, sigma_bar=None, tau_bar=None)
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+def assert_bit_equal(got: CaseResults, want: CaseResults):
+    assert got.config == want.config
+    assert got.solution.d.tobytes() == want.solution.d.tobytes()
+    for key in ("x_deflection", "w", "w_bar", "sigma_bar", "tau_bar"):
+        assert _bits(getattr(got, key)) == _bits(getattr(want, key)), key
+
+
+FIXTURE_CONFIGS = list({cell.case_key(): cell.to_config() for cell in ALL_CELLS}.values())
+
+
+def test_fixture_configs_bit_equal_to_per_case_pipeline():
+    assert len(FIXTURE_CONFIGS) == 420
+    for got, cfg in zip(evaluate_cases(FIXTURE_CONFIGS), FIXTURE_CONFIGS):
+        assert_bit_equal(got, reference_evaluate_case(cfg))
+
+
+def test_random_cases_bit_equal_to_per_case_pipeline(rng):
+    configs = [random_case(rng) for _ in range(50)]
+    assert max(c.ne for c in configs) == 256
+    assert {c.load.kind for c in configs} == {"udl", "point_end", "point_mid"}
+    for got, cfg in zip(evaluate_cases(configs), configs):
+        assert_bit_equal(got, reference_evaluate_case(cfg))
+
+
+def test_duplicate_configs_each_get_their_own_result():
+    a = make_case("B", scheme=(2, 2, 1), p=5.0, R_over_L=5.0, bc="CC")
+    b = make_case("C", scheme=(1, 8, 1), p=2.0, bc="CF", load=LoadCase.point_mid(3.0))
+    configs = [a, b, a, a, b]
+    results = evaluate_cases(configs)
+    for got, cfg in zip(results, configs):
+        assert_bit_equal(got, reference_evaluate_case(cfg))
+    assert results[0].solution.d is not results[2].solution.d
+
+
+def test_empty_list():
+    assert evaluate_cases([]) == []
+
+
+def test_single_case_is_the_one_case_list():
+    cfg = make_case("A", p=1.0, bc="SS")
+    assert_bit_equal(evaluate_case(cfg), evaluate_cases([cfg])[0])
+
+
+BAD_SECTION = make_case("A", p=900.0)                        # fails in compute_rigidities
+BAD_LATER = {
+    "section": make_case("B", p=1000.0, ne=8),
+    "solve": make_case("A", bc="SS", load=LoadCase.point_end(1.0)),  # load on a support
+    "recovery": make_case("A", load=LoadCase.udl(0.0)),        # no nondimensional form
+}
+
+
+@pytest.mark.parametrize("stage", sorted(BAD_LATER))
+def test_first_failing_case_in_input_order_is_raised(stage):
+    good = make_case("A", p=2.0)
+    bad = BAD_LATER[stage]
+    configs = [good, bad, make_case("A", p=3.0), good, BAD_SECTION, good]
+    with pytest.raises(Exception) as alone:
+        evaluate_case(bad)
+    with pytest.raises(Exception) as batched:
+        evaluate_cases(configs)
+    assert type(batched.value) is type(alone.value)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_shared_work_per_call(monkeypatch):
+    """benchmark_compare: one rigidity set per section, one Ke stack per mesh."""
+    calls = {"rig": 0, "ke": 0}
+    real_rig, real_ke = section.compute_rigidities, element.element_stiffness
+
+    def rig(*args):
+        calls["rig"] += 1
+        return real_rig(*args)
+
+    def ke(*args):
+        calls["ke"] += 1
+        return real_ke(*args)
+
+    monkeypatch.setattr(studies, "compute_rigidities", rig)
+    monkeypatch.setattr(solver, "element_stiffness", ke)
+    assert benchmark_compare().n_fail == 0
+    configs = FIXTURE_CONFIGS
+    assert calls["rig"] == len({(c.material, c.layup) for c in configs}) == 30
+    assert calls["ke"] == len({c.mesh() for c in configs}) <= 13
+
+
+def test_one_mesh_group_with_mixed_sections_supports_and_loads():
+    # the group shares one Ke stack, its stations and each load vector
+    configs = [make_case(kind, p=p, bc=bc, load=load)
+               for kind in ("A", "C") for p in (0.0, 5.0) for bc in ("SS", "CC", "CF")
+               for load in (LoadCase.udl(1.0), LoadCase.udl(2.5), LoadCase.point_mid(1.0))]
+    assert len({c.mesh() for c in configs}) == 1
+    for got, cfg in zip(evaluate_cases(configs), configs):
+        assert_bit_equal(got, reference_evaluate_case(cfg))
