@@ -33,8 +33,6 @@ from .solver import (
     Mesh,
     SingularSystemError,
     Solution,
-    apply_bcs,
-    assemble,
     assemble_load,
     solve_static,
 )
@@ -49,7 +47,7 @@ __all__ = [
     "thickness_profile",
     "SectionRigidities", "compute_rigidities", "f_shear", "g_shear",
     "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError", "Solution",
-    "apply_bcs", "assemble", "assemble_load", "solve_static",
+    "assemble_load", "solve_static",
     "CaseResults", "convergence_study", "evaluate_case", "evaluate_cases", "sweep",
 ]
 

@@ -70,7 +70,7 @@ class BenchmarkCell:
         return (self.kind.value, self.scheme, self.p, self.L_over_h,
                 self.R_over_L, self.bc)
 
-    def to_config(self, ne: int = 16) -> CaseConfig:
+    def to_config(self) -> CaseConfig:
         kind = self.kind
         h = 1.0
         layup = (Layup.single_layer(self.p, h) if kind is LayupKind.A
@@ -78,7 +78,7 @@ class BenchmarkCell:
         return CaseConfig(material=DEFAULT_MATERIAL, layup=layup,
                           L=self.L_over_h * h, R_over_L=self.R_over_L,
                           bc=BoundaryCondition(self.bc),
-                          load=LoadCase.udl(1.0), ne=ne)
+                          load=LoadCase.udl(1.0))
 
 
 def _rl_label(rl: float) -> str:
@@ -516,17 +516,13 @@ class BenchReport:
     def ok(self) -> bool:
         return self.n_fail == 0
 
-    def failures(self) -> list[BenchResult]:
-        return [r for r in self.results if not r.passed and not r.skipped]
-
     def worst(self, n: int = 10) -> list[BenchResult]:
         gated = [r for r in self.results if not r.skipped]
         return sorted(gated, key=lambda r: -r.rel_err)[:n]
 
 
 def benchmark_compare(tables: list[str] | None = None,
-                      tol_overrides: dict[str, float] | None = None,
-                      ne: int = 16) -> BenchReport:
+                      tol_overrides: dict[str, float] | None = None) -> BenchReport:
     """Run every gated fixture cell and compare at its tolerance class.
 
     Cells sharing a physical configuration share one solve, and all
@@ -537,6 +533,8 @@ def benchmark_compare(tables: list[str] | None = None,
     from .studies import evaluate_cases  # local import to avoid a cycle
 
     if tables is not None:
+        if not tables:
+            raise ValueError("no benchmark table selected")
         unknown = set(tables) - set(TABLE_IDS)
         if unknown:
             raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}")
@@ -546,7 +544,7 @@ def benchmark_compare(tables: list[str] | None = None,
     for cell in cells:
         key = cell.case_key()
         if key not in cases:
-            cases[key] = cell.to_config(ne=ne)
+            cases[key] = cell.to_config()
     solved = dict(zip(cases, evaluate_cases(list(cases.values()))))
     report = BenchReport()
     for cell in cells:

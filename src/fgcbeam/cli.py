@@ -57,6 +57,10 @@ def _case_header(cfg: CaseConfig) -> list[str]:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    if args.profile:      # check the profile options before anything is printed
+        x = _parse_station(args.profile_x, cfg, "--profile-x")
+        if args.profile_samples < 2:
+            raise ConfigError(f"--profile-samples must be at least 2, got {args.profile_samples}")
     res = evaluate_case(cfg)
     out = sys.stdout
     for line in _case_header(cfg):
@@ -69,14 +73,13 @@ def _cmd_run(args) -> int:
     else:
         out.write("nondimensional outputs are defined for the udl load case only\n")
     if args.profile:
-        x = _parse_station(args.profile_x, cfg)
         Path(args.profile).write_text(_profile_csv(res, x, args.profile_samples),
                                       encoding="utf-8")
         out.write(f"profile written to {args.profile}\n")
     return 0
 
 
-def _parse_station(text: str, cfg: CaseConfig) -> float:
+def _parse_station(text: str, cfg: CaseConfig, flag: str) -> float:
     if text == "mid":
         return cfg.L / 2.0
     if text == "end":
@@ -86,9 +89,9 @@ def _parse_station(text: str, cfg: CaseConfig) -> float:
     try:
         x = float(text)
     except ValueError:
-        raise ConfigError(f"--x must be mid, end, support or a coordinate, got {text!r}")
+        raise ConfigError(f"{flag} must be mid, end, support or a coordinate, got {text!r}")
     if not (0.0 <= x <= cfg.L):
-        raise ConfigError(f"--x = {x} outside the beam [0, {cfg.L}]")
+        raise ConfigError(f"{flag} = {x} outside the beam [0, {cfg.L}]")
     return x
 
 
@@ -109,7 +112,7 @@ def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
 
 def _cmd_profile(args) -> int:
     cfg = _load_config(args.config)
-    x = _parse_station(args.x, cfg)
+    x = _parse_station(args.x, cfg, "--x")
     text = _profile_csv(evaluate_case(cfg), x, args.samples)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -214,7 +217,7 @@ def _bench_csv(report: BenchReport) -> str:
 
 def _cmd_bench(args) -> int:
     tables = None
-    if args.table:
+    if args.table is not None:
         tables = [t.strip() for t in args.table.split(",") if t.strip()]
     overrides = _parse_tol_overrides(args.tol or [])
     report = benchmark_compare(tables=tables, tol_overrides=overrides)

@@ -14,7 +14,8 @@ Grammar (sections and keys; '#'/';' comments allowed):
                 magnitude                   (optional; default 1.0)
     [mesh]      ne                          (optional; default 16)
 
-Parse errors name the offending section.key.
+Numbers must be finite; ``inf`` is accepted only as R_over_L.  Parse
+errors name the offending section.key.
 """
 
 from __future__ import annotations
@@ -86,12 +87,19 @@ def _get(cp: configparser.ConfigParser, section: str, key: str,
     return default
 
 
-def _get_float(cp, section, key, default=None, positive=False, nonnegative=False):
-    raw = _get(cp, section, key, default)
+def _finite(name: str, raw) -> float:
+    """raw as a finite float; a ConfigError that names ``name`` otherwise."""
     try:
         val = float(raw)
     except ValueError as err:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from err
+        raise ConfigError(f"{name}: expected a number, got {raw!r}") from err
+    if not math.isfinite(val):
+        raise ConfigError(f"{name}: must be finite, got {raw!r}")
+    return val
+
+
+def _get_float(cp, section, key, default=None, positive=False, nonnegative=False):
+    val = _finite(f"{section}.{key}", _get(cp, section, key, default))
     if positive and val <= 0:
         raise ConfigError(f"{section}.{key}: must be positive, got {val}")
     if nonnegative and val < 0:
@@ -185,15 +193,15 @@ def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
     param is one of 'p', 'R_over_L', 'scheme', 'L_over_h'.
     """
     if param == "p":
-        p = float(value)
+        p = _finite(param, value)
         if p < 0:
             raise ConfigError(f"p: must be nonnegative, got {value}")
         return replace(cfg, layup=replace(cfg.layup, p=p))
     if param == "R_over_L":
-        if isinstance(value, str) and value.strip().lower() == "inf":
+        if str(value).strip().lower() == "inf":
             rl = math.inf
         else:
-            rl = float(value)
+            rl = _finite(param, value)
             if rl <= 0:
                 raise ConfigError(f"R_over_L: must be positive or inf, got {value}")
         return replace(cfg, R_over_L=rl)
@@ -203,7 +211,7 @@ def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
             raise ConfigError("scheme sweep needs a sandwich layup (kind B or C)")
         return replace(cfg, layup=replace(cfg.layup, scheme=scheme))
     if param == "L_over_h":
-        ratio = float(value)
+        ratio = _finite(param, value)
         if ratio <= 0:
             raise ConfigError(f"L_over_h: must be positive, got {value}")
         return replace(cfg, L=ratio * cfg.layup.h)

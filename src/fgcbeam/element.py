@@ -10,12 +10,15 @@ Generalized strains (membrane eps0 = u0' + w0/R, bending
 eps1 = -w0'', shear-warp eps2 = phi', shear gamma0 = phi) map from the
 DOFs through the four strain-displacement rows (B0, B1, B2, Bs).  All
 integrands are polynomials of degree <= 6, so a fixed 4-point Gauss
-rule (exact to degree 7) integrates the stiffness and loads exactly.
+rule (exact to degree 7) integrates the stiffness exactly; the
+consistent load of a uniform q is written out in closed form.
 
-One builder, ``strain_rows``, returns the rows at any set of points as
-a (n, 4, 8) array; the stiffness (at the Gauss points), the solver's
-band fill (through ``element_stiffness``) and stress recovery all take
-their rows from it.  It computes in Python floats, and the stiffness
+The shape functions are evaluated in one place, ``_lagrange`` and
+``_hermite``, in Python floats.  One builder, ``strain_rows``, turns
+them into the rows at any set of points as a (n, 4, 8) array; the
+stiffness (at the Gauss points), the solver's band fill (through
+``element_stiffness``) and stress recovery all take their rows from it,
+and displacement recovery takes the shape values directly.  The stiffness
 keeps the term and point order of a per-point ``np.outer`` loop, so
 results are bit-identical to that loop, not merely close.  This is
 deliberate: a closed form ``Ke = sum_k rig_k Le^a (1/R)^b C_k`` or a
@@ -65,10 +68,16 @@ class GeneralizedStrains:
 
 
 def _lagrange(x: float, L: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Linear shape functions (1 - x/L, x/L) and their derivatives, in Python floats."""
     return (1.0 - x / L, x / L), (-1.0 / L, 1.0 / L)
 
 
 def _hermite(x: float, L: float) -> tuple[tuple[float, ...], ...]:
+    """Hermite cubics on [0, L] and their first two derivatives, in Python floats.
+
+    Ordering [translation_1, slope_1, translation_2, slope_2] with the
+    nodal properties N1(0) = 1, N2'(0) = 1, N3(L) = 1, N4'(L) = 1.
+    """
     x2, x3, L2, L3 = x**2, x**3, L**2, L**3
     return (
         (1.0 - 3.0 * x2 / L2 + 2.0 * x3 / L3,
@@ -86,28 +95,12 @@ def _hermite(x: float, L: float) -> tuple[tuple[float, ...], ...]:
     )
 
 
-def lagrange_shape(xi: float, Le: float) -> tuple[np.ndarray, np.ndarray]:
-    """Linear shape functions N = [1 - x/Le, x/Le] and dN/dx at xi."""
-    N, dN = _lagrange(float(xi), float(Le))
-    return np.array(N), np.array(dN)
-
-
-def hermite_shape(xi: float, Le: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermite cubics on [0, Le] and their first two derivatives.
-
-    Ordering [translation_1, slope_1, translation_2, slope_2] with the
-    nodal properties N1(0) = 1, N2'(0) = 1, N3(Le) = 1, N4'(Le) = 1.
-    """
-    N, dN, d2N = _hermite(float(xi), float(Le))
-    return np.array(N), np.array(dN), np.array(d2N)
-
-
 def strain_rows(xs, geom: ElementGeometry) -> np.ndarray:
     """Rows (B0, B1, B2, Bs) at each local coordinate in xs: shape (len(xs), 4, 8).
 
-    Every entry is computed in Python floats from the same expressions
-    as ``hermite_shape`` and ``lagrange_shape``, so the rows are
-    bit-identical to theirs; array powers would round differently.
+    Every entry is computed in Python floats by ``_lagrange`` and
+    ``_hermite``, which ``postproc`` also uses for displacements; array
+    powers would round differently.
     """
     Le, r = float(geom.Le), float(geom.inv_R)
     flat = []
@@ -119,13 +112,6 @@ def strain_rows(xs, geom: ElementGeometry) -> np.ndarray:
                  0.0, 0.0, 0.0, dl0, 0.0, 0.0, 0.0, dl1,
                  0.0, 0.0, 0.0, l0, 0.0, 0.0, 0.0, l1)
     return np.array(flat).reshape(-1, 4, 8)
-
-
-def strain_displacement(xi: float, geom: ElementGeometry
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (B0, B1, B2, Bs) mapping element DOFs to generalized strains."""
-    B0, B1, B2, Bs = strain_rows((xi,), geom)[0]
-    return B0, B1, B2, Bs
 
 
 # The seven terms of the bilinear form in summation order: the row pair
@@ -174,12 +160,3 @@ def element_load_udl(q: float, Le: float) -> np.ndarray:
     """Work-equivalent nodal loads of a uniform transverse load q (N/m)."""
     return np.array([0.0, q * Le / 2.0, q * Le**2 / 12.0, 0.0,
                      0.0, q * Le / 2.0, -q * Le**2 / 12.0, 0.0])
-
-
-def element_load_point(F: float, node: int) -> np.ndarray:
-    """Transverse point force on node 1 or 2 of the element."""
-    if node not in (1, 2):
-        raise ValueError(f"node must be 1 or 2, got {node}")
-    f = np.zeros(8)
-    f[1 if node == 1 else 5] = F
-    return f

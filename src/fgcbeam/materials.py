@@ -147,15 +147,12 @@ def volume_fraction(layup: Layup, z: float, side: str | None = None) -> float:
     B and C are piecewise with the layer picked by ``layup.layer_index``
     (optionally forced with ``side`` at an interface).
     """
+    layer = layup.layer_index(z, side=side)      # rejects z outside the section
     h1, h2, h3, h4 = layup.interfaces
-    eps = 1e-12 * layup.h
-    if z < h1 - eps or z > h4 + eps:
-        raise ValueError(f"z = {z} outside the section [{h1}, {h4}]")
     z = min(max(z, h1), h4)
     p = layup.p
     if layup.kind is LayupKind.A:
         return ((z - h1) / (h4 - h1)) ** p
-    layer = layup.layer_index(z, side=side)
     if layup.kind is LayupKind.B:
         if layer == 0:
             return ((z - h1) / (h2 - h1)) ** p

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import GeneralizedStrains, hermite_shape, lagrange_shape, strain_rows
+from .element import GeneralizedStrains, _hermite, _lagrange, strain_rows
 from .materials import Layup, MaterialPair, effective_modulus, stiffness_coeffs
 from .section import SectionRigidities, f_shear, g_shear
 from .solver import BoundaryCondition, Mesh, Solution
@@ -90,12 +90,13 @@ def _locate(mesh: Mesh, x: float) -> tuple[int, float]:
     return e, x - e * Le
 
 
-def _shape_station(mesh: Mesh, x: float) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+def _shape_station(mesh: Mesh, x: float) -> tuple[slice, tuple, np.ndarray, np.ndarray]:
     """Element DOFs and the shape values (N, Nb, dNb/dx) that interpolate at x."""
     e, xi = _locate(mesh, x)
-    N, _ = lagrange_shape(xi, mesh.Le)
-    Nb, dNb, _ = hermite_shape(xi, mesh.Le)
-    return mesh.element_dofs(e), N, Nb, dNb
+    xi, Le = float(xi), float(mesh.Le)
+    N, _ = _lagrange(xi, Le)
+    Nb, dNb, _ = _hermite(xi, Le)
+    return mesh.element_dofs(e), N, np.array(Nb), np.array(dNb)
 
 
 def _interpolate(d: np.ndarray, station) -> tuple[float, float, float, float]:

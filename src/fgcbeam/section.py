@@ -67,14 +67,6 @@ class SectionRigidities:
     H11s: float
     A55s: float
 
-    def gram_matrix(self) -> np.ndarray:
-        """Gram matrix of {1, z, f} under the weight C11(z); PSD."""
-        return np.array([
-            [self.A11, self.B11, self.B11s],
-            [self.B11, self.D11, self.D11s],
-            [self.B11s, self.D11s, self.H11s],
-        ])
-
     def resultant_matrix(self) -> np.ndarray:
         """4x4 map from generalized strains to (Nx, Mx, Sx, Qxz)."""
         return np.array([

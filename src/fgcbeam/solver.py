@@ -37,10 +37,6 @@ Cholesky is backward stable, so a correct solve passes at every mesh
 size, while the residual itself grows with cond(K) ~ ne^4.  A solve that
 fails the check raises ``SingularSystemError``.
 
-Dense ``assemble`` and ``apply_bcs`` (row/column elimination) remain for
-inspection and tests; ``assemble`` expands the band, so there is one
-assembly loop.
-
 Supported boundary conditions (left end x = 0, right end x = L):
 
     SS : w0 pinned at both ends (plus the axial anchor below)
@@ -118,9 +114,6 @@ class Mesh:
     def Le(self) -> float:
         return self.L / self.ne
 
-    def node_coords(self) -> np.ndarray:
-        return np.linspace(0.0, self.L, self.n_nodes)
-
     def element_geometry(self) -> ElementGeometry:
         return ElementGeometry(Le=self.Le, inv_R=self.inv_R)
 
@@ -182,10 +175,6 @@ class Solution:
     bc: BoundaryCondition
     load: LoadCase
 
-    def nodal(self, node: int) -> np.ndarray:
-        """(u0, w0, w0,x, phi_x) at a node."""
-        return self.d[4 * node: 4 * node + 4]
-
 
 def _band_slabs(Ke: np.ndarray) -> np.ndarray:
     """``Ke``, or a stack of them, as (8, 8) band-storage slabs.
@@ -199,8 +188,10 @@ def _band_slabs(Ke: np.ndarray) -> np.ndarray:
 
 
 def _fill_band(mesh: Mesh, kb: np.ndarray) -> np.ndarray:
-    """Global band of a mesh whose elements all have the band slab ``kb``.
+    """Global stiffness in upper band storage; every element has the band slab ``kb``.
 
+    ``ab`` has shape (HALF_BAND + 1, ndof) and holds
+    ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``.
     Element e adds the slab's first four columns to node e and its last
     four to node e + 1, so two slab adds over all elements assemble the
     band.  Each entry receives at most two terms, node e's before node
@@ -211,26 +202,6 @@ def _fill_band(mesh: Mesh, kb: np.ndarray) -> np.ndarray:
     nodes[:, :-1] += kb[:, None, :4]
     nodes[:, 1:] += kb[:, None, 4:]
     return ab
-
-
-def assemble_banded(mesh: Mesh, rig: SectionRigidities) -> np.ndarray:
-    """Global stiffness in LAPACK upper band storage.
-
-    Returns ``ab`` of shape (HALF_BAND + 1, ndof) holding
-    ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``.
-    """
-    return _fill_band(mesh, _band_slabs(element_stiffness(rig, mesh.element_geometry())))
-
-
-def assemble(mesh: Mesh, rig: SectionRigidities) -> np.ndarray:
-    """Global stiffness as a dense symmetric matrix, expanded from the band."""
-    ab = assemble_banded(mesh, rig)
-    n = mesh.ndof
-    K = np.zeros((n, n))
-    for k in range(HALF_BAND + 1):
-        i = np.arange(n - k)
-        K[i, i + k] = K[i + k, i] = ab[HALF_BAND - k, k:]
-    return K
 
 
 def _point_dof(mesh: Mesh, load: LoadCase) -> int:
@@ -272,18 +243,6 @@ def check_load(mesh: Mesh, bc: BoundaryCondition, load: LoadCase) -> None:
         if k in bc.constrained_dofs(mesh):
             raise ValueError(f"a {load.kind} load on {_dof_label(k)} is held by the "
                              f"{bc.value} supports and would not deflect the beam")
-
-
-def apply_bcs(K: np.ndarray, F: np.ndarray, bc: BoundaryCondition, mesh: Mesh
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eliminate constrained rows/columns of a dense system.
-
-    Returns (K_red, F_red, free) where ``free`` maps reduced indices
-    back to full DOF indices.
-    """
-    fixed = set(bc.constrained_dofs(mesh))
-    free = np.array([i for i in range(mesh.ndof) if i not in fixed], dtype=int)
-    return K[np.ix_(free, free)], F[free], free
 
 
 def _dof_label(idx: int) -> str:

@@ -45,7 +45,7 @@ from .postproc import (
 from .section import compute_rigidities
 from .solver import SingularSystemError, Solution, solve_batch
 
-#: What a case can raise; a later case's error waits until earlier cases are done.
+#: What a case can raise; on one of these the cases are retried one at a time.
 _CASE_ERRORS = (ValueError, SingularSystemError)
 
 
@@ -64,72 +64,54 @@ class CaseResults:
 
 def evaluate_case(cfg: CaseConfig) -> CaseResults:
     """Solve one case and report the table quantities."""
-    return evaluate_cases([cfg])[0]
-
-
-class _Section:
-    """One section's rigidities and, once a uniform-load case asks, its stress factors."""
-
-    def __init__(self, cfg: CaseConfig):
-        self.cfg = cfg
-        self.rig = compute_rigidities(cfg.material, cfg.layup)
-        self._factors = None
-
-    def factors(self):
-        """``_stress_factors`` at (z = h/2) for sigma and at (z = 0) for tau."""
-        if self._factors is None:
-            mat, layup = self.cfg.material, self.cfg.layup
-            self._factors = (_stress_factors(mat, layup, self.cfg.h / 2.0, None),
-                             _stress_factors(mat, layup, 0.0, None))
-        return self._factors
+    return _evaluate_batch([cfg])[0]
 
 
 def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     """Solve every case and report the table quantities, in input order.
 
-    If cases fail, the error of the first failing one in input order is
-    raised, as ``evaluate_case`` would raise it for that case.
+    If the batch fails, the cases are evaluated again one at a time in
+    input order, so the first failing case raises the error that
+    ``evaluate_case`` gives for it.
     """
-    results: list[CaseResults | None] = [None] * len(configs)
-    errors: dict[int, Exception] = {}
-    sections: dict[tuple, _Section] = {}
-    groups: dict = {}
+    try:
+        return _evaluate_batch(configs)
+    except _CASE_ERRORS:
+        for cfg in configs:
+            evaluate_case(cfg)
+        raise
+
+
+def _evaluate_batch(configs: list[CaseConfig]) -> list[CaseResults]:
+    """The shared-work pipeline of the module docstring; the first error found is raised."""
+    rigs, factors, groups = {}, {}, {}
     for i, cfg in enumerate(configs):
-        try:
-            key = (cfg.material, cfg.layup)
-            section = sections.get(key)
-            if section is None:
-                section = sections[key] = _Section(cfg)
-            groups.setdefault(cfg.mesh(), []).append((i, cfg, section))
-        except _CASE_ERRORS as err:
-            errors[i] = err
+        section = cfg.material, cfg.layup
+        rig = rigs.get(section)
+        if rig is None:
+            rig = rigs[section] = compute_rigidities(*section)
+        groups.setdefault(cfg.mesh(), []).append((i, cfg, rig))
+    results = [None] * len(configs)
     for mesh, members in groups.items():
         w_rows, stations = {}, None
-        solutions = solve_batch(mesh, [(section.rig, cfg.bc, cfg.load)
-                                       for _, cfg, section in members])
-        for i, cfg, section in members:
-            try:
-                sol = next(solutions)
-            except _CASE_ERRORS as err:
-                errors[i] = err
-                break                 # the batch stops at its first failed solve
-            try:
-                x_w = deflection_point(cfg.bc, cfg.L)
-                if x_w not in w_rows:
-                    w_rows[x_w] = _shape_station(mesh, x_w)
-                w = _interpolate(sol.d, w_rows[x_w])[1]
-                if cfg.load.kind != "udl":
-                    results[i] = CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w,
-                                             w_bar=None, sigma_bar=None, tau_bar=None)
-                    continue
-                if stations is None:
-                    stations = _strain_station(mesh, mesh.L / 2.0), _strain_station(mesh, 0.0)
-                results[i] = _uniform_load_results(cfg, sol, x_w, w, stations,
-                                                   section.factors())
-            except _CASE_ERRORS as err:
-                errors[i] = err
-    if errors:
-        raise errors[min(errors)]
+        jobs = [(rig, cfg.bc, cfg.load) for _, cfg, rig in members]
+        for (i, cfg, _), sol in zip(members, solve_batch(mesh, jobs)):
+            x_w = deflection_point(cfg.bc, cfg.L)
+            if x_w not in w_rows:
+                w_rows[x_w] = _shape_station(mesh, x_w)
+            w = _interpolate(sol.d, w_rows[x_w])[1]
+            if cfg.load.kind != "udl":
+                results[i] = CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w,
+                                         w_bar=None, sigma_bar=None, tau_bar=None)
+                continue
+            if stations is None:
+                stations = _strain_station(mesh, mesh.L / 2.0), _strain_station(mesh, 0.0)
+            section = cfg.material, cfg.layup
+            stress = factors.get(section)
+            if stress is None:
+                stress = factors[section] = (_stress_factors(*section, cfg.h / 2.0, None),
+                                             _stress_factors(*section, 0.0, None))
+            results[i] = _uniform_load_results(cfg, sol, x_w, w, stations, stress)
     return results
 
 
@@ -193,6 +175,8 @@ def sweep(cfg: CaseConfig, param: str, values: list) -> list[SweepRow]:
     Every value is validated (a bad one rejects the whole sweep before
     any solve); rows keep the input order.
     """
+    if not values:
+        raise ValueError("a sweep needs at least one value")
     configs = [with_parameter(cfg, param, v) for v in values]
     return [SweepRow(value=str(v), results=res)
             for v, res in zip(values, evaluate_cases(configs))]

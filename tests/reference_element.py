@@ -5,7 +5,8 @@ This is the scalar formulation the vectorised kernel in
 assembly and stress recovery must match bit for bit.  Shape functions
 are evaluated in NumPy float64 scalar arithmetic, the stiffness sums
 seven outer-product terms per Gauss point, and the band takes one
-strided slice add per upper entry of ``Ke``.
+strided slice add per upper entry of ``Ke``.  ``dense_from_band``
+expands a band to the dense matrix for tests that need one.
 """
 
 import numpy as np
@@ -71,6 +72,16 @@ def element_stiffness(rig, geom):
             + rig.H11s * np.outer(B2, B2)
             + rig.A55s * np.outer(Bs, Bs)
         )
+    return K
+
+
+def dense_from_band(ab):
+    """The dense symmetric matrix held in LAPACK upper band storage ``ab``."""
+    half_band, n = ab.shape[0] - 1, ab.shape[1]
+    K = np.zeros((n, n))
+    for k in range(half_band + 1):
+        i = np.arange(n - k)
+        K[i, i + k] = K[i + k, i] = ab[half_band - k, k:]
     return K
 
 

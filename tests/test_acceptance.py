@@ -19,7 +19,6 @@ from fgcbeam import (
     LayupKind,
     LoadCase,
     MaterialPair,
-    assemble,
     compute_rigidities,
     resultants_at,
     solve_static,
@@ -28,9 +27,11 @@ from fgcbeam import (
 from fgcbeam.benchmarks import ALL_CELLS, benchmark_compare
 from fgcbeam.element import ElementGeometry, element_stiffness
 from fgcbeam.section import f_shear
+from fgcbeam.solver import _band_slabs, _fill_band
 from fgcbeam.studies import convergence_study, evaluate_case
 
 from conftest import SCHEMES, make_case, random_case
+from reference_element import dense_from_band
 from test_section import assert_rigidities_close, oracle_rigidities
 
 MAT = DEFAULT_MATERIAL
@@ -141,7 +142,7 @@ def test_criterion_7b_stiffness_symmetry(rng):
         cfg = random_case(rng)
         rig = compute_rigidities(cfg.material, cfg.layup)
         Ke = element_stiffness(rig, ElementGeometry(cfg.mesh().Le, cfg.inv_R))
-        K = assemble(cfg.mesh(), rig)
+        K = dense_from_band(_fill_band(cfg.mesh(), _band_slabs(Ke)))
         for M in (Ke, K):
             dev = np.max(np.abs(M - M.T)) / np.max(np.abs(M))
             worst = max(worst, dev)
@@ -156,9 +157,10 @@ def test_criterion_7c_rigid_modes(rng):
         cfg = make_case(kind, scheme, p, L_over_h=8.0, ne=6)
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh()
-        K = assemble(mesh, rig)
+        K = dense_from_band(_fill_band(mesh, _band_slabs(
+            element_stiffness(rig, mesh.element_geometry()))))
         norm = np.linalg.norm(K, 2)
-        x = mesh.node_coords()
+        x = np.linspace(0.0, mesh.L, mesh.n_nodes)
         modes = np.zeros((3, mesh.ndof))
         modes[0, 0::4] = 1.0                       # axial translation
         modes[1, 1::4] = 1.0                       # transverse translation

@@ -169,7 +169,7 @@ class TestBenchmarkCompare:
         finally:
             bm.ALL_CELLS = original
         assert not bad.ok and bad.n_fail == 1
-        offender = bad.failures()[0]
+        offender = bad.worst(1)[0]
         assert offender.cell.row == "L/h=5,p=1" and offender.cell.col == "1-1-1"
 
     def test_tol_override(self):

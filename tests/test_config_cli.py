@@ -1,6 +1,7 @@
 """Configuration parsing and the command line interface."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -51,6 +52,19 @@ magnitude = 1.0
 [mesh]
 ne = 16
 """
+
+
+def with_key(text, key, value):
+    """INI text with the line of ``key`` ('section.name') set to value."""
+    section, name = key.split(".")
+    lines, current = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and line.split("=")[0].strip() == name:
+            line = f"{name} = {value}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 class TestParseConfig:
@@ -132,6 +146,16 @@ class TestParseConfig:
         assert studies.evaluate_case(cfg).w > 0.0
 
 
+@pytest.mark.parametrize("key,value", [
+    ("geometry.L", "nan"), ("geometry.h", "inf"), ("layup.p", "nan"), ("layup.p", "inf"),
+    ("load.magnitude", "nan"), ("load.magnitude", "-inf"), ("material.E_m", "inf"),
+    ("material.E_c", "nan"), ("material.nu", "nan"), ("geometry.R_over_L", "nan"),
+    ("geometry.R_over_L", "infinity")])
+def test_non_finite_number_is_rejected_by_key(key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: must be finite")):
+        parse_config(with_key(SANDWICH, key, value))
+
+
 class TestWithParameter:
     def test_p_replacement(self):
         cfg = parse_config(SANDWICH)
@@ -140,6 +164,7 @@ class TestWithParameter:
     def test_r_over_l_inf(self):
         cfg = parse_config(SANDWICH)
         assert math.isinf(with_parameter(cfg, "R_over_L", "inf").R_over_L)
+        assert math.isinf(with_parameter(cfg, "R_over_L", math.inf).R_over_L)
         assert with_parameter(cfg, "R_over_L", 5).R_over_L == 5.0
 
     def test_scheme_replacement(self):
@@ -149,6 +174,16 @@ class TestWithParameter:
     def test_l_over_h(self):
         cfg = parse_config(SANDWICH)
         assert with_parameter(cfg, "L_over_h", 20).L == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("param,value", [
+        ("p", "nan"), ("p", "inf"), ("L_over_h", "nan"), ("L_over_h", "inf"),
+        ("R_over_L", "nan"), ("R_over_L", "infinity")])
+    def test_non_finite_sweep_value_names_the_parameter(self, param, value, sandwich_file,
+                                                        capsys):
+        assert main(["sweep", str(sandwich_file), "--param", param,
+                     "--values", f"1,{value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {param}: must be finite, got {value!r}\n"
 
     def test_invalid_rejected_before_solve(self):
         cfg = parse_config(SANDWICH)
@@ -270,8 +305,11 @@ class TestCliSweep:
         assert lines[-1].startswith("inf,")
 
     def test_empty_values_header_only(self, cfg_file, capsys):
-        assert main(["sweep", str(cfg_file), "--param", "p", "--values", ""]) == 0
-        assert capsys.readouterr().out == "p,w_bar,sigma_bar,tau_bar\n"
+        # an empty value list is an error, not a table of the header alone
+        for values in ("", ","):
+            assert main(["sweep", str(cfg_file), "--param", "p", "--values", values]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: a sweep needs at least one value\n"
 
     def test_invalid_value_rejected_before_any_solve(self, cfg_file, capsys):
         assert main(["sweep", str(cfg_file), "--param", "p",
@@ -308,6 +346,17 @@ class TestCliProfile:
     def test_bad_station(self, sandwich_file, capsys):
         assert main(["profile", str(sandwich_file), "--x", "7.0"]) == 2
 
+    @pytest.mark.parametrize("option,value", [
+        ("--profile-x", "99"), ("--profile-x", "top"), ("--profile-samples", "1")])
+    def test_run_rejects_bad_profile_option_before_solving(self, option, value, sandwich_file,
+                                                            tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_solve_banded", None)      # a solve would raise TypeError
+        csv = tmp_path / "run.csv"
+        assert main(["run", str(sandwich_file), "--profile", str(csv), option, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not csv.exists()
+        assert err.count("error:") == 1 and err.startswith(f"error: {option} ")
+
     def test_run_profile_solves_once_and_matches_profile_out(self, sandwich_file, tmp_path,
                                                              capsys, monkeypatch):
         solves = []
@@ -335,6 +384,12 @@ class TestCliBench:
 
     def test_unknown_table(self, capsys):
         assert main(["bench", "--table", "T99"]) == 2
+
+    @pytest.mark.parametrize("tables", [",", ""])
+    def test_empty_table_list_rejected(self, tables, capsys):
+        assert main(["bench", "--table", tables]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: no benchmark table selected\n"
 
     def test_tol_override_forces_failure(self, capsys):
         # impossible tolerance: every cell's print rounding exceeds it

@@ -1,4 +1,4 @@
-"""Shape functions, strain-displacement rows, element stiffness and loads.
+"""Shape functions, strain-displacement rows, element stiffness and the uniform load.
 
 The bending-block oracle is the classical Hermite stiffness obtained by
 integrating the second-derivative products analytically:
@@ -20,12 +20,10 @@ from fgcbeam import DEFAULT_MATERIAL, Layup, compute_rigidities
 from fgcbeam.element import (
     ElementGeometry,
     GeneralizedStrains,
-    element_load_point,
+    _hermite,
+    _lagrange,
     element_load_udl,
     element_stiffness,
-    hermite_shape,
-    lagrange_shape,
-    strain_displacement,
     strain_rows,
 )
 from fgcbeam.section import SectionRigidities
@@ -38,6 +36,11 @@ W_COLS = [1, 2, 5, 6]
 U_COLS = [0, 4]
 
 
+def rows_at(xi, geom):
+    """Rows (B0, B1, B2, Bs) at one local coordinate."""
+    return strain_rows((xi,), geom)[0]
+
+
 def stiffness_reference(rig, geom, order=10):
     """Same bilinear form, independent high-order quadrature."""
     xg, wg = leggauss(order)
@@ -45,7 +48,7 @@ def stiffness_reference(rig, geom, order=10):
     for x, w in zip(xg, wg):
         xi = 0.5 * geom.Le * (x + 1.0)
         wi = 0.5 * geom.Le * w
-        B0, B1, B2, Bs = strain_displacement(xi, geom)
+        B0, B1, B2, Bs = rows_at(xi, geom)
         D = np.array([[rig.A11, rig.B11, rig.B11s, 0.0],
                       [rig.B11, rig.D11, rig.D11s, 0.0],
                       [rig.B11s, rig.D11s, rig.H11s, 0.0],
@@ -58,28 +61,28 @@ def stiffness_reference(rig, geom, order=10):
 class TestLagrangeShape:
     def test_nodal_values(self):
         Le = 2.5
-        N, _ = lagrange_shape(0.0, Le)
+        N, _ = _lagrange(0.0, Le)
         assert np.allclose(N, [1.0, 0.0])
-        N, _ = lagrange_shape(Le, Le)
+        N, _ = _lagrange(Le, Le)
         assert np.allclose(N, [0.0, 1.0])
 
     def test_midpoint(self):
-        N, _ = lagrange_shape(1.25, 2.5)
+        N, _ = _lagrange(1.25, 2.5)
         assert np.allclose(N, [0.5, 0.5])
 
     def test_partition_of_unity_and_derivatives(self, rng):
         Le = 0.8
         for xi in rng.uniform(0, Le, 10):
-            N, dN = lagrange_shape(xi, Le)
-            assert N.sum() == pytest.approx(1.0, abs=1e-15)
+            N, dN = _lagrange(xi, Le)
+            assert sum(N) == pytest.approx(1.0, abs=1e-15)
             assert np.allclose(dN, [-1 / Le, 1 / Le])
 
 
 class TestHermiteShape:
     def test_nodal_interpolation(self):
         Le = 1.7
-        N0, d0, _ = hermite_shape(0.0, Le)
-        NL, dL, _ = hermite_shape(Le, Le)
+        N0, d0, _ = _hermite(0.0, Le)
+        NL, dL, _ = _hermite(Le, Le)
         assert np.allclose(N0, [1, 0, 0, 0], atol=1e-15)
         assert np.allclose(d0, [0, 1, 0, 0], atol=1e-15)
         assert np.allclose(NL, [0, 0, 1, 0], atol=1e-14)
@@ -88,7 +91,7 @@ class TestHermiteShape:
     def test_rigid_translation(self, rng):
         Le = 3.2
         for xi in rng.uniform(0, Le, 10):
-            N, dN, d2N = hermite_shape(xi, Le)
+            N, dN, d2N = _hermite(xi, Le)
             assert N[0] + N[2] == pytest.approx(1.0, abs=1e-14)
             assert dN[0] + dN[2] == pytest.approx(0.0, abs=1e-14)
             assert d2N[0] + d2N[2] == pytest.approx(0.0, abs=1e-14)
@@ -98,37 +101,37 @@ class TestHermiteShape:
         Le, a, b = 1.1, 0.7, -0.4
         dofs = np.array([a, b, a + b * Le, b])
         for xi in rng.uniform(0, Le, 5):
-            N, dN, d2N = hermite_shape(xi, Le)
-            assert N @ dofs == pytest.approx(a + b * xi, rel=1e-12)
-            assert dN @ dofs == pytest.approx(b, rel=1e-12)
-            assert d2N @ dofs == pytest.approx(0.0, abs=1e-12)
+            N, dN, d2N = _hermite(xi, Le)
+            assert np.dot(N, dofs) == pytest.approx(a + b * xi, rel=1e-12)
+            assert np.dot(dN, dofs) == pytest.approx(b, rel=1e-12)
+            assert np.dot(d2N, dofs) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestStrainDisplacement:
     def test_straight_beam_membrane_decoupled(self, rng):
         geom = ElementGeometry(Le=1.0, inv_R=0.0)
         for xi in rng.uniform(0, 1, 5):
-            B0, _, _, _ = strain_displacement(xi, geom)
+            B0, _, _, _ = rows_at(xi, geom)
             assert np.all(B0[W_COLS] == 0.0)
 
     def test_rigid_axial_mode_strain_free(self, rng):
         geom = ElementGeometry(Le=0.6, inv_R=0.1)
         d = np.array([3.0, 0, 0, 0, 3.0, 0, 0, 0])
         for xi in rng.uniform(0, 0.6, 5):
-            for B in strain_displacement(xi, geom):
+            for B in rows_at(xi, geom):
                 assert B @ d == pytest.approx(0.0, abs=1e-14)
 
     def test_rigid_transverse_mode_straight(self, rng):
         geom = ElementGeometry(Le=2.0, inv_R=0.0)
         d = np.array([0, 5.0, 0, 0, 0, 5.0, 0, 0])
         for xi in rng.uniform(0, 2.0, 5):
-            for B in strain_displacement(xi, geom):
+            for B in rows_at(xi, geom):
                 assert B @ d == pytest.approx(0.0, abs=1e-13)
 
     def test_curved_membrane_strain_carries_w(self):
         geom = ElementGeometry(Le=1.0, inv_R=0.25)
-        B0, _, _, _ = strain_displacement(0.5, geom)
-        N, _, _ = hermite_shape(0.5, 1.0)
+        B0, _, _, _ = rows_at(0.5, geom)
+        N, _, _ = _hermite(0.5, 1.0)
         assert B0[1] == pytest.approx(0.25 * N[0])
         assert B0[5] == pytest.approx(0.25 * N[2])
 
@@ -219,10 +222,10 @@ class TestBitIdentity:
         for n in range(500):
             Le = random_geometry(rng, n).Le
             for x in (0.0, Le, rng.uniform(0.0, Le), float(rng.uniform(0.0, Le))):
-                got = lagrange_shape(x, Le) + hermite_shape(x, Le)
+                got = _lagrange(x, Le) + _hermite(x, Le)
                 want = ref.lagrange_shape(x, Le) + ref.hermite_shape(x, Le)
                 for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes()
+                    assert np.array(g).tobytes() == w.tobytes()
 
     def test_strain_rows_bit_equal_to_shape_functions(self):
         rng = np.random.default_rng(32)
@@ -232,13 +235,13 @@ class TestBitIdentity:
             rows = strain_rows(xs, geom)
             assert rows.shape == (len(xs), 4, 8)
             for x, B in zip(xs, rows):
-                N, dN = lagrange_shape(x, geom.Le)
-                Nb, _, d2Nb = hermite_shape(x, geom.Le)
+                N, dN = _lagrange(float(x), geom.Le)
+                Nb, _, d2Nb = _hermite(float(x), geom.Le)
                 r = geom.inv_R
                 want = np.zeros((4, 8))
                 want[0, [0, 4]] = dN
-                want[0, [1, 2, 5, 6]] = r * Nb
-                want[1, [1, 2, 5, 6]] = -d2Nb
+                want[0, [1, 2, 5, 6]] = r * np.array(Nb)
+                want[1, [1, 2, 5, 6]] = -np.array(d2Nb)
                 want[2, [3, 7]] = dN
                 want[3, [3, 7]] = N
                 assert np.array_equal(B, want)
@@ -271,25 +274,10 @@ class TestElementLoads:
         f = np.zeros(4)
         for x, w in zip(xg, wg):
             xi = 0.5 * Le * (x + 1.0)
-            N, _, _ = hermite_shape(xi, Le)
-            f += 0.5 * Le * w * q * N
+            N, _, _ = _hermite(xi, Le)
+            f += 0.5 * Le * w * q * np.array(N)
         got = element_load_udl(q, Le)
         assert np.allclose(got[[1, 2, 5, 6]], f, rtol=1e-13)
-
-    def test_point_load_slots(self):
-        f = element_load_point(7.0, node=2)
-        assert f[5] == 7.0 and np.count_nonzero(f) == 1
-        f = element_load_point(7.0, node=1)
-        assert f[1] == 7.0 and np.count_nonzero(f) == 1
-        assert np.all(element_load_point(0.0, node=1) == 0.0)
-
-    def test_invalid_node(self):
-        with pytest.raises(ValueError):
-            element_load_point(1.0, node=3)
-
-    def test_superposition(self):
-        combined = element_load_point(2.0, node=2) + element_load_udl(1.5, 0.75)
-        assert combined[5] == pytest.approx(2.0 + 1.5 * 0.75 / 2)
 
 
 def test_generalized_strains_container():

@@ -76,7 +76,7 @@ class TestDisplacementAt:
         for node in (0, 3, 8):
             x = node * cfg.mesh().Le
             u, w, dw, phi = displacement_at(sol, x)
-            assert np.allclose([u, w, dw, phi], sol.nodal(node), rtol=1e-12)
+            assert np.allclose([u, w, dw, phi], sol.d[4 * node: 4 * node + 4], rtol=1e-12)
 
 
 class TestStrainsAt:

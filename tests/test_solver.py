@@ -1,4 +1,9 @@
-"""Assembly, boundary conditions and the static solve."""
+"""Band assembly, boundary conditions and the static solve.
+
+Dense checks expand the program's band with
+``reference_element.dense_from_band`` and delete constrained rows and
+columns with ``eliminate``.
+"""
 
 import math
 
@@ -12,8 +17,6 @@ from fgcbeam import (
     LoadCase,
     Mesh,
     SingularSystemError,
-    apply_bcs,
-    assemble,
     assemble_load,
     compute_rigidities,
     displacement_at,
@@ -25,13 +28,15 @@ from fgcbeam.benchmarks import ALL_CELLS
 from fgcbeam.element import element_stiffness
 from fgcbeam.solver import (
     HALF_BAND,
+    _band_slabs,
     _constrain,
+    _fill_band,
     _solve_banded,
-    assemble_banded,
     backward_error,
 )
 
 import reference_element
+from reference_element import dense_from_band
 from conftest import make_case, make_layup, random_case
 
 MAT = DEFAULT_MATERIAL
@@ -41,6 +46,21 @@ RIG = compute_rigidities(MAT, Layup.single_layer(1.0, 1.0))
 def solve_case(cfg):
     rig = compute_rigidities(cfg.material, cfg.layup)
     return solve_static(cfg.mesh(), rig, cfg.bc, cfg.load)
+
+
+def band(mesh, rig):
+    """The program's global stiffness in band storage."""
+    return _fill_band(mesh, _band_slabs(element_stiffness(rig, mesh.element_geometry())))
+
+
+def dense(mesh, rig):
+    return dense_from_band(band(mesh, rig))
+
+
+def eliminate(K, F, bc, mesh):
+    """The dense system without the constrained rows and columns, and its free DOFs."""
+    free = np.setdiff1d(np.arange(mesh.ndof), bc.constrained_dofs(mesh))
+    return K[np.ix_(free, free)], F[free], free
 
 
 def dense_by_element_loop(mesh, rig):
@@ -64,8 +84,8 @@ class TestMesh:
     def test_counts_and_coords(self):
         mesh = Mesh(L=5.0, ne=4)
         assert mesh.ndof == 20 and mesh.n_nodes == 5
-        assert np.allclose(mesh.node_coords(), [0, 1.25, 2.5, 3.75, 5.0])
         assert mesh.Le == 1.25
+        assert mesh.element_dofs(3) == slice(12, 20)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,13 +99,13 @@ class TestMesh:
 class TestAssemble:
     def test_single_element_equals_element_matrix(self):
         mesh = Mesh(L=1.0, ne=1)
-        K = assemble(mesh, RIG)
+        K = dense(mesh, RIG)
         Ke = element_stiffness(RIG, mesh.element_geometry())
         assert np.array_equal(K, Ke)
 
     def test_symmetry_and_band(self):
         mesh = Mesh(L=5.0, ne=4)
-        K = assemble(mesh, RIG)
+        K = dense(mesh, RIG)
         assert K.shape == (20, 20)
         assert np.max(np.abs(K - K.T)) == 0.0
         n = mesh.ndof
@@ -98,16 +118,16 @@ class TestAssemble:
     def test_band_holds_the_element_loop_sum(self, ne):
         mesh = Mesh(L=3.0, ne=ne, inv_R=0.1)
         K = dense_by_element_loop(mesh, RIG)
-        ab = assemble_banded(mesh, RIG)
+        ab = band(mesh, RIG)
         assert ab.shape == (HALF_BAND + 1, mesh.ndof)
         for i in range(mesh.ndof):
             for j in range(i, min(i + HALF_BAND + 1, mesh.ndof)):
                 assert ab[HALF_BAND + i - j, j] == K[i, j]
-        assert np.array_equal(assemble(mesh, RIG), K)
+        assert np.array_equal(dense_from_band(ab), K)
 
     def test_axial_rigid_mode_survives_assembly(self):
         mesh = Mesh(L=5.0, ne=6)
-        K = assemble(mesh, RIG)
+        K = dense(mesh, RIG)
         d = np.zeros(mesh.ndof)
         d[0::4] = 1.0
         assert np.linalg.norm(K @ d) <= 1e-12 * np.linalg.norm(K, 2)
@@ -145,13 +165,8 @@ class TestApplyBcs:
     @pytest.mark.parametrize("bc,reduced", [("SS", 65), ("CC", 60), ("CF", 64)])
     def test_reduced_dimensions_ne16(self, bc, reduced):
         mesh = Mesh(L=5.0, ne=16)
-        K = assemble(mesh, RIG)
-        F = assemble_load(mesh, LoadCase.udl(1.0))
-        K_red, F_red, free = apply_bcs(K, F, BoundaryCondition(bc), mesh)
-        assert K_red.shape == (reduced, reduced)
-        assert F_red.shape == (reduced,)
-        assert len(free) == reduced
-        fixed = sorted(set(range(mesh.ndof)) - set(free))
+        fixed = BoundaryCondition(bc).constrained_dofs(mesh)
+        assert mesh.ndof - len(set(fixed)) == reduced
         assert all(mesh.ndof > i >= 0 for i in fixed)
 
     def test_ss_constrains_w_ends_and_axial_anchor(self):
@@ -194,16 +209,16 @@ class TestSolveStatic:
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh()
         sol = solve_static(mesh, rig, cfg.bc, cfg.load)
-        K = assemble(mesh, rig)
+        K = dense(mesh, rig)
         F = assemble_load(mesh, cfg.load)
-        K_red, F_red, free = apply_bcs(K, F, cfg.bc, mesh)
+        K_red, F_red, free = eliminate(K, F, cfg.bc, mesh)
         res = np.linalg.norm(K_red @ sol.d[free] - F_red)
         assert res <= 1e-10 * np.linalg.norm(F_red)
 
     def test_singular_system_names_dof(self):
         # SS without the axial anchor leaves u0 = const strain free
         mesh = Mesh(L=5.0, ne=4)
-        ab = assemble_banded(mesh, RIG)
+        ab = band(mesh, RIG)
         F = assemble_load(mesh, LoadCase.udl(1.0))
         _constrain(ab, F, [1, 4 * mesh.ne + 1])
         with pytest.raises(SingularSystemError, match=r"node \d+, dof"):
@@ -221,7 +236,7 @@ class TestSolverInvariants:
         cfg = make_case("A", p=2.0, R_over_L=5.0, bc=bc, ne=8)
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh()
-        K_red, _, _ = apply_bcs(assemble(mesh, rig),
+        K_red, _, _ = eliminate(dense(mesh, rig),
                                 assemble_load(mesh, cfg.load), cfg.bc, mesh)
         assert np.min(np.linalg.eigvalsh(K_red)) > 0.0
 
@@ -235,7 +250,7 @@ class TestSolverInvariants:
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh()
         sol = solve_static(mesh, rig, cfg.bc, cfg.load)
-        K = assemble(mesh, rig)
+        K = dense(mesh, rig)
         F = assemble_load(mesh, cfg.load)
         reactions = K @ sol.d - F
         w_fixed = [1, 4 * mesh.ne + 1]
@@ -254,10 +269,10 @@ class TestSolverInvariants:
         d_pt = solve_case(make_case(load=LoadCase.point_end(5.0), **kw)).d
         mesh = make_case(**kw).mesh()
         rig = compute_rigidities(MAT, make_layup("B", (1, 1, 1), 2.0))
-        K = assemble(mesh, rig)
+        K = dense(mesh, rig)
         F = (assemble_load(mesh, LoadCase.udl(2.0))
              + assemble_load(mesh, LoadCase.point_end(5.0)))
-        K_red, F_red, free = apply_bcs(K, F, BoundaryCondition.CF, mesh)
+        K_red, F_red, free = eliminate(K, F, BoundaryCondition.CF, mesh)
         d_sum = np.zeros(mesh.ndof)
         d_sum[free] = np.linalg.solve(K_red, F_red)
         assert np.allclose(d_udl + d_pt, d_sum, rtol=1e-10, atol=1e-16)
@@ -266,7 +281,7 @@ class TestSolverInvariants:
 class TestBandedSolve:
     def test_constrained_dofs_become_identity(self):
         mesh = Mesh(L=5.0, ne=4)
-        ab = assemble_banded(mesh, RIG)
+        ab = band(mesh, RIG)
         F = assemble_load(mesh, LoadCase.udl(1.0))
         fixed = BoundaryCondition.CC.constrained_dofs(mesh)
         _constrain(ab, F, fixed)
@@ -286,7 +301,7 @@ class TestBandedSolve:
             rig = compute_rigidities(cfg.material, cfg.layup)
             mesh = cfg.mesh()
             d = solve_static(mesh, rig, cfg.bc, cfg.load).d
-            K_red, F_red, free = apply_bcs(dense_by_element_loop(mesh, rig),
+            K_red, F_red, free = eliminate(dense_by_element_loop(mesh, rig),
                                            assemble_load(mesh, cfg.load), cfg.bc, mesh)
             d_ref = np.zeros(mesh.ndof)
             d_ref[free] = np.linalg.solve(K_red, F_red)
@@ -312,7 +327,7 @@ class TestBandedSolve:
             for ne in (16, 1024):
                 mesh = Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
                 ab = reference_element.assemble_banded(mesh, rig)
-                assert assemble_banded(mesh, rig).tobytes() == ab.tobytes()
+                assert band(mesh, rig).tobytes() == ab.tobytes()
                 F = assemble_load(mesh, cfg.load)
                 _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
                 d = solve_static(mesh, rig, cfg.bc, cfg.load).d
@@ -323,7 +338,7 @@ class TestBandedSolve:
         cfg = make_case("C", scheme=(1, 8, 1), p=2.0, bc="CF", R_over_L=8.0, ne=256)
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh()
-        ab = assemble_banded(mesh, rig)
+        ab = band(mesh, rig)
         F = assemble_load(mesh, cfg.load)
         _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
         d = _solve_banded(ab, F)
@@ -345,7 +360,7 @@ class TestBandedSolve:
 
     def test_non_finite_solution_rejected(self):
         mesh = Mesh(L=1.0, ne=2)
-        ab = assemble_banded(mesh, RIG)
+        ab = band(mesh, RIG)
         F = assemble_load(mesh, LoadCase.udl(1.0))
         d = np.full(mesh.ndof, np.nan)
         assert not backward_error(ab, d, F) <= 1.0

@@ -110,6 +110,20 @@ def test_first_failing_case_in_input_order_is_raised(stage):
     assert str(batched.value) == str(alone.value)
 
 
+def test_batch_error_is_raised_when_no_single_case_fails(monkeypatch):
+    real = studies._evaluate_batch
+
+    def batch(configs):
+        if len(configs) > 1:
+            raise solver.SingularSystemError("only the batch fails")
+        return real(configs)
+
+    monkeypatch.setattr(studies, "_evaluate_batch", batch)
+    configs = [make_case("A", p=2.0), make_case("B", p=1.0)]
+    with pytest.raises(solver.SingularSystemError, match="only the batch fails"):
+        evaluate_cases(configs)
+
+
 def test_shared_work_per_call(monkeypatch):
     """benchmark_compare: one rigidity set per section, one Ke stack per mesh."""
     calls = {"rig": 0, "ke": 0}
