@@ -18,6 +18,7 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -42,8 +43,9 @@ class MaterialPair:
     nu: float
 
     def __post_init__(self):
-        if self.E_m <= 0 or self.E_c <= 0:
-            raise ValueError("phase moduli must be positive")
+        for name in ("E_m", "E_c"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"phase modulus {name} must be positive and finite")
         if not (0.0 <= self.nu < 0.5):
             raise ValueError("Poisson's ratio must satisfy 0 <= nu < 0.5")
 
@@ -74,16 +76,16 @@ class Layup:
     interfaces: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("thickness h must be positive")
-        if self.p < 0:
-            raise ValueError("power-law index p must be nonnegative")
+        if not 0 < self.h < math.inf:
+            raise ValueError("thickness h must be positive and finite")
+        if not 0 <= self.p < math.inf:
+            raise ValueError("power-law index p must be nonnegative and finite")
         if self.kind is LayupKind.A:
             hh = (-self.h / 2, -self.h / 2, self.h / 2, self.h / 2)
         else:
             a, b, c = self.scheme
-            if min(a, b, c) < 0 or a + b + c <= 0:
-                raise ValueError("scheme ratios must be nonnegative with positive sum")
+            if not (min(a, b, c) >= 0 and 0 < a + b + c < math.inf):
+                raise ValueError("scheme ratios must be finite and nonnegative with positive sum")
             total = a + b + c
             h1 = -self.h / 2
             h2 = h1 + self.h * a / total

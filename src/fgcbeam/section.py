@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .materials import Layup, LayupKind, MaterialPair
 
@@ -36,6 +35,30 @@ _NPOINTS = 8
 # overflows float64 near p ~ 1020; beyond this cap a graded layer is
 # numerically pure metal outside a skin of relative thickness 1/p.
 _P_MAX = 800.0
+
+# float.hex of roots_jacobi(_NPOINTS, 0.0, p) for the paper's p: 8 nodes, then 8 weights.
+_JACOBI_HEX = {
+    0.0: "-0x1.ebab1cb0acc67p-1 -0x1.97e4ab249f41ep-1 -0x1.0d129583284b4p-1 -0x1.77ac94f3c7346p-3"
+         " 0x1.77ac94f3c7346p-3 0x1.0d129583284b4p-1 0x1.97e4ab249f41ep-1 0x1.ebab1cb0acc67p-1"
+         " 0x1.9ea1d04ca0346p-4 0x1.c76fb531d2b9fp-3 0x1.413c50a25561bp-2 0x1.736360b199344p-2"
+         " 0x1.736360b199344p-2 0x1.413c50a25561bp-2 0x1.c76fb531d2b9fp-3 0x1.9ea1d04ca0346p-4",
+    1.0: "-0x1.d24b79f6f42d3p-1 -0x1.6c2b407d6ea60p-1 -0x1.b49538c30d5edp-2 -0x1.722b58ae40885p-4"
+         " 0x1.06486de6465c8p-2 0x1.248c5166f60afp-1 0x1.a27c106adee1bp-1 0x1.edcb1a17aa69cp-1"
+         " 0x1.afe846f5003b5p-7 0x1.24568ed7e20dep-4 0x1.743d28e734a60p-3 0x1.4466cc9ad01d4p-2"
+         " 0x1.b25eb749abef5p-2 0x1.ccd2e195679c0p-2 0x1.753938a8fca01p-2 0x1.6cf5cef7c9bf1p-3",
+    2.0: "-0x1.b6cb0dda2eb46p-1 -0x1.4359a84f91d3ep-1 -0x1.5b3e38b395c7ap-2 -0x1.6ecf63c16ad14p-7"
+         " 0x1.444bf5efefea3p-2 0x1.37d55b80a4a18p-1 0x1.ab1c19bc52dd7p-1 0x1.ef8411a4be152p-1"
+         " 0x1.eb46c8f5db21dp-9 0x1.253e046c320e6p-5 0x1.1a9296f9425fbp-3 0x1.4e5a0e5166c66p-2"
+         " 0x1.185c12e4c9fd8p-1 0x1.5d538fe70bd21p-1 0x1.3aa59be52e474p-1 0x1.45de855b288efp-2",
+    5.0: "-0x1.632c79141addap-1 -0x1.b3aeb8601c0e1p-2 -0x1.0bc421e48007fp-3 0x1.5a3023f4b27d6p-3"
+         " 0x1.cd0f13397aa98p-2 0x1.61795a6659596p-1 0x1.bd7c0b9371ac9p-1 0x1.f328d8f8d0e06p-1"
+         " 0x1.61622370add09p-11 0x1.23e1525e10563p-6 0x1.32190ebcb71e3p-3 0x1.49245526334ccp-1"
+         " 0x1.b1ef678806fbap+0 0x1.77e5307b574ddp+1 0x1.a62b19bf6890fp+1 0x1.ed09b0b48d105p+0",
+    10.0: "-0x1.d1f0ec57d16b1p-2 -0x1.5dc556aee5f95p-3 0x1.a632a2b872ad0p-4 0x1.6f6a7fab29cdep-2"
+          " 0x1.2b6cf12dd6ba2p-1 0x1.8a2d255020474p-1 0x1.cf18ecfb27f28p-1 0x1.f69daa5942798p-1"
+          " 0x1.6080e918f23abp-11 0x1.5ff74ff0543b7p-5 0x1.6c2105ff90e71p-1 0x1.4d791ca26e0b4p+2"
+          " 0x1.4b82516cfa4b3p+4 0x1.85035442e4592p+5 0x1.0c381f32e6d20p+6 0x1.5e869bb6e57bdp+5",
+}
 
 
 def f_shear(z, h):
@@ -80,7 +103,11 @@ class SectionRigidities:
 @lru_cache(maxsize=128)
 def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s in (0,1) and weights for integral of s**p * phi(s) ds."""
-    x, w = roots_jacobi(_NPOINTS, 0.0, p)
+    if p in _JACOBI_HEX:
+        x, w = np.array([float.fromhex(t) for t in _JACOBI_HEX[p].split()]).reshape(2, _NPOINTS)
+    else:
+        from scipy.special import roots_jacobi  # with scipy.linalg, about 0.45 s to import
+        x, w = roots_jacobi(_NPOINTS, 0.0, p)
     return 0.5 * (x + 1.0), w * 0.5 ** (p + 1.0)
 
 

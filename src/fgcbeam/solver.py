@@ -56,15 +56,40 @@ number of threads concurrently.
 from __future__ import annotations
 
 import enum
+import importlib.util
+import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .element import ElementGeometry, element_load_udl, element_stiffness
 from .section import SectionRigidities
+
+
+def _linalg_extension(name: str):
+    """Compiled ``scipy.linalg.<name>``, loaded from its file without the 0.4 s of
+    ``scipy.linalg`` imports; None if that fails.  CPython keeps this single-phase-init
+    extension in ``sys.modules``, so a later ``import scipy.linalg`` reuses it."""
+    full_name = "scipy.linalg." + name
+    scipy_dirs = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", ())
+    paths = [os.path.join(d, "linalg", name + s) for d in scipy_dirs for s in EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is not None and full_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(full_name, path)
+        try:
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        except (ImportError, OSError):
+            return None
+    return sys.modules.get(full_name)
+
+
+_lapack, _blas = _linalg_extension("_flapack"), _linalg_extension("_fblas")
+if _lapack is None or _blas is None:  # e.g. Windows, whose DLL path scipy/_distributor_init sets
+    from scipy.linalg import blas as _blas, lapack as _lapack
+dpbtrf, dpbtrs, dsbmv = _lapack.dpbtrf, _lapack.dpbtrs, _blas.dsbmv
 
 #: Names of the four nodal DOFs, in interleaved storage order.
 DOF_NAMES = ("u0", "w0", "w0_x", "phi_x")
@@ -95,12 +120,12 @@ class Mesh:
     inv_R: float = 0.0
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("beam length must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError("beam length L must be positive and finite")
         if self.ne < 1:
             raise ValueError("need at least one element")
-        if self.inv_R < 0:
-            raise ValueError("curvature 1/R must be nonnegative")
+        if not 0 <= self.inv_R < np.inf:
+            raise ValueError("curvature inv_R = 1/R must be nonnegative and finite")
 
     @property
     def n_nodes(self) -> int:

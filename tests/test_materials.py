@@ -1,5 +1,7 @@
 """Material gradation laws: volume fraction, rule of mixtures, stiffness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fgcbeam import (
     Layup,
     LayupKind,
     MaterialPair,
+    Mesh,
     effective_modulus,
     stiffness_coeffs,
     volume_fraction,
@@ -68,6 +71,35 @@ class TestLayup:
             Layup.fg_faces((0, 0, 0), p=1.0, h=1.0)
         with pytest.raises(ValueError):
             Layup.fg_faces((1, -1, 1), p=1.0, h=1.0)
+
+
+NON_FINITE_INPUTS = [
+    (Mesh, dict(L=math.nan, ne=4), "L"),
+    (Mesh, dict(L=math.inf, ne=4), "L"),
+    (Mesh, dict(L=1.0, ne=4, inv_R=math.nan), "inv_R"),
+    (Mesh, dict(L=1.0, ne=4, inv_R=math.inf), "inv_R"),
+    (MaterialPair, dict(E_m=math.inf, E_c=380e9, nu=0.3), "E_m"),
+    (MaterialPair, dict(E_m=70e9, E_c=math.nan, nu=0.3), "E_c"),
+    (MaterialPair, dict(E_m=70e9, E_c=380e9, nu=math.nan), "Poisson"),
+    (Layup, dict(kind=LayupKind.A, scheme=(0, 0, 0), p=1.0, h=math.inf), "h"),
+    (Layup, dict(kind=LayupKind.A, scheme=(0, 0, 0), p=1.0, h=math.nan), "h"),
+    (Layup, dict(kind=LayupKind.A, scheme=(0, 0, 0), p=math.nan, h=1.0), "p"),
+    (Layup, dict(kind=LayupKind.B, scheme=(1, 1, 1), p=math.inf, h=1.0), "p"),
+    (Layup, dict(kind=LayupKind.B, scheme=(1, math.nan, 1), p=1.0, h=1.0), "scheme"),
+    (Layup, dict(kind=LayupKind.C, scheme=(1, math.inf, 1), p=1.0, h=1.0), "scheme"),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,field", NON_FINITE_INPUTS,
+                         ids=[f"{c.__name__}-{k}" for c, _, k in NON_FINITE_INPUTS])
+def test_non_finite_library_input_rejected(cls, kwargs, field):
+    """A NaN or infinite field raises a ValueError naming it, not a NaN solve later."""
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        cls(**kwargs)
+
+
+def test_straight_beam_curvature_stays_valid():
+    assert Mesh(L=1.0, ne=4, inv_R=0.0).inv_R == 0.0
 
 
 class TestVolumeFraction:

@@ -1,0 +1,105 @@
+"""Cold start: the stored Gauss-Jacobi rules and the standalone LAPACK/BLAS load.
+
+The program reaches ``dpbtrf``, ``dpbtrs`` and ``dsbmv`` through scipy's
+compiled extensions alone, and reads the paper's five Gauss-Jacobi rules
+from a table, so a run on the paper's p imports neither ``scipy.linalg``
+nor ``scipy.special``.  Each subprocess below runs ``bench --table T6``,
+``run a_ss_udl.ini`` and one ``evaluate_cases`` on a paper p and a
+non-paper p, in one of three import orders.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from scipy.special import roots_jacobi
+
+import fgcbeam
+from fgcbeam import section, solver
+
+CASE = Path(__file__).parent / "golden" / "cases" / "a_ss_udl.ini"
+
+SCRIPT = r"""
+import contextlib, importlib.machinery, io, json, sys
+case, mode = sys.argv[1], sys.argv[2]
+if mode == "early":
+    import scipy.linalg, scipy.special
+elif mode == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES.clear()   # no file is found: public import
+from fgcbeam import evaluate_cases, parse_config, solver
+from fgcbeam.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [main(["bench", "--table", "T6"]), main(["run", case])]
+loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+text = open(case).read()
+results = evaluate_cases([parse_config(text.replace("p = 1", f"p = {p}")) for p in ("5", "3.7")])
+import scipy.linalg.lapack
+print(json.dumps(dict(
+    codes=codes, stdout=out.getvalue(), loaded=loaded, results=repr(results),
+    same_module=scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
+    same_dpbtrf=scipy.linalg.lapack.dpbtrf is solver.dpbtrf)))
+"""
+
+
+@pytest.fixture(scope="module")
+def runs() -> dict:
+    """SCRIPT's record per import order: scipy imported 'late', 'early', or as the 'fallback'.
+
+    The three interpreters run side by side.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
+    procs = {mode: subprocess.Popen([sys.executable, "-c", SCRIPT, str(CASE), mode], env=env,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for mode in ("late", "early", "fallback")}
+    records = {}
+    for mode, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        records[mode] = json.loads(out)
+    return records
+
+
+@pytest.mark.parametrize("p", sorted(section._JACOBI_HEX))
+def test_table_is_roots_jacobi_bit_for_bit(p):
+    x, w = roots_jacobi(section._NPOINTS, 0.0, p)
+    assert section._JACOBI_HEX[p].split() == [v.hex() for v in (*x, *w)]
+    s_rule, w_rule = section._jacobi_rule(p)
+    assert s_rule.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert w_rule.tobytes() == (w * 0.5 ** (p + 1.0)).tobytes()
+
+
+def test_table_holds_the_papers_indices():
+    assert sorted(section._JACOBI_HEX) == [0.0, 1.0, 2.0, 5.0, 10.0]
+
+
+def test_paper_cases_import_neither_scipy_subpackage(runs):
+    late = runs["late"]
+    assert late["codes"] == [0, 0]
+    assert "total: 30 pass, 0 fail, 0 suspect cells skipped" in late["stdout"]
+    assert late["loaded"] == []
+
+
+def test_import_order_gives_identical_results(runs):
+    late, early = runs["late"], runs["early"]
+    assert early["loaded"] == ["scipy.linalg", "scipy.special"]
+    assert early["stdout"] == late["stdout"]
+    assert early["results"] == late["results"]
+    for run in (late, early):
+        assert run["same_module"] and run["same_dpbtrf"]
+
+
+def test_loader_returns_none_for_a_missing_extension():
+    assert solver._linalg_extension("_no_such_extension") is None
+    assert "scipy.linalg._no_such_extension" not in sys.modules
+
+
+def test_public_import_fallback_is_bit_identical(runs):
+    late, fallback = runs["late"], runs["fallback"]
+    assert fallback["loaded"] == ["scipy.linalg"]
+    assert fallback["stdout"] == late["stdout"]
+    assert fallback["results"] == late["results"]
+    assert fallback["same_dpbtrf"]
