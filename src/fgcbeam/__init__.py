@@ -16,14 +16,12 @@ from .materials import (
     volume_fraction,
 )
 from .postproc import (
-    StressResultants,
     StressSample,
     deflection_point,
     displacement_at,
-    nondimensionalize,
-    resultants_at,
     strains_at,
     stress_at,
+    table_scales,
     thickness_profile,
 )
 from .section import SectionRigidities, compute_rigidities, f_shear, g_shear
@@ -42,9 +40,8 @@ __all__ = [
     "CaseConfig", "ConfigError", "parse_config",
     "DEFAULT_MATERIAL", "Layup", "LayupKind", "MaterialPair",
     "effective_modulus", "stiffness_coeffs", "volume_fraction",
-    "StressResultants", "StressSample", "deflection_point", "displacement_at",
-    "nondimensionalize", "resultants_at", "strains_at", "stress_at",
-    "thickness_profile",
+    "StressSample", "deflection_point", "displacement_at", "strains_at", "stress_at",
+    "table_scales", "thickness_profile",
     "SectionRigidities", "compute_rigidities", "f_shear", "g_shear",
     "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError", "Solution",
     "assemble_load", "solve_static",

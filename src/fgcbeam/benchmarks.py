@@ -78,7 +78,7 @@ class BenchmarkCell:
         return CaseConfig(material=DEFAULT_MATERIAL, layup=layup,
                           L=self.L_over_h * h, R_over_L=self.R_over_L,
                           bc=BoundaryCondition(self.bc),
-                          load=LoadCase.udl(1.0))
+                          load=LoadCase("udl", 1.0))
 
 
 def _rl_label(rl: float) -> str:
@@ -521,8 +521,7 @@ class BenchReport:
         return sorted(gated, key=lambda r: -r.rel_err)[:n]
 
 
-def benchmark_compare(tables: list[str] | None = None,
-                      tol_overrides: dict[str, float] | None = None) -> BenchReport:
+def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
     """Run every gated fixture cell and compare at its tolerance class.
 
     Cells sharing a physical configuration share one solve, and all
@@ -538,7 +537,6 @@ def benchmark_compare(tables: list[str] | None = None,
         unknown = set(tables) - set(TABLE_IDS)
         if unknown:
             raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}")
-    tol_overrides = tol_overrides or {}
     cells = [c for c in ALL_CELLS if tables is None or c.table in tables]
     cases: dict[tuple, CaseConfig] = {}
     for cell in cells:
@@ -552,8 +550,7 @@ def benchmark_compare(tables: list[str] | None = None,
         computed = {"w_bar": res.w_bar, "sigma_bar": res.sigma_bar,
                     "tau_bar": res.tau_bar}[cell.quantity]
         rel = abs(computed - cell.expected) / abs(cell.expected)
-        tol = tol_overrides.get(cell.table, cell.tol)
         report.results.append(BenchResult(
             cell=cell, computed=computed, rel_err=rel,
-            passed=rel <= tol, skipped=cell.suspect is not None))
+            passed=rel <= cell.tol, skipped=cell.suspect is not None))
     return report

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .benchmarks import TABLE_IDS, BenchReport, benchmark_compare
 from .config import CaseConfig, ConfigError, parse_config
-from .postproc import thickness_profile
+from .postproc import table_scales, thickness_profile
 from .solver import SingularSystemError
 from .studies import CaseResults, convergence_study, evaluate_case, sweep
 
@@ -57,10 +57,6 @@ def _case_header(cfg: CaseConfig) -> list[str]:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    if args.profile:      # check the profile options before anything is printed
-        x = _parse_station(args.profile_x, cfg, "--profile-x")
-        if args.profile_samples < 2:
-            raise ConfigError(f"--profile-samples must be at least 2, got {args.profile_samples}")
     res = evaluate_case(cfg)
     out = sys.stdout
     for line in _case_header(cfg):
@@ -72,10 +68,6 @@ def _cmd_run(args) -> int:
         out.write(f"tau_bar   = {_fmt(res.tau_bar)}   (x = 0, z = 0)\n")
     else:
         out.write("nondimensional outputs are defined for the udl load case only\n")
-    if args.profile:
-        Path(args.profile).write_text(_profile_csv(res, x, args.profile_samples),
-                                      encoding="utf-8")
-        out.write(f"profile written to {args.profile}\n")
     return 0
 
 
@@ -99,14 +91,13 @@ def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
     """Through-thickness profile at x as CSV; nondimensional for the udl case."""
     cfg = res.config
     rows = thickness_profile(res.solution, cfg.material, cfg.layup, x, samples)
-    q = cfg.load.magnitude
-    scale = cfg.h / (q * cfg.L) if cfg.load.kind == "udl" else None
-    lines = ["z_over_h,sigma_bar,tau_bar,side" if scale is not None
-             else "z_over_h,sigma_x,tau_xz,side"]
+    udl = cfg.load.kind == "udl"
+    # a product with 1.0 is exact: point-load rows keep the dimensional stresses
+    scale = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)[1] if udl else 1.0
+    lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
     for r in rows:
-        s = r.sigma_x * scale if scale is not None else r.sigma_x
-        t = r.tau_xz * scale if scale is not None else r.tau_xz
-        lines.append(f"{_fmt(r.z_over_h)},{_fmt(s)},{_fmt(t)},{r.side}")
+        lines.append(f"{_fmt(r.z_over_h)},{_fmt(r.sigma_x * scale)},{_fmt(r.tau_xz * scale)},"
+                     f"{r.side}")
     return "\n".join(lines) + "\n"
 
 
@@ -134,8 +125,8 @@ def _cmd_converge(args) -> int:
     ne_list = _parse_int_list(args.ne, "--ne")
     result = convergence_study(cfg, ne_list)
     sys.stdout.write(f"ne,{result.quantity}\n")
-    for row in result.rows:
-        sys.stdout.write(f"{row.ne},{_fmt(row.value)}\n")
+    for ne, value in result.rows:
+        sys.stdout.write(f"{ne},{_fmt(value)}\n")
     if not result.monotone:
         sys.stdout.write("# warning: sequence is not monotone\n")
     return 0
@@ -146,27 +137,13 @@ def _cmd_sweep(args) -> int:
     values = [s.strip() for s in args.values.split(",") if s.strip()]
     rows = sweep(cfg, args.param, values)
     sys.stdout.write(f"{args.param},w_bar,sigma_bar,tau_bar\n")
-    for row in rows:
-        r = row.results
+    for value, r in rows:
         if r.w_bar is None:
-            sys.stdout.write(f"{row.value},{_fmt(r.w)},,\n")
+            sys.stdout.write(f"{value},{_fmt(r.w)},,\n")
         else:
-            sys.stdout.write(f"{row.value},{_fmt(r.w_bar)},{_fmt(r.sigma_bar)},"
+            sys.stdout.write(f"{value},{_fmt(r.w_bar)},{_fmt(r.sigma_bar)},"
                              f"{_fmt(r.tau_bar)}\n")
     return 0
-
-
-def _parse_tol_overrides(items: list[str]) -> dict[str, float]:
-    overrides = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects TABLE=VALUE, got {item!r}")
-        table, _, value = item.partition("=")
-        try:
-            overrides[table.strip()] = float(value)
-        except ValueError:
-            raise ConfigError(f"--tol value must be numeric, got {item!r}")
-    return overrides
 
 
 def _format_bench_report(report: BenchReport) -> str:
@@ -219,8 +196,7 @@ def _cmd_bench(args) -> int:
     tables = None
     if args.table is not None:
         tables = [t.strip() for t in args.table.split(",") if t.strip()]
-    overrides = _parse_tol_overrides(args.tol or [])
-    report = benchmark_compare(tables=tables, tol_overrides=overrides)
+    report = benchmark_compare(tables=tables)
     sys.stdout.write(_format_bench_report(report))
     if args.csv:
         Path(args.csv).write_text(_bench_csv(report), encoding="utf-8")
@@ -237,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one case and print the report")
     p_run.add_argument("config")
-    p_run.add_argument("--profile", metavar="FILE",
-                       help="also write a through-thickness stress profile CSV")
-    p_run.add_argument("--profile-x", default="mid",
-                       help="profile station: mid, end, support or a coordinate")
-    p_run.add_argument("--profile-samples", type=int, default=201)
     p_run.set_defaults(func=_cmd_run)
 
     p_conv = sub.add_parser("converge", help="mesh convergence study")
@@ -261,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the embedded benchmark gate")
     p_bench.add_argument("--table", help=f"subset, e.g. T6,T9 (available: {','.join(TABLE_IDS)})")
     p_bench.add_argument("--csv", metavar="FILE", help="write machine-readable results")
-    p_bench.add_argument("--tol", action="append", metavar="TABLE=VALUE",
-                         help="override a table's tolerance class")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_prof = sub.add_parser("profile", help="through-thickness stress profile CSV")

@@ -54,19 +54,6 @@ class ElementGeometry:
             raise ValueError("curvature 1/R must be nonnegative")
 
 
-@dataclass(frozen=True)
-class GeneralizedStrains:
-    """Section strains: eps0 (-), eps1 (1/m), eps2 (1/m), gamma0 (rad)."""
-
-    eps0: float
-    eps1: float
-    eps2: float
-    gamma0: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eps0, self.eps1, self.eps2, self.gamma0])
-
-
 def _lagrange(x: float, L: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """Linear shape functions (1 - x/L, x/L) and their derivatives, in Python floats."""
     return (1.0 - x / L, x / L), (-1.0 / L, 1.0 / L)

@@ -30,6 +30,16 @@ class LayupKind(enum.Enum):
     C = "C"  # homogeneous faces, FG core
 
 
+#: Ceramic fraction of layers 0, 1 and 2 (bottom to top) of each kind: a constant, or
+#: s**p with s running 0 -> 1 across the layer, upward ("up") or downward ("down").
+#: Type A is Type C with zero-thickness faces.
+LAYER_GRADES = {
+    LayupKind.A: (0.0, "up", 1.0),
+    LayupKind.B: ("up", 1.0, "down"),
+    LayupKind.C: (0.0, "up", 1.0),
+}
+
+
 @dataclass(frozen=True)
 class MaterialPair:
     """Metal/ceramic phase pair with a shared Poisson's ratio.
@@ -98,16 +108,6 @@ class Layup:
         """Type A layup (scheme is irrelevant and stored as zeros)."""
         return Layup(LayupKind.A, (0.0, 0.0, 0.0), p, h)
 
-    @staticmethod
-    def fg_faces(scheme: tuple[float, float, float], p: float, h: float) -> "Layup":
-        """Type B layup: FG faces over a ceramic core."""
-        return Layup(LayupKind.B, scheme, p, h)
-
-    @staticmethod
-    def fg_core(scheme: tuple[float, float, float], p: float, h: float) -> "Layup":
-        """Type C layup: homogeneous faces around an FG core."""
-        return Layup(LayupKind.C, scheme, p, h)
-
     def layer_index(self, z: float, side: str | None = None) -> int:
         """Layer (0, 1 or 2) containing z.
 
@@ -116,57 +116,50 @@ class Layup:
         interface deterministically belongs to the layer above it.
         ``side="below"`` / ``side="above"`` force the choice at an
         interface (used when sampling a stress jump from both sides).
+        Zero-thickness layers are never returned: each surface belongs
+        to the outermost layer of positive thickness on its side.
         """
         h1, h2, h3, h4 = self.interfaces
         eps = 1e-12 * self.h
         if z < h1 - eps or z > h4 + eps:
             raise ValueError(f"z = {z} outside the section [{h1}, {h4}]")
         z = min(max(z, h1), h4)
-        # Degenerate (zero thickness) layers are skipped when a side is forced.
+        top = 2 if h4 > h3 else 1 if h3 > h2 else 0
         if side == "below":
             if abs(z - h2) <= eps:
-                return 0 if h2 > h1 else 1
+                return 0 if h2 > h1 else 1 if h3 > h2 else 2
             if abs(z - h3) <= eps:
-                return 1 if h3 > h2 else 0
+                return 1          # h3 > h2, or the test on h2 would have matched
         elif side == "above":
             if abs(z - h2) <= eps:
-                return 1 if h3 > h2 else 2
+                return 1 if h3 > h2 else top
             if abs(z - h3) <= eps:
-                return 2
+                return top
         elif side is not None:
             raise ValueError(f"side must be 'below', 'above' or None, got {side!r}")
         if z < h2:
             return 0
         if z < h3:
             return 1
-        return 2
+        return top
 
 
 def volume_fraction(layup: Layup, z: float, side: str | None = None) -> float:
     """Ceramic volume fraction V(z) in [0, 1].
 
-    Type A uses the single power law across the whole thickness; Types
-    B and C are piecewise with the layer picked by ``layup.layer_index``
-    (optionally forced with ``side`` at an interface).
+    The layer is picked by ``layup.layer_index`` (optionally forced with
+    ``side`` at an interface) and graded by ``LAYER_GRADES``.
     """
     layer = layup.layer_index(z, side=side)      # rejects z outside the section
-    h1, h2, h3, h4 = layup.interfaces
-    z = min(max(z, h1), h4)
-    p = layup.p
-    if layup.kind is LayupKind.A:
-        return ((z - h1) / (h4 - h1)) ** p
-    if layup.kind is LayupKind.B:
-        if layer == 0:
-            return ((z - h1) / (h2 - h1)) ** p
-        if layer == 1:
-            return 1.0
-        return ((h4 - z) / (h4 - h3)) ** p
-    # Type C
-    if layer == 0:
-        return 0.0
-    if layer == 1:
-        return ((z - h2) / (h3 - h2)) ** p
-    return 1.0
+    hs = layup.interfaces
+    lo, hi = hs[layer:layer + 2]
+    z = min(max(z, hs[0]), hs[3])
+    grade = LAYER_GRADES[layup.kind][layer]
+    if grade == "up":
+        return ((z - lo) / (hi - lo)) ** layup.p
+    if grade == "down":
+        return ((hi - z) / (hi - lo)) ** layup.p
+    return grade
 
 
 def effective_modulus(mat: MaterialPair, layup: Layup, z: float,

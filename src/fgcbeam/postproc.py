@@ -1,7 +1,7 @@
 """Field recovery and nondimensional reporting.
 
-Displacements, generalized strains, point stresses, stress resultants
-and through-thickness stress profiles are recovered from a solved
+Displacements, generalized strains, point stresses and
+through-thickness stress profiles are recovered from a solved
 displacement vector.  Axial stress follows
 
     sigma_x(x, z) = C11(z) (eps0 + z eps1 + f(z) eps2)
@@ -37,22 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import GeneralizedStrains, _hermite, _lagrange, strain_rows
+from .element import _hermite, _lagrange, strain_rows
 from .materials import Layup, MaterialPair, effective_modulus, stiffness_coeffs
-from .section import SectionRigidities, f_shear, g_shear
+from .section import f_shear, g_shear
 from .solver import BoundaryCondition, Mesh, Solution
 
 _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
-
-
-@dataclass(frozen=True)
-class StressResultants:
-    """Axial force, bending moment, shear-warp moment, shear force."""
-
-    N_x: float
-    M_x: float
-    S_x: float
-    Q_xz: float
 
 
 @dataclass(frozen=True)
@@ -137,14 +127,16 @@ def _strain_station(mesh: Mesh, x: float) -> tuple[tuple[slice, np.ndarray], ...
     return ((mesh.element_dofs(e), strain_rows((xi,), geom)[0]),)
 
 
-def _station_strains(d: np.ndarray, station) -> GeneralizedStrains:
-    """Generalized strains from the DOF vector at a ``_strain_station``."""
+def _station_strains(d: np.ndarray, station) -> tuple[float, float, float, float]:
+    """Generalized strains (eps0, eps1, eps2, gamma0) from the DOF vector at a
+    ``_strain_station``."""
     eps = [_element_strains(d[dofs], rows) for dofs, rows in station]
-    return GeneralizedStrains(*map(float, eps[0] if len(eps) == 1 else 0.5 * (eps[0] + eps[1])))
+    return tuple(map(float, eps[0] if len(eps) == 1 else 0.5 * (eps[0] + eps[1])))
 
 
-def strains_at(sol: Solution, x: float) -> GeneralizedStrains:
-    """Generalized strains at x, averaging both elements at interior nodes."""
+def strains_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
+    """Generalized strains (eps0 (-), eps1 (1/m), eps2 (1/m), gamma0 (rad)) at x,
+    averaging both elements at interior nodes."""
     return _station_strains(sol.d, _strain_station(sol.mesh, x))
 
 
@@ -156,11 +148,12 @@ def _stress_factors(mat: MaterialPair, layup: Layup, z: float,
     return C11, float(f_shear(z, layup.h)), C55 * float(g_shear(z, layup.h))
 
 
-def _stresses(eps: GeneralizedStrains, factors: tuple[float, float, float],
+def _stresses(eps: tuple[float, float, float, float], factors: tuple[float, float, float],
               z: float) -> tuple[float, float]:
     """(sigma_x, tau_xz) at height z from a station's strains and ``_stress_factors`` at z."""
+    eps0, eps1, eps2, gamma0 = eps
     C11, f, C55g = factors
-    return C11 * (eps.eps0 + z * eps.eps1 + f * eps.eps2), C55g * eps.gamma0
+    return C11 * (eps0 + z * eps1 + f * eps2), C55g * gamma0
 
 
 def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float,
@@ -170,32 +163,17 @@ def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float
     return StressSample(x=x, z=z, sigma_x=sigma, tau_xz=tau)
 
 
-def resultants_at(sol: Solution, rig: SectionRigidities, x: float) -> StressResultants:
-    """Stress resultants from the rigidity matrix times the strains."""
-    vals = rig.resultant_matrix() @ strains_at(sol, x).as_array()
-    return StressResultants(*map(float, vals))
-
-
 def deflection_point(bc: BoundaryCondition, L: float) -> float:
     """Reporting station for the deflection: midspan, or the tip for CF."""
     return L if bc is BoundaryCondition.CF else L / 2.0
 
 
-def nondimensionalize(value: float, kind: str, mat: MaterialPair,
-                      L: float, h: float, q: float) -> float:
-    """Scale a dimensional deflection or stress to its table form.
-
-    kind: 'deflection' -> 100 E_m h^3 / (q L^4) * w
-          'sigma' or 'tau' -> (h / (q L)) * stress
-    Defined for a uniform load magnitude q > 0.
-    """
+def table_scales(E_m: float, L: float, h: float, q: float) -> tuple[float, float]:
+    """Factors (100 E_m h^3 / (q L^4), h / (q L)) that turn a deflection and a
+    stress into their table form; defined for a uniform load magnitude q > 0."""
     if q <= 0:
         raise ValueError("nondimensionalization requires a positive load magnitude q")
-    if kind == "deflection":
-        return 100.0 * mat.E_m * h**3 / (q * L**4) * value
-    if kind in ("sigma", "tau"):
-        return h / (q * L) * value
-    raise ValueError(f"kind must be 'deflection', 'sigma' or 'tau', got {kind!r}")
+    return 100.0 * E_m * h**3 / (q * L**4), h / (q * L)
 
 
 def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,

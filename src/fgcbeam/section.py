@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .materials import Layup, LayupKind, MaterialPair
+from .materials import LAYER_GRADES, Layup, MaterialPair
 
 # Highest polynomial moment degree is 10 (f^2); n points integrate
 # degree 2n-1 exactly, 8 leaves margin.
@@ -90,15 +90,6 @@ class SectionRigidities:
     H11s: float
     A55s: float
 
-    def resultant_matrix(self) -> np.ndarray:
-        """4x4 map from generalized strains to (Nx, Mx, Sx, Qxz)."""
-        return np.array([
-            [self.A11, self.B11, self.B11s, 0.0],
-            [self.B11, self.D11, self.D11s, 0.0],
-            [self.B11s, self.D11s, self.H11s, 0.0],
-            [0.0, 0.0, 0.0, self.A55s],
-        ])
-
 
 @lru_cache(maxsize=128)
 def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -122,27 +113,20 @@ def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndar
     sum_i c_i * m(z_i) = integral of E(z) * m(z) dz (exact for
     polynomial m up to degree 2 * _NPOINTS - 1).
 
-    Per layer the ceramic fraction is either constant (0 or 1) or s**p
-    with s running 0 -> 1 across the layer (direction given by
-    ``orient``); the constant part of E uses Gauss-Legendre and the
-    graded part Gauss-Jacobi with weight s**p.
+    Per layer the ceramic fraction is the constant of ``LAYER_GRADES`` or
+    s**p with s running 0 -> 1 up the layer ("up") or down it ("down");
+    the constant part of E uses Gauss-Legendre and the graded part
+    Gauss-Jacobi with weight s**p.
     """
     if layup.p > _P_MAX:
         raise ValueError(
             f"power-law index p = {layup.p:g} exceeds the section quadrature cap "
             f"({_P_MAX:g}); such a section is pure metal to machine precision")
-    h1, h2, h3, h4 = layup.interfaces
+    hs = layup.interfaces
     dE = mat.E_c - mat.E_m
-    if layup.kind is LayupKind.A:
-        layers = [(h1, h4, "up")]
-    elif layup.kind is LayupKind.B:
-        layers = [(h1, h2, "up"), (h2, h3, 1.0), (h3, h4, "down")]
-    else:
-        layers = [(h1, h2, 0.0), (h2, h3, "up"), (h3, h4, 1.0)]
-
     zs, cs = [], []
     s_gl, w_gl = _legendre_rule(_NPOINTS)
-    for lo, hi, grade in layers:
+    for lo, hi, grade in zip(hs, hs[1:], LAYER_GRADES[layup.kind]):
         t = hi - lo
         if t <= 0:
             continue

@@ -178,18 +178,6 @@ class LoadCase:
         if self.kind not in self.KINDS:
             raise ValueError(f"load kind must be one of {self.KINDS}, got {self.kind!r}")
 
-    @staticmethod
-    def udl(q: float) -> "LoadCase":
-        return LoadCase("udl", q)
-
-    @staticmethod
-    def point_end(F: float) -> "LoadCase":
-        return LoadCase("point_end", F)
-
-    @staticmethod
-    def point_mid(F: float) -> "LoadCase":
-        return LoadCase("point_mid", F)
-
 
 @dataclass(frozen=True)
 class Solution:

@@ -40,7 +40,7 @@ from .postproc import (
     _stress_factors,
     _stresses,
     deflection_point,
-    nondimensionalize,
+    table_scales,
 )
 from .section import compute_rigidities
 from .solver import SingularSystemError, Solution, solve_batch
@@ -117,28 +117,18 @@ def _evaluate_batch(configs: list[CaseConfig]) -> list[CaseResults]:
 
 def _uniform_load_results(cfg, sol, x_w, w, stations, factors) -> CaseResults:
     """Nondimensional deflection, sigma at (L/2, h/2) and tau at (0, 0)."""
-    L, h, q = cfg.L, cfg.h, cfg.load.magnitude
-    sigma = _stresses(_station_strains(sol.d, stations[0]), factors[0], h / 2.0)[0]
+    w_scale, stress_scale = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)
+    sigma = _stresses(_station_strains(sol.d, stations[0]), factors[0], cfg.h / 2.0)[0]
     tau = _stresses(_station_strains(sol.d, stations[1]), factors[1], 0.0)[1]
-    return CaseResults(
-        config=cfg, solution=sol, x_deflection=x_w, w=w,
-        w_bar=nondimensionalize(w, "deflection", cfg.material, L, h, q),
-        sigma_bar=nondimensionalize(sigma, "sigma", cfg.material, L, h, q),
-        tau_bar=nondimensionalize(tau, "tau", cfg.material, L, h, q),
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    ne: int
-    value: float
+    return CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w, w_bar=w_scale * w,
+                       sigma_bar=stress_scale * sigma, tau_bar=stress_scale * tau)
 
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Deflection per mesh size; ``monotone`` flags a clean sequence."""
+    """(ne, deflection) per mesh size; ``monotone`` flags a clean sequence."""
 
-    rows: tuple[ConvergenceRow, ...]
+    rows: tuple[tuple[int, float], ...]
     quantity: str                  # 'w_bar' or 'w'
     monotone: bool
 
@@ -155,28 +145,21 @@ def convergence_study(cfg: CaseConfig, ne_list: list[int]) -> ConvergenceResult:
             raise ValueError(f"element counts must be >= 1, got {ne}")
     quantity = "w_bar" if cfg.load.kind == "udl" else "w"
     results = evaluate_cases([replace(cfg, ne=ne) for ne in ne_list])
-    rows = tuple(ConvergenceRow(ne=ne, value=getattr(res, quantity))
-                 for ne, res in zip(ne_list, results))
-    vals = [r.value for r in rows]
+    vals = [getattr(res, quantity) for res in results]
     scale = max(abs(v) for v in vals) or 1.0
     monotone = all(b >= a - 1e-12 * scale for a, b in zip(vals, vals[1:]))
-    return ConvergenceResult(rows=rows, quantity=quantity, monotone=monotone)
+    return ConvergenceResult(rows=tuple(zip(ne_list, vals)), quantity=quantity,
+                             monotone=monotone)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: str                    # swept value as given (e.g. 'inf', '1-2-1')
-    results: CaseResults
-
-
-def sweep(cfg: CaseConfig, param: str, values: list) -> list[SweepRow]:
+def sweep(cfg: CaseConfig, param: str, values: list) -> list[tuple[str, CaseResults]]:
     """Evaluate the base case with one parameter swept over values.
 
-    Every value is validated (a bad one rejects the whole sweep before
-    any solve); rows keep the input order.
+    Rows are (value as given, e.g. 'inf' or '1-2-1', results), in input
+    order.  Every value is validated (a bad one rejects the whole sweep
+    before any solve).
     """
     if not values:
         raise ValueError("a sweep needs at least one value")
     configs = [with_parameter(cfg, param, v) for v in values]
-    return [SweepRow(value=str(v), results=res)
-            for v, res in zip(values, evaluate_cases(configs))]
+    return [(str(v), res) for v, res in zip(values, evaluate_cases(configs))]

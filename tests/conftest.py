@@ -33,7 +33,7 @@ def make_case(kind="A", scheme=None, p=1.0, L_over_h=5.0, R_over_L=math.inf,
     return CaseConfig(
         material=DEFAULT_MATERIAL, layup=layup, L=L_over_h * h,
         R_over_L=R_over_L, bc=BoundaryCondition(bc),
-        load=load if load is not None else LoadCase.udl(1.0), ne=ne)
+        load=load if load is not None else LoadCase("udl", 1.0), ne=ne)
 
 
 def random_case(rng: np.random.Generator, udl_only: bool = False) -> CaseConfig:
@@ -46,11 +46,11 @@ def random_case(rng: np.random.Generator, udl_only: bool = False) -> CaseConfig:
     bc = str(rng.choice(["SS", "CC", "CF"]))
     ne = int(rng.choice([4, 8, 12, 16, 32, 64, 256]))
     if udl_only or rng.random() < 0.7:
-        load = LoadCase.udl(float(rng.uniform(0.1, 10.0)))
+        load = LoadCase("udl", float(rng.uniform(0.1, 10.0)))
     elif rng.random() < 0.5 and bc == "CF":   # only a free end can take an end load
-        load = LoadCase.point_end(float(rng.uniform(0.1, 10.0)))
+        load = LoadCase("point_end", float(rng.uniform(0.1, 10.0)))
     else:
-        load = LoadCase.point_mid(float(rng.uniform(0.1, 10.0)))
+        load = LoadCase("point_mid", float(rng.uniform(0.1, 10.0)))
     h = float(rng.choice([1.0, 0.02, 0.1]))
     return make_case(kind, scheme, p, L_over_h, R_over_L, bc, load, ne, h)
 

@@ -172,10 +172,6 @@ class TestBenchmarkCompare:
         offender = bad.worst(1)[0]
         assert offender.cell.row == "L/h=5,p=1" and offender.cell.col == "1-1-1"
 
-    def test_tol_override(self):
-        assert not benchmark_compare(tables=["T6"],
-                                     tol_overrides={"T6": 1e-9}).ok
-
     def test_skipped_cells_still_reported(self):
         report = benchmark_compare(tables=["T17"])
         assert report.n_skipped == 6

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from fgcbeam import DEFAULT_MATERIAL, Layup, compute_rigidities
+from fgcbeam import DEFAULT_MATERIAL, Layup, LayupKind, compute_rigidities
 from fgcbeam.element import (
     ElementGeometry,
-    GeneralizedStrains,
     _hermite,
     _lagrange,
     element_load_udl,
@@ -31,7 +30,7 @@ from fgcbeam.section import SectionRigidities
 import reference_element as ref
 
 RIG_A = compute_rigidities(DEFAULT_MATERIAL, Layup.single_layer(2.0, 1.0))
-RIG_SYM = compute_rigidities(DEFAULT_MATERIAL, Layup.fg_faces((1, 1, 1), 2.0, 1.0))
+RIG_SYM = compute_rigidities(DEFAULT_MATERIAL, Layup(LayupKind.B, (1, 1, 1), 2.0, 1.0))
 W_COLS = [1, 2, 5, 6]
 U_COLS = [0, 4]
 
@@ -279,7 +278,3 @@ class TestElementLoads:
         got = element_load_udl(q, Le)
         assert np.allclose(got[[1, 2, 5, 6]], f, rtol=1e-13)
 
-
-def test_generalized_strains_container():
-    eps = GeneralizedStrains(1.0, 2.0, 3.0, 4.0)
-    assert np.allclose(eps.as_array(), [1, 2, 3, 4])

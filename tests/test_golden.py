@@ -3,9 +3,10 @@
 ``tests/golden/cases`` holds INI cases covering layup kinds A/B/C,
 SS/CC/CF supports, straight and curved beams, and udl, ``point_mid``
 and ``point_end`` loads.  Next to them are the stored outputs of
-``bench --csv``, ``run`` and ``converge`` on every case, two sweeps and
-the mid-span and support profiles of three cases.  The test reruns each
-command in-process and compares bytes.
+``bench --csv``, ``run`` and ``converge`` on every case, two sweeps,
+the mid-span and support profiles of three cases and the mid-span
+profile of a sandwich whose top face has zero thickness.  The test
+reruns each command in-process and compares bytes.
 
 After an intended output change, rewrite the corpus with
 
@@ -42,6 +43,8 @@ def _corpus() -> dict[str, list[str]]:
     for case in PROFILED:
         for station in ("mid", "support"):
             out[f"{case}.profile_{station}.csv"] = ["profile", case, "--x", station]
+    out["b_ss_udl_no_top_face.profile_mid.csv"] = ["profile", "b_ss_udl_no_top_face",
+                                                   "--x", "mid"]
     return out
 
 

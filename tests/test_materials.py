@@ -49,7 +49,7 @@ class TestLayup:
         ((2, 1, 1), (-0.5, 0.0, 0.25, 0.5)),
     ])
     def test_interfaces_reproduce_scheme(self, scheme, expected):
-        lay = Layup.fg_faces(scheme, p=1.0, h=1.0)
+        lay = Layup(LayupKind.B, scheme, p=1.0, h=1.0)
         assert lay.interfaces == pytest.approx(expected, abs=1e-15)
         h1, h2, h3, h4 = lay.interfaces
         thick = np.array([h2 - h1, h3 - h2, h4 - h3])
@@ -58,7 +58,7 @@ class TestLayup:
 
     def test_ordering_invariant(self):
         for scheme in [(1, 0, 1), (0, 1, 0), (3, 4, 3)]:
-            h1, h2, h3, h4 = Layup.fg_core(scheme, 1.0, 2.0).interfaces
+            h1, h2, h3, h4 = Layup(LayupKind.C, scheme, 1.0, 2.0).interfaces
             assert h1 <= h2 <= h3 <= h4
             assert h1 == -1.0 and h4 == 1.0
 
@@ -68,9 +68,9 @@ class TestLayup:
         with pytest.raises(ValueError):
             Layup.single_layer(p=1.0, h=0.0)
         with pytest.raises(ValueError):
-            Layup.fg_faces((0, 0, 0), p=1.0, h=1.0)
+            Layup(LayupKind.B, (0, 0, 0), p=1.0, h=1.0)
         with pytest.raises(ValueError):
-            Layup.fg_faces((1, -1, 1), p=1.0, h=1.0)
+            Layup(LayupKind.B, (1, -1, 1), p=1.0, h=1.0)
 
 
 NON_FINITE_INPUTS = [
@@ -114,12 +114,12 @@ class TestVolumeFraction:
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_fg_core_top_face_fully_ceramic(self, p):
-        lay = Layup.fg_core((1, 8, 1), p=p, h=1.0)
+        lay = Layup(LayupKind.C, (1, 8, 1), p=p, h=1.0)
         for z in np.linspace(0.4, 0.5, 7):
             assert volume_fraction(lay, z) == 1.0
 
     def test_fg_faces_interface_value(self):
-        lay = Layup.fg_faces((1, 1, 1), p=2.0, h=1.0)
+        lay = Layup(LayupKind.B, (1, 1, 1), p=2.0, h=1.0)
         h2 = lay.interfaces[1]
         assert volume_fraction(lay, h2) == pytest.approx(1.0, abs=1e-15)
 
@@ -154,7 +154,7 @@ class TestVolumeFraction:
 
     @pytest.mark.parametrize("scheme", [(1, 1, 1), (1, 2, 1), (3, 4, 3)])
     def test_symmetric_fg_faces_mirror(self, scheme):
-        lay = Layup.fg_faces(scheme, p=3.0, h=1.0)
+        lay = Layup(LayupKind.B, scheme, p=3.0, h=1.0)
         for z in np.linspace(0.0, 0.5, 23):
             assert volume_fraction(lay, z) == pytest.approx(
                 volume_fraction(lay, -z), abs=1e-14)
@@ -179,10 +179,30 @@ class TestVolumeFraction:
 
     def test_fg_core_p0_jump_is_two_sided(self):
         # the one genuinely discontinuous case: FG core at p = 0
-        lay = Layup.fg_core((1, 8, 1), p=0.0, h=1.0)
+        lay = Layup(LayupKind.C, (1, 8, 1), p=0.0, h=1.0)
         h2 = lay.interfaces[1]
         assert volume_fraction(lay, h2, side="below") == 0.0
         assert volume_fraction(lay, h2, side="above") == 1.0
+
+    @pytest.mark.parametrize("kind", [LayupKind.B, LayupKind.C])
+    @pytest.mark.parametrize("scheme", [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                        (0, 1, 1), (1, 0, 1)])
+    def test_zero_thickness_layer_never_picked(self, kind, scheme):
+        # each surface belongs to the outermost layer of positive thickness on its side
+        lay = Layup(kind, scheme, p=2.0, h=1.0)
+        hs = lay.interfaces
+        for z in hs:
+            for side in (None, "below", "above"):
+                n = lay.layer_index(z, side=side)
+                assert hs[n + 1] > hs[n], (z, side)
+                assert 0.0 <= volume_fraction(lay, z, side=side) <= 1.0
+
+    def test_top_surface_of_a_section_without_top_face(self):
+        faces = Layup(LayupKind.B, (1, 1, 0), p=2.0, h=1.0)      # ceramic core on top
+        core = Layup(LayupKind.C, (1, 0, 0), p=2.0, h=1.0)       # all metal
+        for side in (None, "above", "below"):
+            assert volume_fraction(faces, 0.5, side=side) == 1.0
+            assert volume_fraction(core, 0.5, side=side) == 0.0
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_layer_monotone(self, p):
@@ -203,7 +223,7 @@ class TestEffectiveModulus:
         assert effective_modulus(MAT, lay, 0.0) == pytest.approx(225e9)
 
     def test_ceramic_core(self):
-        lay = Layup.fg_faces((1, 1, 1), p=5.0, h=1.0)
+        lay = Layup(LayupKind.B, (1, 1, 1), p=5.0, h=1.0)
         for z in np.linspace(-1 / 6 + 1e-9, 1 / 6 - 1e-9, 5):
             assert effective_modulus(MAT, lay, z) == pytest.approx(380e9)
 
