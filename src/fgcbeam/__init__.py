@@ -16,7 +16,6 @@ from .materials import (
     volume_fraction,
 )
 from .postproc import (
-    StressSample,
     deflection_point,
     displacement_at,
     strains_at,
@@ -40,7 +39,7 @@ __all__ = [
     "CaseConfig", "ConfigError", "parse_config",
     "DEFAULT_MATERIAL", "Layup", "LayupKind", "MaterialPair",
     "effective_modulus", "stiffness_coeffs", "volume_fraction",
-    "StressSample", "deflection_point", "displacement_at", "strains_at", "stress_at",
+    "deflection_point", "displacement_at", "strains_at", "stress_at",
     "table_scales", "thickness_profile",
     "SectionRigidities", "compute_rigidities", "f_shear", "g_shear",
     "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError", "Solution",

@@ -17,10 +17,6 @@ axial stress cells, whose print disagrees by 0.5-0.6 percent with the
 two reference solutions quoted beside them (every other index agrees
 within 0.1 percent) and which fall outside the source's stated p
 protocol.  Each such cell carries its reason string.
-
-Tables T3-T5 (deflection convergence histories) are shipped for their
-monotone mesh-refinement pattern only; their absolute values depend on
-a geometry that is not recoverable and are never compared.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from dataclasses import dataclass, field
 from .config import CaseConfig
 from .materials import DEFAULT_MATERIAL, Layup, LayupKind
 from .solver import BoundaryCondition, LoadCase
+from .studies import evaluate_cases
 
 INF = math.inf
 
@@ -71,11 +68,9 @@ class BenchmarkCell:
                 self.R_over_L, self.bc)
 
     def to_config(self) -> CaseConfig:
-        kind = self.kind
         h = 1.0
-        layup = (Layup.single_layer(self.p, h) if kind is LayupKind.A
-                 else Layup(kind, self.scheme, self.p, h))
-        return CaseConfig(material=DEFAULT_MATERIAL, layup=layup,
+        return CaseConfig(material=DEFAULT_MATERIAL,
+                          layup=Layup(self.kind, self.scheme, self.p, h),
                           L=self.L_over_h * h, R_over_L=self.R_over_L,
                           bc=BoundaryCondition(self.bc),
                           load=LoadCase("udl", 1.0))
@@ -333,75 +328,10 @@ _T19_SIG = {
     (10, 10): (14.2012, 14.2232, 14.2310, 14.2347, 14.2358, 14.2368),
 }
 
-# T3-T5 deflection convergence histories (pattern fixtures, never compared
-# in absolute terms; geometry of the originating study is not recoverable).
-# table -> layup label -> list of (ne, values for p = 0, 0.5, 1, 5, 10)
-CONVERGENCE_TABLES = {
-    "T3": {  # SS
-        "A": [(2, (84.287, 127.90, 163.23, 247.17, 276.94)),
-              (4, (84.288, 129.24, 167.14, 255.11, 282.26)),
-              (8, (84.288, 129.57, 168.12, 257.10, 283.58)),
-              (12, (84.288, 129.63, 168.30, 257.44, 283.83)),
-              (16, (84.288, 129.66, 168.37, 257.60, 283.92)),
-              (24, (84.288, 129.67, 168.41, 257.69, 283.98)),
-              (32, (84.288, 129.68, 168.43, 257.72, 284.00))],
-        "B 3-4-3": [(ne, (84.288, 126.61, 162.00, 281.10, 314.71))
-                    for ne in (2, 4, 8, 12, 16, 24, 32)],
-        "C 3-4-3": [(2, (159.79, 182.16, 197.28, 213.89, 213.89)),
-                    (4, (164.38, 190.01, 204.04, 226.52, 228.81)),
-                    (8, (165.53, 191.98, 206.48, 229.68, 231.99)),
-                    (12, (165.74, 192.34, 206.93, 230.27, 232.58)),
-                    (16, (165.81, 192.47, 207.09, 230.47, 232.79)),
-                    (24, (165.87, 192.56, 207.20, 230.62, 232.94)),
-                    (32, (165.90, 192.59, 207.24, 230.67, 232.99))],
-    },
-    "T4": {  # CC
-        "A": [(2, (16.147, 23.604, 27.777, 39.414, 47.819)),
-              (4, (17.983, 27.016, 34.287, 53.151, 60.267)),
-              (8, (18.201, 27.645, 35.634, 55.958, 62.606)),
-              (12, (18.295, 27.834, 35.974, 56.678, 63.286)),
-              (16, (18.343, 27.920, 36.118, 56.983, 63.589)),
-              (24, (18.389, 28.000, 36.240, 57.243, 63.857)),
-              (32, (18.410, 28.038, 36.292, 57.352, 63.973))],
-        "B 3-4-3": [(2, (16.447, 24.865, 31.910, 55.658, 62.363)),
-                    (4, (17.983, 26.582, 33.745, 57.767, 64.536)),
-                    (8, (18.201, 26.826, 34.007, 58.067, 64.846)),
-                    (12, (18.296, 26.931, 34.120, 58.198, 64.980)),
-                    (16, (18.343, 26.985, 34.178, 58.264, 65.048)),
-                    (24, (18.389, 27.037, 34.234, 58.330, 65.116)),
-                    (32, (18.410, 27.062, 34.261, 58.361, 65.148))],
-        "C 3-4-3": [(2, (26.582, 27.466, 27.777, 28.312, 28.543)),
-                    (4, (32.966, 37.521, 40.050, 44.646, 45.403)),
-                    (8, (34.368, 39.797, 42.847, 48.329, 49.170)),
-                    (12, (34.691, 40.296, 43.452, 49.140, 50.011)),
-                    (16, (34.821, 40.491, 43.688, 49.457, 50.343)),
-                    (24, (34.930, 40.648, 43.876, 49.712, 50.610)),
-                    (32, (34.973, 40.711, 43.951, 49.813, 50.717))],
-    },
-    "T5": {  # CF
-        "A": [(2, (13.509, 20.692, 26.730, 40.800, 45.199)),
-              (4, (13.538, 20.798, 26.975, 41.306, 45.598)),
-              (8, (13.552, 20.834, 27.048, 41.459, 45.730)),
-              (12, (13.557, 20.843, 27.065, 41.494, 45.763)),
-              (16, (13.559, 20.848, 27.072, 41.508, 45.777)),
-              (24, (13.561, 20.851, 27.077, 41.520, 45.789)),
-              (32, (13.562, 20.852, 27.079, 41.524, 45.793))],
-        "B 3-4-3": [(2, (13.509, 20.285, 25.948, 45.008, 50.387)),
-                    (4, (13.538, 20.317, 25.982, 45.048, 50.428)),
-                    (8, (13.552, 20.333, 26.000, 45.068, 50.449)),
-                    (12, (13.557, 20.338, 26.005, 45.075, 50.455)),
-                    (16, (13.560, 20.341, 26.008, 45.078, 50.459)),
-                    (24, (13.561, 20.343, 26.011, 45.081, 50.462)),
-                    (32, (13.562, 20.344, 26.012, 45.082, 50.463))],
-    },
-}
-
 
 def _build_cells() -> list[BenchmarkCell]:
     cells: list[BenchmarkCell] = []
-    A = LayupKind.A
-    B = LayupKind.B
-    C = LayupKind.C
+    A, B, C = LayupKind.A, LayupKind.B, LayupKind.C
     n0 = (0.0, 0.0, 0.0)
 
     def add(table, row, col, quantity, kind, scheme, p, lh, rl, bc, expected,
@@ -529,8 +459,6 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
     cells are still evaluated and reported, but marked skipped and
     never counted as failures.
     """
-    from .studies import evaluate_cases  # local import to avoid a cycle
-
     if tables is not None:
         if not tables:
             raise ValueError("no benchmark table selected")

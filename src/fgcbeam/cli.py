@@ -41,7 +41,7 @@ def _load_config(path: str) -> CaseConfig:
 def _case_header(cfg: CaseConfig) -> list[str]:
     rl = "inf" if math.isinf(cfg.R_over_L) else f"{cfg.R_over_L:g}"
     scheme = "-".join(f"{s:g}" for s in cfg.layup.scheme)
-    lines = [
+    return [
         f"layup    : kind {cfg.layup.kind.value}"
         + ("" if cfg.layup.kind.value == "A" else f", scheme {scheme}")
         + f", p = {cfg.layup.p:g}",
@@ -52,7 +52,6 @@ def _case_header(cfg: CaseConfig) -> list[str]:
         f"case     : {cfg.bc.value}, {cfg.load.kind} of magnitude "
         f"{cfg.load.magnitude:g}, ne = {cfg.ne}",
     ]
-    return lines
 
 
 def _cmd_run(args) -> int:

@@ -98,6 +98,13 @@ def _finite(name: str, raw) -> float:
     return val
 
 
+def _check_radius(name: str, R_over_L: float, L: float) -> None:
+    """A ConfigError naming ``name`` unless R = R_over_L * L is positive with finite 1/R."""
+    R = R_over_L * L
+    if not (R > 0 and 1.0 / R < math.inf):
+        raise ConfigError(f"{name}: radius R = R_over_L * L = {R:g} m has no finite 1/R")
+
+
 def _get_float(cp, section, key, default=None, positive=False, nonnegative=False):
     val = _finite(f"{section}.{key}", _get(cp, section, key, default))
     if positive and val <= 0:
@@ -155,6 +162,7 @@ def parse_config(text: str) -> CaseConfig:
         R_over_L = math.inf
     else:
         R_over_L = _get_float(cp, "geometry", "R_over_L", positive=True)
+    _check_radius("geometry.R_over_L", R_over_L, L)
 
     bc_raw = _get(cp, "bc", "type").upper()
     try:
@@ -204,6 +212,7 @@ def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
             rl = _finite(param, value)
             if rl <= 0:
                 raise ConfigError(f"R_over_L: must be positive or inf, got {value}")
+        _check_radius(param, rl, cfg.L)
         return replace(cfg, R_over_L=rl)
     if param == "scheme":
         scheme = parse_scheme(value) if isinstance(value, str) else tuple(value)
@@ -214,5 +223,6 @@ def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
         ratio = _finite(param, value)
         if ratio <= 0:
             raise ConfigError(f"L_over_h: must be positive, got {value}")
+        _check_radius(param, cfg.R_over_L, ratio * cfg.layup.h)
         return replace(cfg, L=ratio * cfg.layup.h)
     raise ConfigError(f"unknown sweep parameter {param!r}")

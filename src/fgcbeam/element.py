@@ -11,7 +11,8 @@ eps1 = -w0'', shear-warp eps2 = phi', shear gamma0 = phi) map from the
 DOFs through the four strain-displacement rows (B0, B1, B2, Bs).  All
 integrands are polynomials of degree <= 6, so a fixed 4-point Gauss
 rule (exact to degree 7) integrates the stiffness exactly; the
-consistent load of a uniform q is written out in closed form.
+consistent load of a uniform q is written out in closed form.  Every
+element of a ``Mesh`` has its length ``Le`` and curvature ``inv_R``.
 
 The shape functions are evaluated in one place, ``_lagrange`` and
 ``_hermite``, in Python floats.  One builder, ``strain_rows``, turns
@@ -30,28 +31,17 @@ cantilever's mid-span profile) by parts in 1e8.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .section import SectionRigidities
 
+if TYPE_CHECKING:
+    from .solver import Mesh
+
 _GAUSS_X, _GAUSS_W = leggauss(4)
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Arc length Le and curvature inv_R = 1/R (0 for a straight beam)."""
-
-    Le: float
-    inv_R: float = 0.0
-
-    def __post_init__(self):
-        if self.Le <= 0:
-            raise ValueError("element length must be positive")
-        if self.inv_R < 0:
-            raise ValueError("curvature 1/R must be nonnegative")
 
 
 def _lagrange(x: float, L: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -82,14 +72,14 @@ def _hermite(x: float, L: float) -> tuple[tuple[float, ...], ...]:
     )
 
 
-def strain_rows(xs, geom: ElementGeometry) -> np.ndarray:
+def strain_rows(xs, mesh: Mesh) -> np.ndarray:
     """Rows (B0, B1, B2, Bs) at each local coordinate in xs: shape (len(xs), 4, 8).
 
     Every entry is computed in Python floats by ``_lagrange`` and
     ``_hermite``, which ``postproc`` also uses for displacements; array
     powers would round differently.
     """
-    Le, r = float(geom.Le), float(geom.inv_R)
+    Le, r = float(mesh.Le), float(mesh.inv_R)
     flat = []
     for x in xs:
         (l0, l1), (dl0, dl1) = _lagrange(float(x), Le)
@@ -109,7 +99,7 @@ _CROSS = np.array([False, True, True, False, True, False, False])[:, None, None]
 
 
 def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
-                      geom: ElementGeometry) -> np.ndarray:
+                      mesh: Mesh) -> np.ndarray:
     """Symmetric element stiffness by 4-point Gauss integration.
 
     ``rig`` is one ``SectionRigidities`` (returns the 8x8 ``Ke``) or a
@@ -127,8 +117,8 @@ def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
     exactly symmetric.
     """
     rigs = [rig] if isinstance(rig, SectionRigidities) else rig
-    half = 0.5 * geom.Le
-    B = strain_rows(half * (_GAUSS_X + 1.0), geom)
+    half = 0.5 * mesh.Le
+    B = strain_rows(half * (_GAUSS_X + 1.0), mesh)
     P = B.take(_LEFT, axis=1)[:, :, :, None] * B.take(_RIGHT, axis=1)[:, :, None, :]
     P = np.where(_CROSS, P + P.swapaxes(2, 3), P)
     P = P * np.array([[r.A11, r.B11, r.B11s, r.D11, r.D11s, r.H11s, r.A55s]

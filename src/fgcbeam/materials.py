@@ -151,9 +151,8 @@ def volume_fraction(layup: Layup, z: float, side: str | None = None) -> float:
     ``side`` at an interface) and graded by ``LAYER_GRADES``.
     """
     layer = layup.layer_index(z, side=side)      # rejects z outside the section
-    hs = layup.interfaces
-    lo, hi = hs[layer:layer + 2]
-    z = min(max(z, hs[0]), hs[3])
+    lo, hi = layup.interfaces[layer:layer + 2]
+    z = min(max(z, lo), hi)           # z may lie up to 1e-12 h outside the picked layer
     grade = LAYER_GRADES[layup.kind][layer]
     if grade == "up":
         return ((z - lo) / (hi - lo)) ** layup.p

@@ -46,16 +46,6 @@ _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
 
 
 @dataclass(frozen=True)
-class StressSample:
-    """Pointwise stress state at (x, z), dimensional (Pa)."""
-
-    x: float
-    z: float
-    sigma_x: float
-    tau_xz: float
-
-
-@dataclass(frozen=True)
 class ProfileRow:
     """One row of a through-thickness profile.
 
@@ -119,12 +109,11 @@ def _strain_station(mesh: Mesh, x: float) -> tuple[tuple[slice, np.ndarray], ...
     adjacent elements (from one ``strain_rows`` call), to be averaged.
     """
     e, xi = _locate(mesh, x)
-    geom = mesh.element_geometry()
     node = int(round(x / mesh.Le))
     if abs(x - node * mesh.Le) <= _NODE_SNAP * mesh.L and 0 < node < mesh.ne:
-        left, right = strain_rows((mesh.Le, 0.0), geom)
+        left, right = strain_rows((mesh.Le, 0.0), mesh)
         return (mesh.element_dofs(node - 1), left), (mesh.element_dofs(node), right)
-    return ((mesh.element_dofs(e), strain_rows((xi,), geom)[0]),)
+    return ((mesh.element_dofs(e), strain_rows((xi,), mesh)[0]),)
 
 
 def _station_strains(d: np.ndarray, station) -> tuple[float, float, float, float]:
@@ -157,10 +146,9 @@ def _stresses(eps: tuple[float, float, float, float], factors: tuple[float, floa
 
 
 def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float,
-              side: str | None = None) -> StressSample:
-    """Recover (sigma_x, tau_xz) at a point; ``side`` resolves interface z."""
-    sigma, tau = _stresses(strains_at(sol, x), _stress_factors(mat, layup, z, side), z)
-    return StressSample(x=x, z=z, sigma_x=sigma, tau_xz=tau)
+              side: str | None = None) -> tuple[float, float]:
+    """Dimensional (sigma_x, tau_xz) in Pa at a point; ``side`` resolves interface z."""
+    return _stresses(strains_at(sol, x), _stress_factors(mat, layup, z, side), z)
 
 
 def deflection_point(bc: BoundaryCondition, L: float) -> float:

@@ -31,6 +31,10 @@ from .materials import LAYER_GRADES, Layup, MaterialPair
 # degree 2n-1 exactly, 8 leaves margin.
 _NPOINTS = 8
 
+# Gauss-Legendre nodes s in (0, 1) and weights for the integral of phi(s) ds.
+_GL_S, _GL_W = leggauss(_NPOINTS)
+_GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
+
 # scipy's Jacobi weight normalization carries a 2**(p+1) factor that
 # overflows float64 near p ~ 1020; beyond this cap a graded layer is
 # numerically pure metal outside a skin of relative thickness 1/p.
@@ -102,12 +106,6 @@ def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), w * 0.5 ** (p + 1.0)
 
 
-@lru_cache(maxsize=8)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes z_i and coefficients c_i with
     sum_i c_i * m(z_i) = integral of E(z) * m(z) dz (exact for
@@ -125,16 +123,15 @@ def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndar
     hs = layup.interfaces
     dE = mat.E_c - mat.E_m
     zs, cs = [], []
-    s_gl, w_gl = _legendre_rule(_NPOINTS)
     for lo, hi, grade in zip(hs, hs[1:], LAYER_GRADES[layup.kind]):
         t = hi - lo
         if t <= 0:
             continue
-        z_gl = lo + t * s_gl
+        z_gl = lo + t * _GL_S
         if grade == "up" or grade == "down":
             # constant metal baseline
             zs.append(z_gl)
-            cs.append(t * w_gl * mat.E_m)
+            cs.append(t * _GL_W * mat.E_m)
             # graded ceramic excess, weight s**p
             s_gj, w_gj = _jacobi_rule(layup.p)
             zs.append(lo + t * s_gj if grade == "up" else hi - t * s_gj)
@@ -142,7 +139,7 @@ def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndar
         else:
             E = mat.E_m + dE * grade
             zs.append(z_gl)
-            cs.append(t * w_gl * E)
+            cs.append(t * _GL_W * E)
     return np.concatenate(zs), np.concatenate(cs)
 
 

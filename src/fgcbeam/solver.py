@@ -7,20 +7,20 @@ factors it with banded Cholesky (``dpbtrf``/``dpbtrs``): time and
 memory are O(ne), and no ndof x ndof matrix is ever formed.
 
 ``solve_batch`` solves many jobs (rigidities, supports, load) on one
-mesh: one ``element_stiffness`` call gives every job's ``Ke``, each
-distinct load vector is built once, and each job then fills, constrains,
-factors and gates its own band, one job at a time, so memory stays
-O(ndof).  ``solve_static`` is its one-job case.  The jobs are factored
-one by one with banded LAPACK rather than as one batched dense Cholesky:
-that would round differently, need ndof^2 memory per job, and LAPACK
+mesh and yields each job's ``Solution`` (its DOF vector and mesh).  One
+``element_stiffness`` call gives every ``Ke``, each distinct load vector
+is built once, and each job fills, constrains, factors and gates its
+own band in turn, so memory stays O(ndof); ``solve_static`` is the
+one-job case.  Banded LAPACK per job beats one batched dense Cholesky,
+which would round differently and need ndof^2 memory per job; LAPACK
 costs about 10 us a job at ne = 16, which is not where the time goes.
 
-All elements of a mesh share one ``Ke``.  In band storage it is an
-(8, 8) slab whose first four columns belong to the element's left node
-and last four to its right node, so the band is filled with two slab
-adds over all nodes.  Every band entry gets its (at most two) element
-terms in element order, which makes the band bit-identical to an
-element loop.  The uniform load vector is filled the same way.
+All elements of a ``Mesh`` share its ``Le`` and ``inv_R``, hence one
+``Ke``.  In band storage it is an (8, 8) slab whose first four columns
+belong to the element's left node and last four to its right node, so
+the band is filled with two slab adds over all nodes.  Every entry gets
+its (at most two) element terms in element order, which makes the band
+bit-identical to an element loop, and the load vector is filled alike.
 
 Each constrained DOF k becomes an identity row and column with F[k] = 0.
 The system keeps its full size and stays symmetric positive definite,
@@ -65,7 +65,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-from .element import ElementGeometry, element_load_udl, element_stiffness
+from .element import element_load_udl, element_stiffness
 from .section import SectionRigidities
 
 
@@ -123,7 +123,7 @@ class Mesh:
         if not 0 < self.L < np.inf:
             raise ValueError("beam length L must be positive and finite")
         if self.ne < 1:
-            raise ValueError("need at least one element")
+            raise ValueError(f"need at least one element, got ne = {self.ne}")
         if not 0 <= self.inv_R < np.inf:
             raise ValueError("curvature inv_R = 1/R must be nonnegative and finite")
 
@@ -138,9 +138,6 @@ class Mesh:
     @property
     def Le(self) -> float:
         return self.L / self.ne
-
-    def element_geometry(self) -> ElementGeometry:
-        return ElementGeometry(Le=self.Le, inv_R=self.inv_R)
 
     def element_dofs(self, e: int) -> slice:
         return slice(4 * e, 4 * e + 8)
@@ -181,12 +178,10 @@ class LoadCase:
 
 @dataclass(frozen=True)
 class Solution:
-    """Solved global DOF vector plus the inputs that produced it."""
+    """Solved global DOF vector on its mesh."""
 
     d: np.ndarray
     mesh: Mesh
-    bc: BoundaryCondition
-    load: LoadCase
 
 
 def _band_slabs(Ke: np.ndarray) -> np.ndarray:
@@ -320,7 +315,7 @@ def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryConditio
     exactly as a lone ``solve_static``, so its solution is bit-identical
     to that one.  A failing job raises when it is reached.
     """
-    slabs = _band_slabs(element_stiffness([rig for rig, _, _ in jobs], mesh.element_geometry()))
+    slabs = _band_slabs(element_stiffness([rig for rig, _, _ in jobs], mesh))
     loads: dict[LoadCase, np.ndarray] = {}
     for (_, bc, load), kb in zip(jobs, slabs):
         check_load(mesh, bc, load)
@@ -329,7 +324,7 @@ def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryConditio
         ab = _fill_band(mesh, kb)
         F = loads[load].copy()
         _constrain(ab, F, bc.constrained_dofs(mesh))
-        yield Solution(d=_solve_banded(ab, F), mesh=mesh, bc=bc, load=load)
+        yield Solution(_solve_banded(ab, F), mesh)
 
 
 def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,

@@ -5,8 +5,10 @@ This is the scalar formulation the vectorised kernel in
 assembly and stress recovery must match bit for bit.  Shape functions
 are evaluated in NumPy float64 scalar arithmetic, the stiffness sums
 seven outer-product terms per Gauss point, and the band takes one
-strided slice add per upper entry of ``Ke``.  ``dense_from_band``
-expands a band to the dense matrix for tests that need one.
+strided slice add per upper entry of ``Ke``.  Like the program's, the
+element functions take a ``Mesh`` and read its ``Le`` and ``inv_R``.
+``dense_from_band`` expands a band to the dense matrix for tests that
+need one.
 """
 
 import numpy as np
@@ -44,10 +46,10 @@ def hermite_shape(xi, Le):
     return N, dN, d2N
 
 
-def strain_displacement(xi, geom):
-    N, dN = lagrange_shape(xi, geom.Le)
-    Nb, _, d2Nb = hermite_shape(xi, geom.Le)
-    r = geom.inv_R
+def strain_displacement(xi, mesh):
+    N, dN = lagrange_shape(xi, mesh.Le)
+    Nb, _, d2Nb = hermite_shape(xi, mesh.Le)
+    r = mesh.inv_R
     B0 = np.array([dN[0], r * Nb[0], r * Nb[1], 0.0,
                    dN[1], r * Nb[2], r * Nb[3], 0.0])
     B1 = np.array([0.0, -d2Nb[0], -d2Nb[1], 0.0,
@@ -57,12 +59,12 @@ def strain_displacement(xi, geom):
     return B0, B1, B2, Bs
 
 
-def element_stiffness(rig, geom):
+def element_stiffness(rig, mesh):
     K = np.zeros((8, 8))
     for x, w in zip(_GAUSS_X, _GAUSS_W):
-        xi = 0.5 * geom.Le * (x + 1.0)
-        wi = 0.5 * geom.Le * w
-        B0, B1, B2, Bs = strain_displacement(xi, geom)
+        xi = 0.5 * mesh.Le * (x + 1.0)
+        wi = 0.5 * mesh.Le * w
+        B0, B1, B2, Bs = strain_displacement(xi, mesh)
         K += wi * (
             rig.A11 * np.outer(B0, B0)
             + rig.B11 * (np.outer(B0, B1) + np.outer(B1, B0))
@@ -87,7 +89,7 @@ def dense_from_band(ab):
 
 def assemble_banded(mesh, rig, half_band=7):
     ab = np.zeros((half_band + 1, mesh.ndof))
-    Ke = element_stiffness(rig, mesh.element_geometry())
+    Ke = element_stiffness(rig, mesh)
     stop = 4 * mesh.ne
     for j in range(8):
         for i in range(j + 1):

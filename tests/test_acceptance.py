@@ -25,7 +25,7 @@ from fgcbeam import (
     stress_at,
 )
 from fgcbeam.benchmarks import ALL_CELLS, benchmark_compare
-from fgcbeam.element import ElementGeometry, element_stiffness
+from fgcbeam.element import element_stiffness
 from fgcbeam.section import f_shear
 from fgcbeam.solver import _band_slabs, _fill_band
 from fgcbeam.studies import convergence_study, evaluate_case
@@ -128,8 +128,8 @@ def test_criterion_7a_surface_traction(rng):
         rig = compute_rigidities(cfg.material, cfg.layup)
         sol = solve_static(cfg.mesh(), rig, cfg.bc, cfg.load)
         x = float(rng.uniform(0.0, cfg.L))
-        top = stress_at(sol, cfg.material, cfg.layup, x, +cfg.h / 2).tau_xz
-        bot = stress_at(sol, cfg.material, cfg.layup, x, -cfg.h / 2).tau_xz
+        top = stress_at(sol, cfg.material, cfg.layup, x, +cfg.h / 2)[1]
+        bot = stress_at(sol, cfg.material, cfg.layup, x, -cfg.h / 2)[1]
         assert top == 0.0 and bot == 0.0
         checked += 1
     verdict("7a (surface shear exactly zero)", checked == 100,
@@ -141,7 +141,7 @@ def test_criterion_7b_stiffness_symmetry(rng):
     for _ in range(10):
         cfg = random_case(rng)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        Ke = element_stiffness(rig, ElementGeometry(cfg.mesh().Le, cfg.inv_R))
+        Ke = element_stiffness(rig, cfg.mesh())
         K = dense_from_band(_fill_band(cfg.mesh(), _band_slabs(Ke)))
         for M in (Ke, K):
             dev = np.max(np.abs(M - M.T)) / np.max(np.abs(M))
@@ -158,7 +158,7 @@ def test_criterion_7c_rigid_modes(rng):
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh()
         K = dense_from_band(_fill_band(mesh, _band_slabs(
-            element_stiffness(rig, mesh.element_geometry()))))
+            element_stiffness(rig, mesh))))
         norm = np.linalg.norm(K, 2)
         x = np.linspace(0.0, mesh.L, mesh.n_nodes)
         modes = np.zeros((3, mesh.ndof))
@@ -242,7 +242,7 @@ def test_criterion_8_resultant_cross_check(rng):
                 continue
             z = 0.5 * (b - a) * xg + 0.5 * (a + b)
             w = 0.5 * (b - a) * wg
-            sig = np.array([stress_at(sol, cfg.material, cfg.layup, x, zi).sigma_x
+            sig = np.array([stress_at(sol, cfg.material, cfg.layup, x, zi)[0]
                             for zi in z])
             n += np.sum(w * sig)
             m += np.sum(w * sig * z)

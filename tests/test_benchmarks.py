@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from fgcbeam import Layup
 from fgcbeam.benchmarks import (
     ALL_CELLS,
-    CONVERGENCE_TABLES,
     TABLE_IDS,
     BenchmarkCell,
     benchmark_compare,
@@ -117,29 +117,7 @@ class TestFixtureHygiene:
         c = cell_lookup("T6", "L/h=5,p=1", "w_bar")[0]
         cfg = c.to_config()
         assert cfg.ne == 16 and cfg.L == 5.0 and math.isinf(cfg.R_over_L)
-        assert cfg.layup.p == 1.0
-
-
-class TestConvergencePatternFixtures:
-    def test_tables_present(self):
-        assert set(CONVERGENCE_TABLES) == {"T3", "T4", "T5"}
-
-    def test_histories_monotone_nondecreasing(self):
-        for table, groups in CONVERGENCE_TABLES.items():
-            for label, history in groups.items():
-                nes = [ne for ne, _ in history]
-                assert nes == sorted(nes)
-                ncols = len(history[0][1])
-                for j in range(ncols):
-                    col = [vals[j] for _, vals in history]
-                    assert all(b >= a - 1e-9 * abs(b)
-                               for a, b in zip(col, col[1:])), (table, label, j)
-
-    def test_symmetric_sandwich_rows_constant(self):
-        rows = CONVERGENCE_TABLES["T3"]["B 3-4-3"]
-        first = rows[0][1]
-        for _, vals in rows:
-            assert vals == first
+        assert cfg.layup == Layup.single_layer(1.0, 1.0)
 
 
 class TestBenchmarkCompare:

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import fgcbeam
 from fgcbeam import (
     BoundaryCondition,
     ConfigError,
@@ -157,6 +158,24 @@ def test_non_finite_number_is_rejected_by_key(key, value):
         parse_config(with_key(SANDWICH, key, value))
 
 
+@pytest.mark.parametrize("L,h", [(1e-10, 1e-11), (5.0, 1.0)])
+def test_tiny_radius_names_r_over_l(L, h, tmp_path, capsys):
+    # R = R_over_L * L underflows to 0 (1/R divides by zero) or to a subnormal (1/R = inf)
+    text = MINIMAL.replace("L = 5", f"L = {L!r}\nR_over_L = 1e-320").replace(
+        "h = 1", f"h = {h!r}")
+    with pytest.raises(ConfigError, match="^geometry.R_over_L: radius R"):
+        parse_config(text)
+    path = tmp_path / "case.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: geometry.R_over_L: radius R")
+    path.write_text(text.replace("R_over_L = 1e-320", "R_over_L = inf"), encoding="utf-8")
+    assert main(["sweep", str(path), "--param", "R_over_L", "--values", "1,1e-320"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: R_over_L: radius R")
+
+
 class TestWithParameter:
     def test_p_replacement(self):
         cfg = parse_config(SANDWICH)
@@ -294,6 +313,11 @@ class TestCliConverge:
         assert [r.split(",")[0] for r in rows] == ["2", "4", "8", "12", "16", "24", "32"]
         assert captured.err == ""
 
+    @pytest.mark.parametrize("ne", ["0", "-4"])
+    def test_element_count_below_one_names_it(self, ne, sandwich_file, capsys):
+        assert main(["converge", str(sandwich_file), "--ne", f"4,{ne}"]) == 2
+        assert capsys.readouterr() == ("", f"error: need at least one element, got ne = {ne}\n")
+
     def test_singular_system_is_a_clean_error(self, sandwich_file, capsys, monkeypatch):
         def singular(*args, **kwargs):
             raise SingularSystemError("stiffness is not positive definite at node 3, dof u0")
@@ -412,3 +436,18 @@ def test_cli_surface_is_pinned():
         "bench": ["--table", "--csv"],
         "profile": ["config", "--x", "--samples", "--out"],
     }
+
+
+def test_public_api_is_pinned():
+    """The package's exported names, so that an added or removed one shows up here in review."""
+    assert sorted(fgcbeam.__all__) == [
+        "BoundaryCondition", "CaseConfig", "CaseResults", "ConfigError", "DEFAULT_MATERIAL",
+        "Layup", "LayupKind", "LoadCase", "MaterialPair", "Mesh", "SectionRigidities",
+        "SingularSystemError", "Solution", "assemble_load", "compute_rigidities",
+        "convergence_study", "deflection_point", "displacement_at", "effective_modulus",
+        "evaluate_case", "evaluate_cases", "f_shear", "g_shear", "parse_config",
+        "solve_static", "stiffness_coeffs", "strains_at", "stress_at", "sweep",
+        "table_scales", "thickness_profile", "volume_fraction",
+    ]
+    for name in fgcbeam.__all__:
+        assert getattr(fgcbeam, name) is not None, name

@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from fgcbeam import DEFAULT_MATERIAL, Layup, LayupKind, compute_rigidities
+from fgcbeam import DEFAULT_MATERIAL, Layup, LayupKind, Mesh, compute_rigidities
 from fgcbeam.element import (
-    ElementGeometry,
     _hermite,
     _lagrange,
     element_load_udl,
@@ -35,19 +34,19 @@ W_COLS = [1, 2, 5, 6]
 U_COLS = [0, 4]
 
 
-def rows_at(xi, geom):
+def rows_at(xi, mesh):
     """Rows (B0, B1, B2, Bs) at one local coordinate."""
-    return strain_rows((xi,), geom)[0]
+    return strain_rows((xi,), mesh)[0]
 
 
-def stiffness_reference(rig, geom, order=10):
+def stiffness_reference(rig, mesh, order=10):
     """Same bilinear form, independent high-order quadrature."""
     xg, wg = leggauss(order)
     K = np.zeros((8, 8))
     for x, w in zip(xg, wg):
-        xi = 0.5 * geom.Le * (x + 1.0)
-        wi = 0.5 * geom.Le * w
-        B0, B1, B2, Bs = rows_at(xi, geom)
+        xi = 0.5 * mesh.Le * (x + 1.0)
+        wi = 0.5 * mesh.Le * w
+        B0, B1, B2, Bs = rows_at(xi, mesh)
         D = np.array([[rig.A11, rig.B11, rig.B11s, 0.0],
                       [rig.B11, rig.D11, rig.D11s, 0.0],
                       [rig.B11s, rig.D11s, rig.H11s, 0.0],
@@ -108,28 +107,28 @@ class TestHermiteShape:
 
 class TestStrainDisplacement:
     def test_straight_beam_membrane_decoupled(self, rng):
-        geom = ElementGeometry(Le=1.0, inv_R=0.0)
+        mesh = Mesh(L=1.0, ne=1, inv_R=0.0)
         for xi in rng.uniform(0, 1, 5):
-            B0, _, _, _ = rows_at(xi, geom)
+            B0, _, _, _ = rows_at(xi, mesh)
             assert np.all(B0[W_COLS] == 0.0)
 
     def test_rigid_axial_mode_strain_free(self, rng):
-        geom = ElementGeometry(Le=0.6, inv_R=0.1)
+        mesh = Mesh(L=0.6, ne=1, inv_R=0.1)
         d = np.array([3.0, 0, 0, 0, 3.0, 0, 0, 0])
         for xi in rng.uniform(0, 0.6, 5):
-            for B in rows_at(xi, geom):
+            for B in rows_at(xi, mesh):
                 assert B @ d == pytest.approx(0.0, abs=1e-14)
 
     def test_rigid_transverse_mode_straight(self, rng):
-        geom = ElementGeometry(Le=2.0, inv_R=0.0)
+        mesh = Mesh(L=2.0, ne=1, inv_R=0.0)
         d = np.array([0, 5.0, 0, 0, 0, 5.0, 0, 0])
         for xi in rng.uniform(0, 2.0, 5):
-            for B in rows_at(xi, geom):
+            for B in rows_at(xi, mesh):
                 assert B @ d == pytest.approx(0.0, abs=1e-13)
 
     def test_curved_membrane_strain_carries_w(self):
-        geom = ElementGeometry(Le=1.0, inv_R=0.25)
-        B0, _, _, _ = rows_at(0.5, geom)
+        mesh = Mesh(L=1.0, ne=1, inv_R=0.25)
+        B0, _, _, _ = rows_at(0.5, mesh)
         N, _, _ = _hermite(0.5, 1.0)
         assert B0[1] == pytest.approx(0.25 * N[0])
         assert B0[5] == pytest.approx(0.25 * N[2])
@@ -138,13 +137,13 @@ class TestStrainDisplacement:
 class TestElementStiffness:
     @pytest.mark.parametrize("inv_R", [0.0, 0.04, 0.5])
     def test_symmetric(self, inv_R):
-        K = element_stiffness(RIG_A, ElementGeometry(Le=0.3125, inv_R=inv_R))
+        K = element_stiffness(RIG_A, Mesh(L=0.3125, ne=1, inv_R=inv_R))
         assert np.array_equal(K, K.T)
 
     def test_bending_block_matches_hermite_oracle(self):
         Le = 0.4
         D = RIG_A.D11
-        K = element_stiffness(RIG_A, ElementGeometry(Le=Le))
+        K = element_stiffness(RIG_A, Mesh(L=Le, ne=1))
         expected = D / Le**3 * np.array([
             [12, 6 * Le, -12, 6 * Le],
             [6 * Le, 4 * Le**2, -6 * Le, 2 * Le**2],
@@ -157,13 +156,13 @@ class TestElementStiffness:
         assert abs(RIG_SYM.B11) < scale and abs(RIG_SYM.B11s) < scale
         rig = SectionRigidities(RIG_SYM.A11, 0.0, RIG_SYM.D11, 0.0,
                                 RIG_SYM.D11s, RIG_SYM.H11s, RIG_SYM.A55s)
-        K = element_stiffness(rig, ElementGeometry(Le=1.0))
+        K = element_stiffness(rig, Mesh(L=1.0, ne=1))
         assert np.all(K[np.ix_(U_COLS, W_COLS)] == 0.0)
         assert np.all(K[np.ix_(W_COLS, U_COLS)] == 0.0)
 
     def test_rigid_modes_zero_energy_straight(self):
         Le = 0.7
-        K = element_stiffness(RIG_A, ElementGeometry(Le=Le))
+        K = element_stiffness(RIG_A, Mesh(L=Le, ne=1))
         norm = np.linalg.norm(K, 2)
         modes = [np.array([1, 0, 0, 0, 1, 0, 0, 0.0]),
                  np.array([0, 1, 0, 0, 0, 1, 0, 0.0]),
@@ -174,29 +173,29 @@ class TestElementStiffness:
 
     @pytest.mark.parametrize("inv_R", [0.0, 0.2])
     def test_positive_semidefinite(self, inv_R):
-        K = element_stiffness(RIG_A, ElementGeometry(Le=1.25, inv_R=inv_R))
+        K = element_stiffness(RIG_A, Mesh(L=1.25, ne=1, inv_R=inv_R))
         eigs = np.linalg.eigvalsh(K)
         assert np.all(eigs >= -1e-12 * eigs.max())
 
     @pytest.mark.parametrize("Le,inv_R", [(0.3125, 0.04), (1.25, 0.2), (2.0, 0.0)])
     def test_four_point_gauss_is_exact(self, Le, inv_R):
-        geom = ElementGeometry(Le=Le, inv_R=inv_R)
-        K4 = element_stiffness(RIG_A, geom)
-        K10 = stiffness_reference(RIG_A, geom, order=10)
+        mesh = Mesh(L=Le, ne=1, inv_R=inv_R)
+        K4 = element_stiffness(RIG_A, mesh)
+        K10 = stiffness_reference(RIG_A, mesh, order=10)
         assert np.max(np.abs(K4 - K10)) <= 1e-13 * np.max(np.abs(K10))
 
     def test_linear_in_each_rigidity(self):
-        geom = ElementGeometry(Le=0.9, inv_R=0.1)
+        mesh = Mesh(L=0.9, ne=1, inv_R=0.1)
         names = ("A11", "B11", "D11", "B11s", "D11s", "H11s", "A55s")
         base = {n: 0.0 for n in names}
-        zero = element_stiffness(SectionRigidities(**base), geom)
+        zero = element_stiffness(SectionRigidities(**base), mesh)
         assert np.all(zero == 0.0)
         total = np.zeros((8, 8))
         for n in names:
             one = dict(base)
             one[n] = getattr(RIG_A, n)
-            total += element_stiffness(SectionRigidities(**one), geom)
-        assert np.allclose(total, element_stiffness(RIG_A, geom), rtol=1e-12)
+            total += element_stiffness(SectionRigidities(**one), mesh)
+        assert np.allclose(total, element_stiffness(RIG_A, mesh), rtol=1e-12)
 
 
 def random_rigidities(rng, n):
@@ -207,10 +206,10 @@ def random_rigidities(rng, n):
     return SectionRigidities(*vals.tolist())
 
 
-def random_geometry(rng, n):
-    """Le in [1e-4, 1e2]; every fourth draw is straight (inv_R = 0)."""
+def random_element(rng, n):
+    """One-element mesh with Le in [1e-4, 1e2]; every fourth draw is straight (inv_R = 0)."""
     Le = float(10.0 ** rng.uniform(-4.0, 2.0))
-    return ElementGeometry(Le, 0.0 if n % 4 == 0 else float(10.0 ** rng.uniform(-3.0, 2.0)))
+    return Mesh(Le, 1, 0.0 if n % 4 == 0 else float(10.0 ** rng.uniform(-3.0, 2.0)))
 
 
 class TestBitIdentity:
@@ -219,7 +218,7 @@ class TestBitIdentity:
     def test_shape_functions_bit_equal_to_reference(self):
         rng = np.random.default_rng(31)
         for n in range(500):
-            Le = random_geometry(rng, n).Le
+            Le = random_element(rng, n).Le
             for x in (0.0, Le, rng.uniform(0.0, Le), float(rng.uniform(0.0, Le))):
                 got = _lagrange(x, Le) + _hermite(x, Le)
                 want = ref.lagrange_shape(x, Le) + ref.hermite_shape(x, Le)
@@ -229,14 +228,14 @@ class TestBitIdentity:
     def test_strain_rows_bit_equal_to_shape_functions(self):
         rng = np.random.default_rng(32)
         for n in range(500):
-            geom = random_geometry(rng, n)
-            xs = np.concatenate(([0.0, geom.Le], rng.uniform(0.0, geom.Le, 4)))
-            rows = strain_rows(xs, geom)
+            mesh = random_element(rng, n)
+            xs = np.concatenate(([0.0, mesh.Le], rng.uniform(0.0, mesh.Le, 4)))
+            rows = strain_rows(xs, mesh)
             assert rows.shape == (len(xs), 4, 8)
             for x, B in zip(xs, rows):
-                N, dN = _lagrange(float(x), geom.Le)
-                Nb, _, d2Nb = _hermite(float(x), geom.Le)
-                r = geom.inv_R
+                N, dN = _lagrange(float(x), mesh.Le)
+                Nb, _, d2Nb = _hermite(float(x), mesh.Le)
+                r = mesh.inv_R
                 want = np.zeros((4, 8))
                 want[0, [0, 4]] = dN
                 want[0, [1, 2, 5, 6]] = r * np.array(Nb)
@@ -244,14 +243,14 @@ class TestBitIdentity:
                 want[2, [3, 7]] = dN
                 want[3, [3, 7]] = N
                 assert np.array_equal(B, want)
-                assert B.tobytes() == np.stack(ref.strain_displacement(x, geom)).tobytes()
+                assert B.tobytes() == np.stack(ref.strain_displacement(x, mesh)).tobytes()
 
     def test_stiffness_bit_equal_to_outer_product_loop(self):
         rng = np.random.default_rng(33)
         for n in range(10_000):
-            rig, geom = random_rigidities(rng, n), random_geometry(rng, n)
-            K = element_stiffness(rig, geom)
-            assert K.tobytes() == ref.element_stiffness(rig, geom).tobytes()
+            rig, mesh = random_rigidities(rng, n), random_element(rng, n)
+            K = element_stiffness(rig, mesh)
+            assert K.tobytes() == ref.element_stiffness(rig, mesh).tobytes()
             assert np.array_equal(K, K.T)
 
 

@@ -197,6 +197,19 @@ class TestVolumeFraction:
                 assert hs[n + 1] > hs[n], (z, side)
                 assert 0.0 <= volume_fraction(lay, z, side=side) <= 1.0
 
+    @pytest.mark.parametrize("kind,scheme", [(LayupKind.B, (1, 1, 1)),
+                                             (LayupKind.C, (1, 8, 1))])
+    def test_snap_window_stays_inside_the_picked_layer(self, kind, scheme):
+        # layer_index snaps z within 1e-12 h of an interface to the forced side, so z can
+        # lie just outside the picked layer; V must still be a real number in [0, 1]
+        lay = Layup(kind, scheme, p=0.5, h=1.0)
+        for zi in lay.interfaces[1:3]:
+            for z in (zi - 1e-14, zi + 1e-14):
+                for side in ("below", "above"):
+                    v = volume_fraction(lay, z, side=side)
+                    assert isinstance(v, float) and 0.0 <= v <= 1.0, (zi, z, side, v)
+                    assert effective_modulus(MAT, lay, z, side=side) <= MAT.E_c
+
     def test_top_surface_of_a_section_without_top_face(self):
         faces = Layup(LayupKind.B, (1, 1, 0), p=2.0, h=1.0)      # ceramic core on top
         core = Layup(LayupKind.C, (1, 0, 0), p=2.0, h=1.0)       # all metal

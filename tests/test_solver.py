@@ -50,7 +50,7 @@ def solve_case(cfg):
 
 def band(mesh, rig):
     """The program's global stiffness in band storage."""
-    return _fill_band(mesh, _band_slabs(element_stiffness(rig, mesh.element_geometry())))
+    return _fill_band(mesh, _band_slabs(element_stiffness(rig, mesh)))
 
 
 def dense(mesh, rig):
@@ -66,7 +66,7 @@ def eliminate(K, F, bc, mesh):
 def dense_by_element_loop(mesh, rig):
     """Direct-stiffness assembly, one element at a time (reference)."""
     K = np.zeros((mesh.ndof, mesh.ndof))
-    Ke = element_stiffness(rig, mesh.element_geometry())
+    Ke = element_stiffness(rig, mesh)
     for e in range(mesh.ne):
         K[mesh.element_dofs(e), mesh.element_dofs(e)] += Ke
     return K
@@ -99,7 +99,7 @@ class TestAssemble:
     def test_single_element_equals_element_matrix(self):
         mesh = Mesh(L=1.0, ne=1)
         K = dense(mesh, RIG)
-        Ke = element_stiffness(RIG, mesh.element_geometry())
+        Ke = element_stiffness(RIG, mesh)
         assert np.array_equal(K, Ke)
 
     def test_symmetry_and_band(self):

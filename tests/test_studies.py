@@ -29,8 +29,8 @@ def reference_evaluate_case(cfg):
     w = displacement_at(sol, x_w)[1]
     if cfg.load.kind == "udl":
         q = cfg.load.magnitude
-        sigma = stress_at(sol, cfg.material, cfg.layup, L / 2.0, h / 2.0).sigma_x
-        tau = stress_at(sol, cfg.material, cfg.layup, 0.0, 0.0).tau_xz
+        sigma = stress_at(sol, cfg.material, cfg.layup, L / 2.0, h / 2.0)[0]
+        tau = stress_at(sol, cfg.material, cfg.layup, 0.0, 0.0)[1]
         return CaseResults(
             config=cfg, solution=sol, x_deflection=x_w, w=w,
             w_bar=100.0 * cfg.material.E_m * h**3 / (q * L**4) * w,
