@@ -16,6 +16,7 @@ scientific notation; identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -94,9 +95,8 @@ def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
     # a product with 1.0 is exact: point-load rows keep the dimensional stresses
     scale = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)[1] if udl else 1.0
     lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
-    for r in rows:
-        lines.append(f"{_fmt(r.z_over_h)},{_fmt(r.sigma_x * scale)},{_fmt(r.tau_xz * scale)},"
-                     f"{r.side}")
+    lines += ["%.9e,%.9e,%.9e,%s" % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
+              for r in rows]          # _fmt's format, one formatting call per row
     return "\n".join(lines) + "\n"
 
 
@@ -203,7 +203,9 @@ def _cmd_bench(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="fgcbeam",
         description="Static bending of functionally graded sandwich straight and "

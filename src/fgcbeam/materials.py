@@ -21,6 +21,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class LayupKind(enum.Enum):
     """Section layout family: single graded layer or sandwich variant."""
@@ -168,12 +170,13 @@ def effective_modulus(mat: MaterialPair, layup: Layup, z: float,
 
 
 def stiffness_coeffs(E: float, nu: float) -> tuple[float, float]:
-    """Plane stiffness coefficients (C11, C55) of an isotropic point.
+    """Plane stiffness coefficients (C11, C55) of an isotropic point, or of
+    an array of moduli E.
 
     C11 = E couples axial stress to axial strain; C55 = E / (2(1 + nu))
     is the shear modulus coupling transverse shear stress and strain.
     """
-    if E <= 0:
+    if (np.asarray(E) <= 0).any():
         raise ValueError("modulus must be positive")
     if not (0.0 <= nu < 0.5):
         raise ValueError("Poisson's ratio must satisfy 0 <= nu < 0.5")

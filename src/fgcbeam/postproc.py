@@ -29,24 +29,28 @@ Recovery at a station is split in two: the rows that depend on the
 mesh alone (``_shape_station``, ``_strain_station``) and their products
 with one solution's DOFs.  The point functions below compose the two;
 a batch of solutions on one mesh builds the rows once.
+
+The factors C11(z), f(z) and C55(z) g(z) come from one array kernel,
+``_stress_factors``: ``stress_at`` is its one-point call, the case
+engine makes one two-point call (z = h/2 and z = 0) per section, and a
+profile makes one call per station.  Its powers (V = s**p, (z/h)**4)
+are Python float powers, so every z gets the bits of a scalar call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .element import _hermite, _lagrange, strain_rows
 from .materials import Layup, MaterialPair, effective_modulus, stiffness_coeffs
-from .section import f_shear, g_shear
 from .solver import BoundaryCondition, Mesh, Solution
 
 _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     """One row of a through-thickness profile.
 
     side is '' for ordinary grid points, 'below'/'above' for the pair
@@ -129,17 +133,23 @@ def strains_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
     return _station_strains(sol.d, _strain_station(sol.mesh, x))
 
 
-def _stress_factors(mat: MaterialPair, layup: Layup, z: float,
-                    side: str | None) -> tuple[float, float, float]:
-    """(C11, f, C55 g) at height z: the factors that turn strains into stresses there."""
-    E = effective_modulus(mat, layup, z, side=side)
+def _stress_factors(mat: MaterialPair, layup: Layup, z,
+                    sides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C11, f, C55 g) at the heights z, each with its side (None, '', 'below' or 'above'):
+    the factors that turn a station's strains into stresses there.  E(z) is
+    ``effective_modulus`` point by point; f and g are ``section``'s shear functions."""
+    z = np.asarray(z, dtype=float)
+    E = np.array([effective_modulus(mat, layup, zi, side or None)
+                  for zi, side in zip(z.tolist(), sides)])
     C11, C55 = stiffness_coeffs(E, mat.nu)
-    return C11, float(f_shear(z, layup.h)), C55 * float(g_shear(z, layup.h))
+    zh = z / layup.h
+    # scalar pow, as in f_shear(z, h) at one z: numpy's array ** rounds some zh**4 differently
+    zh4 = np.array([t ** 4 for t in zh.tolist()])
+    return C11, z * (1.0 - 1.5 * zh * zh + 0.4 * zh4), C55 * (1.0 - 4.5 * zh * zh + 2.0 * zh4)
 
 
-def _stresses(eps: tuple[float, float, float, float], factors: tuple[float, float, float],
-              z: float) -> tuple[float, float]:
-    """(sigma_x, tau_xz) at height z from a station's strains and ``_stress_factors`` at z."""
+def _stresses(eps: tuple[float, float, float, float], factors, z):
+    """(sigma_x, tau_xz) at the heights z from a station's strains and ``_stress_factors``."""
     eps0, eps1, eps2, gamma0 = eps
     C11, f, C55g = factors
     return C11 * (eps0 + z * eps1 + f * eps2), C55g * gamma0
@@ -148,7 +158,8 @@ def _stresses(eps: tuple[float, float, float, float], factors: tuple[float, floa
 def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float,
               side: str | None = None) -> tuple[float, float]:
     """Dimensional (sigma_x, tau_xz) in Pa at a point; ``side`` resolves interface z."""
-    return _stresses(strains_at(sol, x), _stress_factors(mat, layup, z, side), z)
+    sigma, tau = _stresses(strains_at(sol, x), _stress_factors(mat, layup, [z], [side]), z)
+    return float(sigma[0]), float(tau[0])
 
 
 def deflection_point(bc: BoundaryCondition, L: float) -> float:
@@ -178,22 +189,16 @@ def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
     h = layup.h
     h1, h2, h3, h4 = layup.interfaces
     eps = 1e-12 * h
-    grid = list(np.linspace(h1, h4, n_samples))
-    inner = [zi for zi in (h2, h3) if h1 + eps < zi < h4 - eps]
+    inner = []
+    for zi in (h2, h3):
+        if h1 + eps < zi < h4 - eps and all(abs(zi - zj) > eps for zj in inner):
+            inner.append(zi)
+    grid = np.linspace(h1, h4, n_samples)
     # replace grid points that collide with an interface by the two-sided pair
-    pts: list[tuple[float, str]] = [(z, "") for z in grid
-                                    if all(abs(z - zi) > eps for zi in inner)]
-    seen = set()
-    for zi in inner:
-        if any(abs(zi - zj) <= eps for zj in seen):
-            continue
-        seen.add(zi)
-        pts.append((zi, "below"))
-        pts.append((zi, "above"))
-    pts.sort(key=lambda t: (t[0], 0 if t[1] in ("", "below") else 1))
-    strains = strains_at(sol, x)
-    rows = []
-    for z, side in pts:
-        sigma, tau = _stresses(strains, _stress_factors(mat, layup, z, side or None), z)
-        rows.append(ProfileRow(z=z, z_over_h=z / h, sigma_x=sigma, tau_xz=tau, side=side))
-    return rows
+    grid = grid[np.all(np.abs(grid[:, None] - np.array(inner)) > eps, axis=1)]
+    at = np.repeat(np.searchsorted(grid, inner), 2)     # each pair goes in z order
+    z = np.insert(grid, at, np.repeat(inner, 2))
+    sides = np.insert(np.full(len(grid), "", object), at, ["below", "above"] * len(inner))
+    sigma, tau = _stresses(strains_at(sol, x), _stress_factors(mat, layup, z, sides), z)
+    return [ProfileRow(*row) for row in zip(z.tolist(), (z / h).tolist(), sigma.tolist(),
+                                            tau.tolist(), sides.tolist())]

@@ -14,7 +14,7 @@ Parametric studies repeat sections and meshes, so the work is shared in
 three layers, all within one call:
 
     section  one ``compute_rigidities`` per distinct (material, layup),
-             and for uniform-load cases its C11(h/2), f(h/2) and C55 g(0);
+             and for uniform-load cases one stress-factor call for z = h/2 and 0;
     solver   the cases are grouped by ``Mesh``; one ``element_stiffness``
              call per group gives every ``Ke``, and ``solve_batch`` fills,
              constrains, factors and gates one band per case;
@@ -43,7 +43,7 @@ from .postproc import (
     table_scales,
 )
 from .section import compute_rigidities
-from .solver import SingularSystemError, Solution, solve_batch
+from .solver import SingularSystemError, Solution, check_load, solve_batch
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ def _evaluate_batch(configs: list[CaseConfig]) -> list[CaseResults]:
                 stations = _strain_station(mesh, mesh.L / 2.0), _strain_station(mesh, 0.0)
             section = cfg.material, cfg.layup
             stress = factors.get(section)
-            if stress is None:
-                stress = factors[section] = (_stress_factors(*section, cfg.h / 2.0, None),
-                                             _stress_factors(*section, 0.0, None))
+            if stress is None:        # (C11, f, C55 g) at z = h/2, then at z = 0
+                cols = _stress_factors(*section, [cfg.h / 2.0, 0.0], (None, None))
+                stress = factors[section] = list(zip(*(c.tolist() for c in cols)))
             results[i] = _uniform_load_results(cfg, sol, x_w, w, stations, stress)
     return results
 
@@ -133,12 +133,16 @@ class ConvergenceResult:
 def convergence_study(cfg: CaseConfig, ne_list: list[int]) -> ConvergenceResult:
     """Re-solve the case across mesh sizes and report the deflection.
 
-    An element count below 1 raises ``Mesh``'s ValueError.
+    Every element count is checked before the first solve, by ``Mesh`` (ne < 1) and
+    ``check_load`` (an odd ne under a mid-span point load), with their ValueErrors.
     """
     if not ne_list:
         raise ValueError("ne_list must not be empty")
     quantity = "w_bar" if cfg.load.kind == "udl" else "w"
-    results = evaluate_cases([replace(cfg, ne=ne) for ne in ne_list])
+    configs = [replace(cfg, ne=ne) for ne in ne_list]
+    for c in configs:
+        check_load(c.mesh(), c.bc, c.load)
+    results = evaluate_cases(configs)
     vals = [getattr(res, quantity) for res in results]
     scale = max(abs(v) for v in vals) or 1.0
     monotone = all(b >= a - 1e-12 * scale for a, b in zip(vals, vals[1:]))

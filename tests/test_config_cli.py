@@ -2,8 +2,12 @@
 
 import argparse
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -421,6 +425,35 @@ class TestCliBench:
         assert lines[0].startswith("table,row,column,quantity")
         assert len(lines) == 31
         assert all(row.endswith("pass") for row in lines[1:])
+
+
+FRESH = "import sys; from fgcbeam import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_shared_parser_keeps_no_state_between_calls(sandwich_file, tmp_path, capsys):
+    """Calls in one process print what each prints as the first call of a fresh process."""
+    assert build_parser() is build_parser()
+    out_file = tmp_path / "profile.csv"
+    calls = [["run", str(sandwich_file)],
+             ["profile", str(sandwich_file), "--x", "support", "--out", str(out_file)],
+             ["profile", str(sandwich_file), "--samples", "many"],      # argparse rejects it
+             ["run", str(sandwich_file)]]
+    here = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        here.append((code, captured.out.encode(), captured.err.encode()))
+    assert [code for code, _, _ in here] == [0, 0, 2, 0]
+    profile = out_file.read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
+    for argv, want in zip(calls, here):
+        fresh = subprocess.run([sys.executable, "-c", FRESH, *argv], env=env,
+                               capture_output=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == want, argv
+    assert out_file.read_bytes() == profile
 
 
 def test_cli_surface_is_pinned():

@@ -4,9 +4,11 @@
 SS/CC/CF supports, straight and curved beams, and udl, ``point_mid``
 and ``point_end`` loads.  Next to them are the stored outputs of
 ``bench --csv``, ``run`` and ``converge`` on every case, two sweeps,
-the mid-span and support profiles of three cases and the mid-span
-profile of a sandwich whose top face has zero thickness.  The test
-reruns each command in-process and compares bytes.
+the mid-span and support profiles of four cases (one with p = 2.5 and
+its own material), the mid-span profile of a sandwich whose top face
+has zero thickness, and a 21-sample profile at an interior node whose
+grid has a point on a 1-8-1 interface.  The test reruns each command
+in-process and compares bytes.
 
 After an intended output change, rewrite the corpus with
 
@@ -27,7 +29,8 @@ from fgcbeam import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(p.stem for p in (GOLDEN / "cases").glob("*.ini"))
-PROFILED = ("b_cc_udl_curved", "b_cf_point_mid", "c_cc_udl_curved_odd")
+PROFILED = ("b_cc_udl_curved", "b_cf_point_mid", "b_ss_udl_curved_material",
+            "c_cc_udl_curved_odd")
 
 
 def _corpus() -> dict[str, list[str]]:
@@ -45,6 +48,10 @@ def _corpus() -> dict[str, list[str]]:
             out[f"{case}.profile_{station}.csv"] = ["profile", case, "--x", station]
     out["b_ss_udl_no_top_face.profile_mid.csv"] = ["profile", "b_ss_udl_no_top_face",
                                                    "--x", "mid"]
+    # x = L/4 is an interior node; z = -0.4 h is grid point 2 of 21, so the file
+    # holds the interface's below/above pair in its place
+    out["c_ss_point_mid_curved.profile_1.25_n21.csv"] = [
+        "profile", "c_ss_point_mid_curved", "--x", "1.25", "--samples", "21"]
     return out
 
 

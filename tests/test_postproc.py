@@ -1,5 +1,7 @@
 """Field recovery, stress sampling, resultants and nondimensional values."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -15,6 +17,7 @@ from fgcbeam import (
     displacement_at,
     effective_modulus,
     solve_static,
+    stiffness_coeffs,
     strains_at,
     stress_at,
     table_scales,
@@ -329,13 +332,83 @@ class TestThicknessProfile:
     def test_rows_equal_pointwise_stress_at(self, kind, scheme):
         # the profile evaluates the station's strains once; every row must
         # still be bit-identical to a per-sample stress_at call
-        cfg = make_case(kind, scheme, p=2.0, R_over_L=10.0, ne=8)
+        for p in (2.0, 2.7):
+            cfg = make_case(kind, scheme, p=p, R_over_L=10.0, ne=8)
+            sol, _ = solve_cfg(cfg)
+            for x in (0.0, cfg.L / 2, cfg.L / 8, 0.3 * cfg.L, cfg.L):
+                rows = thickness_profile(sol, MAT, cfg.layup, x, 201)
+                for r in rows:
+                    s = stress_at(sol, MAT, cfg.layup, x, r.z, side=r.side or None)
+                    assert (r.sigma_x, r.tau_xz) == s
+
+
+def reference_thickness_profile(sol, mat, layup, x, n_samples):
+    """The profile as it was computed before the array kernel: each row's
+    factors from scalar effective_modulus, stiffness_coeffs, f_shear and g_shear."""
+    h = layup.h
+    h1, h2, h3, h4 = layup.interfaces
+    eps = 1e-12 * h
+    grid = list(np.linspace(h1, h4, n_samples))
+    inner = [zi for zi in (h2, h3) if h1 + eps < zi < h4 - eps]
+    pts = [(z, "") for z in grid if all(abs(z - zi) > eps for zi in inner)]
+    seen = set()
+    for zi in inner:
+        if any(abs(zi - zj) <= eps for zj in seen):
+            continue
+        seen.add(zi)
+        pts.append((zi, "below"))
+        pts.append((zi, "above"))
+    pts.sort(key=lambda t: (t[0], 0 if t[1] in ("", "below") else 1))
+    eps0, eps1, eps2, gamma0 = strains_at(sol, x)
+    rows = []
+    for z, side in pts:
+        C11, C55 = stiffness_coeffs(effective_modulus(mat, layup, z, side=side or None), mat.nu)
+        f, C55g = float(f_shear(z, h)), C55 * float(g_shear(z, h))
+        rows.append((z, z / h, C11 * (eps0 + z * eps1 + f * eps2), C55g * gamma0, side))
+    return rows
+
+
+def profile_bits(rows):
+    return [tuple(v if isinstance(v, str) else float(v).hex() for v in row) for row in rows]
+
+
+class TestProfileBitIdentity:
+    """``thickness_profile`` against the per-sample computation it replaced, bit for bit."""
+
+    def assert_same(self, cfg, x, n_samples):
         sol, _ = solve_cfg(cfg)
-        for x in (0.0, cfg.L / 2, cfg.L / 8, 0.3 * cfg.L, cfg.L):
-            rows = thickness_profile(sol, MAT, cfg.layup, x, 201)
-            for r in rows:
-                s = stress_at(sol, MAT, cfg.layup, x, r.z, side=r.side or None)
-                assert (r.sigma_x, r.tau_xz) == s
+        got = thickness_profile(sol, cfg.material, cfg.layup, x, n_samples)
+        want = reference_thickness_profile(sol, cfg.material, cfg.layup, x, n_samples)
+        assert profile_bits(got) == profile_bits(want)
+        return got
+
+    def test_random_cases_with_continuous_p(self, rng):
+        for _ in range(60):
+            cfg = random_case(rng)
+            mat = MaterialPair(float(rng.uniform(5e10, 3e11)), float(rng.uniform(5e10, 4e11)),
+                               float(rng.uniform(0.0, 0.45)))
+            layup = dataclasses.replace(cfg.layup, p=float(rng.uniform(0.0, 20.0)))
+            cfg = dataclasses.replace(cfg, material=mat, layup=layup)
+            x = float(rng.choice([0.0, cfg.L / 2, cfg.L, rng.uniform(0.0, cfg.L)]))
+            self.assert_same(cfg, x, int(rng.integers(2, 302)))
+
+    @pytest.mark.parametrize("kind", ["B", "C"])
+    @pytest.mark.parametrize("scheme", [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    def test_zero_thickness_layers(self, kind, scheme):
+        cfg = make_case(kind, scheme, p=2.5, R_over_L=8.0, ne=8)
+        for n_samples in (2, 11, 201):
+            self.assert_same(cfg, 0.3 * cfg.L, n_samples)
+
+    def test_interior_node_station(self):
+        cfg = make_case("B", (2, 2, 1), p=3.7, bc="CF", ne=8)
+        self.assert_same(cfg, 3 * cfg.mesh().Le, 201)
+
+    def test_grid_point_on_an_interface(self):
+        # 21 samples over h = 1 put grid points on z = -0.4 and z = +0.4
+        cfg = make_case("C", (1, 8, 1), p=0.0, ne=8)
+        rows = self.assert_same(cfg, cfg.L / 4, 21)
+        assert len(rows) == 23
+        assert [r.side for r in rows if abs(abs(r.z) - 0.4) < 1e-12] == ["below", "above"] * 2
 
 
 class TestRandomizedSurfaceCondition:

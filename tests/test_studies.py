@@ -153,3 +153,26 @@ def test_one_mesh_group_with_mixed_sections_supports_and_loads():
     assert len({c.mesh() for c in configs}) == 1
     for got, cfg in zip(evaluate_cases(configs), configs):
         assert_bit_equal(got, reference_evaluate_case(cfg))
+
+
+@pytest.mark.parametrize("load,ne_list,message", [
+    (LoadCase("udl", 1.0), [2, 4, 8, 16, 0], "need at least one element, got ne = 0"),
+    (LoadCase("point_mid", 1.0), [2, 4, 5],
+     "mid-span point load needs an even element count, got ne = 5"),
+], ids=["ne_0", "odd_ne_point_mid"])
+def test_convergence_study_checks_every_element_count_before_any_solve(
+        load, ne_list, message, monkeypatch):
+    solves = []
+    real = studies.solve_batch
+
+    def counting(mesh, jobs):
+        for sol in real(mesh, jobs):
+            solves.append(mesh.ne)
+            yield sol
+
+    monkeypatch.setattr(studies, "solve_batch", counting)
+    cfg = make_case("C", scheme=(1, 8, 1), p=2.0, load=load)
+    with pytest.raises(ValueError) as err:
+        studies.convergence_study(cfg, ne_list)
+    assert str(err.value) == message
+    assert solves == []
