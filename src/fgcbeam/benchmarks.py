@@ -466,15 +466,15 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
         if unknown:
             raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}")
     cells = [c for c in ALL_CELLS if tables is None or c.table in tables]
+    keys = [cell.case_key() for cell in cells]
     cases: dict[tuple, CaseConfig] = {}
-    for cell in cells:
-        key = cell.case_key()
+    for key, cell in zip(keys, cells):
         if key not in cases:
             cases[key] = cell.to_config()
     solved = dict(zip(cases, evaluate_cases(list(cases.values()))))
     report = BenchReport()
-    for cell in cells:
-        res = solved[cell.case_key()]
+    for key, cell in zip(keys, cells):
+        res = solved[key]
         computed = {"w_bar": res.w_bar, "sigma_bar": res.sigma_bar,
                     "tau_bar": res.tau_bar}[cell.quantity]
         rel = abs(computed - cell.expected) / abs(cell.expected)

@@ -110,11 +110,11 @@ def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
         A11 B0B0 + B11 (B0B1 + B1B0) + B11s (B0B2 + B2B0) + D11 B1B1
         + D11s (B1B2 + B2B1) + H11s B2B2 + A55s BsBs
 
-    (outer products), and the points are summed in order.  The seven
-    products of all four points are formed as one (M, 4, 7, 8, 8) array;
-    every step is elementwise, so each slice is bit-identical to a
-    per-point loop of ``np.outer`` calls for its rigidities alone, and
-    exactly symmetric.
+    (outer products), and the points are summed in order, from 0.  The
+    seven products of all four points are formed as one (M, 4, 7, 8, 8)
+    array; every step is elementwise or a sum in index order, so each
+    slice is bit-identical to a per-point loop of ``np.outer`` calls for
+    its rigidities alone, and exactly symmetric.
     """
     rigs = [rig] if isinstance(rig, SectionRigidities) else rig
     half = 0.5 * mesh.Le
@@ -123,13 +123,9 @@ def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
     P = np.where(_CROSS, P + P.swapaxes(2, 3), P)
     P = P * np.array([[r.A11, r.B11, r.B11s, r.D11, r.D11s, r.H11s, r.A55s]
                       for r in rigs])[:, None, :, None, None]
-    S = P[:, :, 0] + P[:, :, 1]
-    for k in range(2, 7):
-        S += P[:, :, k]
+    S = P.sum(axis=2)                   # over a non-contiguous axis numpy adds in order
     S *= (half * _GAUSS_W)[:, None, None]
-    K = np.zeros((len(rigs), 8, 8))
-    for g in range(4):
-        K += S[:, g]
+    K = np.add.reduce(S, axis=1, initial=0.0)
     return K[0] if isinstance(rig, SectionRigidities) else K
 
 

@@ -26,9 +26,11 @@ left end support, where tau is reported, uses the only element
 available).
 
 Recovery at a station is split in two: the rows that depend on the
-mesh alone (``_shape_station``, ``_strain_station``) and their products
-with one solution's DOFs.  The point functions below compose the two;
-a batch of solutions on one mesh builds the rows once.
+mesh alone (``_shape_station``, ``_strain_stations``) and their products
+with the DOFs of one solution or of an (M, ndof) stack on one mesh.
+Every product is ``np.vecdot`` (BLAS ``ddot`` per row), whose bits do not
+depend on the stack as a ``gemm``'s do, so the point functions below and
+the case engine share one kernel and agree bit for bit.
 
 The factors C11(z), f(z) and C55(z) g(z) come from one array kernel,
 ``_stress_factors``: ``stress_at`` is its one-point call, the case
@@ -74,63 +76,59 @@ def _locate(mesh: Mesh, x: float) -> tuple[int, float]:
     return e, x - e * Le
 
 
-def _shape_station(mesh: Mesh, x: float) -> tuple[slice, tuple, np.ndarray, np.ndarray]:
-    """Element DOFs and the shape values (N, Nb, dNb/dx) that interpolate at x."""
+def _shape_station(mesh: Mesh, x: float) -> tuple[slice, tuple, np.ndarray]:
+    """Element DOFs, the Lagrange values N and the rows (Nb, dNb/dx) that interpolate at x."""
     e, xi = _locate(mesh, x)
     xi, Le = float(xi), float(mesh.Le)
     N, _ = _lagrange(xi, Le)
     Nb, dNb, _ = _hermite(xi, Le)
-    return mesh.element_dofs(e), N, np.array(Nb), np.array(dNb)
+    return mesh.element_dofs(e), N, np.array((Nb, dNb))
 
 
-def _interpolate(d: np.ndarray, station) -> tuple[float, float, float, float]:
-    """(u0, w0, dw0/dx, phi_x) from the DOF vector at a ``_shape_station``."""
-    dofs, N, Nb, dNb = station
-    de = d[dofs]
-    u = N[0] * de[0] + N[1] * de[4]
-    phi = N[0] * de[3] + N[1] * de[7]
-    wdofs = de[[1, 2, 5, 6]]
-    w = float(Nb @ wdofs)
-    dw = float(dNb @ wdofs)
-    return float(u), w, dw, float(phi)
+def _deflections(d: np.ndarray, station) -> np.ndarray:
+    """(w0, dw0/dx) at a ``_shape_station`` from DOFs (..., ndof): shape (..., 2)."""
+    dofs, _, rows = station
+    return np.vecdot(rows, d[..., dofs][..., None, [1, 2, 5, 6]])
 
 
 def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
     """Interpolated (u0, w0, dw0/dx, phi_x) at x."""
-    return _interpolate(sol.d, _shape_station(sol.mesh, x))
+    station = dofs, N, _ = _shape_station(sol.mesh, x)
+    de = sol.d[dofs]
+    w, dw = _deflections(sol.d, station).tolist()
+    return float(N[0] * de[0] + N[1] * de[4]), w, dw, float(N[0] * de[3] + N[1] * de[7])
 
 
 def _element_strains(de: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Generalized strains of element DOFs ``de`` from its (4, 8) strain rows."""
-    B0, B1, B2, Bs = rows
-    return np.array([B0 @ de, B1 @ de, B2 @ de, Bs @ de])
+    """Generalized strains (..., 4) of element DOFs (..., 8) from its (4, 8) strain rows."""
+    return np.vecdot(rows, de[..., None, :])
 
 
-def _strain_station(mesh: Mesh, x: float) -> tuple[tuple[slice, np.ndarray], ...]:
-    """(element DOFs, strain rows) pairs whose strains give the strains at x.
+def _strain_stations(mesh: Mesh, xs) -> list[tuple[tuple[slice, np.ndarray], ...]]:
+    """Per x in xs, the (element DOFs, strain rows) pairs whose strains give the strains
+    at x: one inside an element, both adjacent elements' at an interior node (to be
+    averaged).  One ``strain_rows`` call gives every row."""
+    points = []
+    for x in xs:
+        e, xi = _locate(mesh, x)
+        node = int(round(x / mesh.Le))
+        interior = abs(x - node * mesh.Le) <= _NODE_SNAP * mesh.L and 0 < node < mesh.ne
+        points.append(((node - 1, mesh.Le), (node, 0.0)) if interior else ((e, xi),))
+    rows = iter(strain_rows([xi for station in points for _, xi in station], mesh))
+    return [tuple((mesh.element_dofs(e), next(rows)) for e, _ in station) for station in points]
 
-    One pair inside an element; at an interior node, the pairs of both
-    adjacent elements (from one ``strain_rows`` call), to be averaged.
-    """
-    e, xi = _locate(mesh, x)
-    node = int(round(x / mesh.Le))
-    if abs(x - node * mesh.Le) <= _NODE_SNAP * mesh.L and 0 < node < mesh.ne:
-        left, right = strain_rows((mesh.Le, 0.0), mesh)
-        return (mesh.element_dofs(node - 1), left), (mesh.element_dofs(node), right)
-    return ((mesh.element_dofs(e), strain_rows((xi,), mesh)[0]),)
 
-
-def _station_strains(d: np.ndarray, station) -> tuple[float, float, float, float]:
-    """Generalized strains (eps0, eps1, eps2, gamma0) from the DOF vector at a
-    ``_strain_station``."""
-    eps = [_element_strains(d[dofs], rows) for dofs, rows in station]
-    return tuple(map(float, eps[0] if len(eps) == 1 else 0.5 * (eps[0] + eps[1])))
+def _station_strains(d: np.ndarray, station) -> np.ndarray:
+    """Generalized strains (eps0, eps1, eps2, gamma0) at one of ``_strain_stations``
+    from DOFs (..., ndof): shape (..., 4)."""
+    eps = [_element_strains(d[..., dofs], rows) for dofs, rows in station]
+    return eps[0] if len(eps) == 1 else 0.5 * (eps[0] + eps[1])
 
 
 def strains_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
     """Generalized strains (eps0 (-), eps1 (1/m), eps2 (1/m), gamma0 (rad)) at x,
     averaging both elements at interior nodes."""
-    return _station_strains(sol.d, _strain_station(sol.mesh, x))
+    return tuple(map(float, _station_strains(sol.d, *_strain_stations(sol.mesh, [x]))))
 
 
 def _stress_factors(mat: MaterialPair, layup: Layup, z,
@@ -148,7 +146,7 @@ def _stress_factors(mat: MaterialPair, layup: Layup, z,
     return C11, z * (1.0 - 1.5 * zh * zh + 0.4 * zh4), C55 * (1.0 - 4.5 * zh * zh + 2.0 * zh4)
 
 
-def _stresses(eps: tuple[float, float, float, float], factors, z):
+def _stresses(eps, factors, z):
     """(sigma_x, tau_xz) at the heights z from a station's strains and ``_stress_factors``."""
     eps0, eps1, eps2, gamma0 = eps
     C11, f, C55g = factors

@@ -6,14 +6,14 @@ straight into LAPACK upper band storage, an (8, ndof) array, and
 factors it with banded Cholesky (``dpbtrf``/``dpbtrs``): time and
 memory are O(ne), and no ndof x ndof matrix is ever formed.
 
-``solve_batch`` solves many jobs (rigidities, supports, load) on one
-mesh and yields each job's ``Solution`` (its DOF vector and mesh).  One
-``element_stiffness`` call gives every ``Ke``, each distinct load vector
-is built once, and each job fills, constrains, factors and gates its
-own band in turn, so memory stays O(ndof); ``solve_static`` is the
-one-job case.  Banded LAPACK per job beats one batched dense Cholesky,
-which would round differently and need ndof^2 memory per job; LAPACK
-costs about 10 us a job at ne = 16, which is not where the time goes.
+``solve_batch`` solves the M jobs (rigidities, supports, load) of one
+mesh as a stack (batched small-matrix linear algebra; Dongarra et al.,
+Procedia Comput. Sci. 2017): one ``Ke`` stack, one (M, 8, ndof) band
+stack, one constraint store per support type and one norm computation
+for the backward-error gate, with LAPACK per job; memory is O(M ndof).
+At ne = 16 LAPACK is about 14 us of a job's cost and numpy call overhead
+most of the rest, so stacking is what pays; one batched dense Cholesky
+would round differently.  ``solve_static`` is the one-job stack.
 
 All elements of a ``Mesh`` share its ``Le`` and ``inv_R``, hence one
 ``Ke``.  In band storage it is an (8, 8) slab whose first four columns
@@ -59,8 +59,8 @@ import enum
 import importlib.util
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -93,6 +93,8 @@ dpbtrf, dpbtrs, dsbmv = _lapack.dpbtrf, _lapack.dpbtrs, _blas.dsbmv
 
 #: Names of the four nodal DOFs, in interleaved storage order.
 DOF_NAMES = ("u0", "w0", "w0_x", "phi_x")
+
+_EPS = np.finfo(float).eps
 
 #: Half-bandwidth of the global stiffness: an element spans DOFs 4e .. 4e+7.
 HALF_BAND = 7
@@ -184,32 +186,25 @@ class Solution:
     mesh: Mesh
 
 
-def _band_slabs(Ke: np.ndarray) -> np.ndarray:
-    """``Ke``, or a stack of them, as (8, 8) band-storage slabs.
+def _fill_band(mesh: Mesh, Ke: np.ndarray) -> np.ndarray:
+    """Global stiffness in upper band storage; every element has the stiffness ``Ke``.
 
-    Slab entry (HALF_BAND + i - j, j) holds ``Ke[i, j]`` for i <= j;
-    columns 0-3 belong to the element's left node, 4-7 to its right node.
+    ``ab`` has shape (HALF_BAND + 1, ndof), or (M, 8, ndof) for an (M, 8, 8)
+    ``Ke`` stack, and holds ``K[i, j] = ab[HALF_BAND + i - j, j]`` for
+    ``j - HALF_BAND <= i <= j``.  Each band is Fortran-ordered, as LAPACK
+    reads it, so no call copies it to transpose.  In band storage ``Ke`` is
+    an (8, 8) slab (``Ke[i, j]``, i <= j, at (HALF_BAND + i - j, j)) whose
+    columns 0-3 belong to the element's left node and 4-7 to its right
+    node, so two slab adds over all nodes assemble the band.  Each entry
+    receives at most two terms, node e's before node e + 1's as in an
+    element loop.
     """
     kb = np.zeros(Ke.shape)
     kb[..., _KE_BAND[0], _KE_BAND[1]] = Ke[..., _KE_UPPER[0], _KE_UPPER[1]]
-    return kb
-
-
-def _fill_band(mesh: Mesh, kb: np.ndarray) -> np.ndarray:
-    """Global stiffness in upper band storage; every element has the band slab ``kb``.
-
-    ``ab`` has shape (HALF_BAND + 1, ndof) and holds
-    ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``.
-    Element e adds the slab's first four columns to node e and its last
-    four to node e + 1, so two slab adds over all elements assemble the
-    band.  Each entry receives at most two terms, node e's before node
-    e + 1's as in an element loop.
-    """
-    ab = np.zeros((HALF_BAND + 1, mesh.ndof))
-    nodes = ab.reshape(HALF_BAND + 1, mesh.n_nodes, 4)
-    nodes[:, :-1] += kb[:, None, :4]
-    nodes[:, 1:] += kb[:, None, 4:]
-    return ab
+    columns = np.zeros(Ke.shape[:-2] + (mesh.n_nodes, 4, HALF_BAND + 1))
+    columns[..., :-1, :, :] += kb[..., None, :, :4].swapaxes(-1, -2)
+    columns[..., 1:, :, :] += kb[..., None, :, 4:].swapaxes(-1, -2)
+    return columns.reshape(Ke.shape[:-2] + (mesh.ndof, HALF_BAND + 1)).swapaxes(-1, -2)
 
 
 def _point_dof(mesh: Mesh, load: LoadCase) -> int:
@@ -257,74 +252,88 @@ def _dof_label(idx: int) -> str:
     return f"node {idx // 4}, dof {DOF_NAMES[idx % 4]}"
 
 
-def _constrain(ab: np.ndarray, F: np.ndarray, dofs: list[int]) -> None:
+@lru_cache(maxsize=128)
+def _band_index(dofs: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(band row, column) indices in an (8, n) band of the rows and columns of dofs:
+    column k is ``ab[:, k]``, row k right of the diagonal is ``ab[HALF_BAND - o, k + o]``
+    for o = 1 .. min(HALF_BAND, n - 1 - k) (past the last column, the last o repeats);
+    and the DOFs.  Read-only."""
+    k = np.array(dofs)[:, None]
+    o = np.arange(HALF_BAND + 1)
+    right = np.minimum(o, n - 1 - k)
+    rows = np.append(np.broadcast_to(o, k.shape[:1] + o.shape), HALF_BAND - right)
+    cols = np.append(np.broadcast_to(k, k.shape[:1] + o.shape), k + right)
+    rows.flags.writeable = cols.flags.writeable = k.flags.writeable = False
+    return rows, cols, k[:, 0]
+
+
+def _constrain(ab: np.ndarray, F: np.ndarray, dofs: list[int], jobs=None) -> None:
     """Turn each DOF's row and column of the band into the identity; F = 0.
 
-    Row k right of the diagonal, K[k, k + o] for o = 1 .. HALF_BAND, is
-    stored at ``ab[HALF_BAND - o, k + o]``: in C order, flat positions
-    n - 1 apart that end just before the diagonal's.
+    ``ab`` is one band with its loads F, or an (M, 8, n) stack of which
+    ``jobs`` lists the bands to constrain (default all), with one store.
     """
-    n = ab.shape[1]
-    for k in dofs:
-        ab[:, k] = 0.0                                    # column k above the diagonal
-        diag = HALF_BAND * n + k
-        ab.flat[diag - min(HALF_BAND, n - 1 - k) * (n - 1):diag:n - 1] = 0.0
-        ab[HALF_BAND, k] = 1.0
-        F[k] = 0.0
+    rows, cols, k = _band_index(tuple(dofs), ab.shape[-1])
+    lead = () if jobs is None else (np.array(jobs)[:, None],)
+    ab[(*lead, ..., rows, cols)] = 0.0
+    ab[(*lead, ..., HALF_BAND, k)] = 1.0
+    F[(*lead, ..., k)] = 0.0
 
 
-def backward_error(ab: np.ndarray, d: np.ndarray, F: np.ndarray) -> float:
+def backward_error(ab: np.ndarray, d: np.ndarray, F: np.ndarray) -> list[float]:
     """Normwise backward error of d for K d = F, K in upper band storage.
 
-    ``||K d - F||_inf / (||K||_inf ||d||_inf + ||F||_inf)``; NaN when d
-    is not finite.
+    ``||K d - F||_inf / (||K||_inf ||d||_inf + ||F||_inf)`` of each system of an
+    (M, 8, n) stack, d and F (M, n); NaN where d is not finite.  The norms
+    are taken for the whole stack, the quotients in floats.
     """
-    r = dsbmv(HALF_BAND, 1.0, ab, d, beta=-1.0, y=F)
-    a = np.abs(ab)
-    row_sums = a.sum(axis=0)              # each column's upper part, diagonal included
+    r = [dsbmv(HALF_BAND, 1.0, a, x, beta=-1.0, y=f) for a, x, f in zip(ab, d, F)]
+    a = np.abs(ab, order="C")             # band rows outermost: summed in order, and faster
+    row_sums = a.sum(axis=1)              # each column's upper part, diagonal included
     for k in range(1, HALF_BAND + 1):
-        row_sums[:-k] += a[HALF_BAND - k, k:]   # the mirrored entries right of it
-    scale = row_sums.max() * np.abs(d).max() + np.abs(F).max()
-    res = np.abs(r).max()
-    return float(res / scale if scale > 0 else res)
+        row_sums[:, :-k] += a[:, HALF_BAND - k, k:]   # the mirrored entries right of it
+    norms = (x.max(axis=1).tolist() for x in (row_sums, np.abs(d), np.abs(F), np.abs(r)))
+    return [res / scale if (scale := k * x + f) > 0 else res for k, x, f, res in zip(*norms)]
 
 
 def _solve_banded(ab: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve gated on backward error; name a failed pivot's DOF."""
+    """Banded Cholesky solve of one system; name a failed pivot's DOF."""
     c, info = dpbtrf(ab)
     if info > 0:
         raise SingularSystemError(
             f"stiffness is not positive definite at {_dof_label(info - 1)}; "
             "check boundary conditions and mesh")
-    d, _ = dpbtrs(c, F)
-    eta = backward_error(ab, d, F)
-    bound = len(F) * np.finfo(float).eps
-    if not eta <= bound:
-        raise SingularSystemError(
-            f"solve rejected: backward error {eta:.3e} exceeds n * eps = {bound:.3e}")
-    return d
+    return dpbtrs(c, F)[0]
 
 
 def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryCondition, LoadCase]]
-                ) -> Iterator[Solution]:
-    """Solve K d = F for each job (rig, bc, load) on one mesh; yield the Solutions in order.
+                ) -> tuple[np.ndarray, list[SingularSystemError | None]]:
+    """Solve K d = F for each job (rig, bc, load) on one mesh, as one stack.
 
-    One ``element_stiffness`` call gives every job's ``Ke``, and each
-    distinct load vector is built once.  Each job then fills its own
-    band from its ``Ke``, and is checked, constrained, factored and gated
-    exactly as a lone ``solve_static``, so its solution is bit-identical
-    to that one.  A failing job raises when it is reached.
+    Returns the (M, ndof) solutions and each job's ``SingularSystemError``
+    (failed pivot or gate) or None; a failure does not stop the others.
+    Every step is elementwise over the stack or per job, so each solution
+    is bit-identical to a lone ``solve_static``.  Jobs must pass ``check_load``.
     """
-    slabs = _band_slabs(element_stiffness([rig for rig, _, _ in jobs], mesh))
-    loads: dict[LoadCase, np.ndarray] = {}
-    for (_, bc, load), kb in zip(jobs, slabs):
-        check_load(mesh, bc, load)
-        if load not in loads:
-            loads[load] = assemble_load(mesh, load)
-        ab = _fill_band(mesh, kb)
-        F = loads[load].copy()
-        _constrain(ab, F, bc.constrained_dofs(mesh))
-        yield Solution(_solve_banded(ab, F), mesh)
+    ab = _fill_band(mesh, element_stiffness([rig for rig, _, _ in jobs], mesh))
+    loads = {load: assemble_load(mesh, load) for load in dict.fromkeys(load for _, _, load in jobs)}
+    F = np.array([loads[load] for _, _, load in jobs])
+    bcs = [bc for _, bc, _ in jobs]
+    for bc in dict.fromkeys(bcs):
+        members = [m for m, other in enumerate(bcs) if other is bc]
+        _constrain(ab, F, bc.constrained_dofs(mesh), members if len(members) < len(bcs) else None)
+    D, errors = np.zeros(F.shape), [None] * len(jobs)
+    for m in range(len(jobs)):
+        try:
+            D[m] = _solve_banded(ab[m], F[m])
+        except SingularSystemError as err:
+            errors[m] = err
+    bound = mesh.ndof * _EPS
+    for m, eta in enumerate(backward_error(ab, D, F)):
+        if errors[m] is None and not eta <= bound:
+            errors[m] = SingularSystemError(
+                f"solve rejected: backward error {eta:.3e} exceeds n * eps = {bound:.3e}")
+    return D, errors
 
 
 def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
@@ -336,4 +345,8 @@ def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
     accepted only if its normwise backward error is at most n * eps
     (see the module docstring).  This is the one-job ``solve_batch``.
     """
-    return next(solve_batch(mesh, [(rig, bc, load)]))
+    check_load(mesh, bc, load)
+    d, (error,) = solve_batch(mesh, [(rig, bc, load)])
+    if error is not None:
+        raise error
+    return Solution(d[0], mesh)

@@ -15,15 +15,14 @@ three layers, all within one call:
 
     section  one ``compute_rigidities`` per distinct (material, layup),
              and for uniform-load cases one stress-factor call for z = h/2 and 0;
-    solver   the cases are grouped by ``Mesh``; one ``element_stiffness``
-             call per group gives every ``Ke``, and ``solve_batch`` fills,
-             constrains, factors and gates one band per case;
-    postproc the recovery rows of the deflection point and of the two
-             stress stations are built once per group.
+    solver   the cases are grouped by ``Mesh``, and ``solve_batch`` solves
+             each group as one stack (one ``Ke`` stack, one band stack);
+    postproc w and the strains at (L/2, h/2) and (0, 0) of a whole group
+             at once, with the ``np.vecdot`` kernel of the point functions.
 
 Each case's arithmetic is that of evaluating it alone, so results are
-bit-identical to ``evaluate_case``, which is the one-case list.  Nothing
-is cached across calls.  Every function here is deterministic and
+bit-identical to ``evaluate_case``, which is the one-case list.  No
+result is cached across calls.  Every function here is deterministic and
 stateless, so independent studies can run concurrently.
 """
 
@@ -33,17 +32,17 @@ from dataclasses import dataclass, replace
 
 from .config import CaseConfig, with_parameter
 from .postproc import (
-    _interpolate,
+    _deflections,
     _shape_station,
     _station_strains,
-    _strain_station,
+    _strain_stations,
     _stress_factors,
     _stresses,
     deflection_point,
     table_scales,
 )
 from .section import compute_rigidities
-from .solver import SingularSystemError, Solution, check_load, solve_batch
+from .solver import Solution, check_load, solve_batch
 
 
 @dataclass(frozen=True)
@@ -61,64 +60,64 @@ class CaseResults:
 
 def evaluate_case(cfg: CaseConfig) -> CaseResults:
     """Solve one case and report the table quantities."""
-    return _evaluate_batch([cfg])[0]
+    return evaluate_cases([cfg])[0]
 
 
 def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     """Solve every case and report the table quantities, in input order.
 
-    If the batch fails, the cases are evaluated again one at a time in
-    input order, so the first failing case raises the error that
-    ``evaluate_case`` gives for it.
+    Before any solve, every case is validated in input order (``Mesh``, the p
+    cap, ``check_load``, q > 0 for a uniform load); then every group is solved
+    and the earliest case's failed solve raises.  No case is solved twice.
     """
-    try:
-        return _evaluate_batch(configs)
-    except (ValueError, SingularSystemError):
-        for cfg in configs:
-            evaluate_case(cfg)
-        raise
-
-
-def _evaluate_batch(configs: list[CaseConfig]) -> list[CaseResults]:
-    """The shared-work pipeline of the module docstring; the first error found is raised."""
-    rigs, factors, groups = {}, {}, {}
+    rigs, groups, jobs, scales = {}, {}, [], {}
     for i, cfg in enumerate(configs):
         section = cfg.material, cfg.layup
         rig = rigs.get(section)
         if rig is None:
             rig = rigs[section] = compute_rigidities(*section)
-        groups.setdefault(cfg.mesh(), []).append((i, cfg, rig))
-    results = [None] * len(configs)
+        mesh = cfg.mesh()
+        check_load(mesh, cfg.bc, cfg.load)
+        if cfg.load.kind == "udl":
+            scales[i] = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)
+        jobs.append((rig, cfg.bc, cfg.load))
+        groups.setdefault(mesh, []).append(i)
+    stacks, failures = [], []
     for mesh, members in groups.items():
-        w_rows, stations = {}, None
-        jobs = [(rig, cfg.bc, cfg.load) for _, cfg, rig in members]
-        for (i, cfg, _), sol in zip(members, solve_batch(mesh, jobs)):
-            x_w = deflection_point(cfg.bc, cfg.L)
-            if x_w not in w_rows:
-                w_rows[x_w] = _shape_station(mesh, x_w)
-            w = _interpolate(sol.d, w_rows[x_w])[1]
-            if cfg.load.kind != "udl":
-                results[i] = CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w,
-                                         w_bar=None, sigma_bar=None, tau_bar=None)
-                continue
-            if stations is None:
-                stations = _strain_station(mesh, mesh.L / 2.0), _strain_station(mesh, 0.0)
-            section = cfg.material, cfg.layup
-            stress = factors.get(section)
-            if stress is None:        # (C11, f, C55 g) at z = h/2, then at z = 0
-                cols = _stress_factors(*section, [cfg.h / 2.0, 0.0], (None, None))
-                stress = factors[section] = list(zip(*(c.tolist() for c in cols)))
-            results[i] = _uniform_load_results(cfg, sol, x_w, w, stations, stress)
+        d, errors = solve_batch(mesh, [jobs[i] for i in members])
+        failures += [(i, err) for i, err in zip(members, errors) if err is not None]
+        stacks.append((mesh, members, d))
+    if failures:
+        raise min(failures)[1]           # each case index appears once
+    results, factors = [None] * len(configs), {}
+    for mesh, members, d in stacks:
+        x_w = [deflection_point(configs[i].bc, mesh.L) for i in members]
+        w_at = {x: _deflections(d, _shape_station(mesh, x))[:, 0].tolist() for x in set(x_w)}
+        udl, strains = [m for m, i in enumerate(members) if i in scales], {}
+        if udl:                           # the udl cases' strains at x = L/2 and x = 0
+            d_udl = d[udl]
+            eps = (_station_strains(d_udl, st).tolist()
+                   for st in _strain_stations(mesh, (mesh.L / 2.0, 0.0)))
+            strains = dict(zip(udl, zip(*eps)))
+        for m, (i, x) in enumerate(zip(members, x_w)):
+            cfg, w = configs[i], w_at[x][m]
+            bars = (_uniform_load_bars(cfg, w, strains[m], scales[i], factors)
+                    if m in strains else (None, None, None))
+            results[i] = CaseResults(cfg, Solution(d[m], mesh), x, w, *bars)
     return results
 
 
-def _uniform_load_results(cfg, sol, x_w, w, stations, factors) -> CaseResults:
-    """Nondimensional deflection, sigma at (L/2, h/2) and tau at (0, 0)."""
-    w_scale, stress_scale = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)
-    sigma = _stresses(_station_strains(sol.d, stations[0]), factors[0], cfg.h / 2.0)[0]
-    tau = _stresses(_station_strains(sol.d, stations[1]), factors[1], 0.0)[1]
-    return CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w, w_bar=w_scale * w,
-                       sigma_bar=stress_scale * sigma, tau_bar=stress_scale * tau)
+def _uniform_load_bars(cfg, w, strains, scales, factors) -> tuple[float, float, float]:
+    """w_bar, sigma_bar at (L/2, h/2) and tau_bar at (0, 0) from the generalized strains
+    at x = L/2 and x = 0; ``factors`` caches each section's stress factors."""
+    section = cfg.material, cfg.layup
+    if section not in factors:        # (C11, f, C55 g) at z = h/2, then at z = 0
+        cols = _stress_factors(*section, [cfg.h / 2.0, 0.0], (None, None))
+        factors[section] = list(zip(*(c.tolist() for c in cols)))
+    (top, mid), (eps_mid, eps_end), (w_scale, stress_scale) = factors[section], strains, scales
+    sigma = _stresses(eps_mid, top, cfg.h / 2.0)[0]
+    tau = _stresses(eps_end, mid, 0.0)[1]
+    return w_scale * w, stress_scale * sigma, stress_scale * tau
 
 
 @dataclass(frozen=True)
@@ -131,18 +130,12 @@ class ConvergenceResult:
 
 
 def convergence_study(cfg: CaseConfig, ne_list: list[int]) -> ConvergenceResult:
-    """Re-solve the case across mesh sizes and report the deflection.
-
-    Every element count is checked before the first solve, by ``Mesh`` (ne < 1) and
-    ``check_load`` (an odd ne under a mid-span point load), with their ValueErrors.
-    """
+    """Re-solve the case across mesh sizes and report the deflection; every element
+    count is checked (``evaluate_cases``) before the first solve."""
     if not ne_list:
         raise ValueError("ne_list must not be empty")
     quantity = "w_bar" if cfg.load.kind == "udl" else "w"
-    configs = [replace(cfg, ne=ne) for ne in ne_list]
-    for c in configs:
-        check_load(c.mesh(), c.bc, c.load)
-    results = evaluate_cases(configs)
+    results = evaluate_cases([replace(cfg, ne=ne) for ne in ne_list])
     vals = [getattr(res, quantity) for res in results]
     scale = max(abs(v) for v in vals) or 1.0
     monotone = all(b >= a - 1e-12 * scale for a, b in zip(vals, vals[1:]))

@@ -27,7 +27,7 @@ from fgcbeam import (
 from fgcbeam.benchmarks import ALL_CELLS, benchmark_compare
 from fgcbeam.element import element_stiffness
 from fgcbeam.section import f_shear
-from fgcbeam.solver import _band_slabs, _fill_band
+from fgcbeam.solver import _fill_band
 from fgcbeam.studies import convergence_study, evaluate_case
 
 from conftest import SCHEMES, make_case, random_case
@@ -142,7 +142,7 @@ def test_criterion_7b_stiffness_symmetry(rng):
         cfg = random_case(rng)
         rig = compute_rigidities(cfg.material, cfg.layup)
         Ke = element_stiffness(rig, cfg.mesh())
-        K = dense_from_band(_fill_band(cfg.mesh(), _band_slabs(Ke)))
+        K = dense_from_band(_fill_band(cfg.mesh(), Ke))
         for M in (Ke, K):
             dev = np.max(np.abs(M - M.T)) / np.max(np.abs(M))
             worst = max(worst, dev)
@@ -157,8 +157,7 @@ def test_criterion_7c_rigid_modes(rng):
         cfg = make_case(kind, scheme, p, L_over_h=8.0, ne=6)
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh()
-        K = dense_from_band(_fill_band(mesh, _band_slabs(
-            element_stiffness(rig, mesh))))
+        K = dense_from_band(_fill_band(mesh, element_stiffness(rig, mesh)))
         norm = np.linalg.norm(K, 2)
         x = np.linspace(0.0, mesh.L, mesh.n_nodes)
         modes = np.zeros((3, mesh.ndof))

@@ -158,3 +158,15 @@ class TestBenchmarkCompare:
         assert all(r.cell.suspect for r in skipped)
         # and the computed value is still attached for inspection
         assert all(r.computed != 0.0 for r in skipped)
+
+    def test_one_case_key_per_cell(self, monkeypatch):
+        calls = []
+        real = BenchmarkCell.case_key
+
+        def case_key(cell):
+            calls.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(BenchmarkCell, "case_key", case_key)
+        report = benchmark_compare(tables=["T7", "T17"])
+        assert len(calls) == len(report.results) == 90

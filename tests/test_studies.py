@@ -109,20 +109,6 @@ def test_first_failing_case_in_input_order_is_raised(stage):
     assert str(batched.value) == str(alone.value)
 
 
-def test_batch_error_is_raised_when_no_single_case_fails(monkeypatch):
-    real = studies._evaluate_batch
-
-    def batch(configs):
-        if len(configs) > 1:
-            raise solver.SingularSystemError("only the batch fails")
-        return real(configs)
-
-    monkeypatch.setattr(studies, "_evaluate_batch", batch)
-    configs = [make_case("A", p=2.0), make_case("B", p=1.0)]
-    with pytest.raises(solver.SingularSystemError, match="only the batch fails"):
-        evaluate_cases(configs)
-
-
 def test_shared_work_per_call(monkeypatch):
     """benchmark_compare: one rigidity set per section, one Ke stack per mesh."""
     calls = {"rig": 0, "ke": 0}
@@ -155,6 +141,19 @@ def test_one_mesh_group_with_mixed_sections_supports_and_loads():
         assert_bit_equal(got, reference_evaluate_case(cfg))
 
 
+def count_solves(monkeypatch):
+    """The element counts of every job that studies hands to solve_batch."""
+    solves = []
+    real = studies.solve_batch
+
+    def counting(mesh, jobs):
+        solves.extend([mesh.ne] * len(jobs))
+        return real(mesh, jobs)
+
+    monkeypatch.setattr(studies, "solve_batch", counting)
+    return solves
+
+
 @pytest.mark.parametrize("load,ne_list,message", [
     (LoadCase("udl", 1.0), [2, 4, 8, 16, 0], "need at least one element, got ne = 0"),
     (LoadCase("point_mid", 1.0), [2, 4, 5],
@@ -162,17 +161,65 @@ def test_one_mesh_group_with_mixed_sections_supports_and_loads():
 ], ids=["ne_0", "odd_ne_point_mid"])
 def test_convergence_study_checks_every_element_count_before_any_solve(
         load, ne_list, message, monkeypatch):
-    solves = []
-    real = studies.solve_batch
-
-    def counting(mesh, jobs):
-        for sol in real(mesh, jobs):
-            solves.append(mesh.ne)
-            yield sol
-
-    monkeypatch.setattr(studies, "solve_batch", counting)
+    solves = count_solves(monkeypatch)
     cfg = make_case("C", scheme=(1, 8, 1), p=2.0, load=load)
     with pytest.raises(ValueError) as err:
         studies.convergence_study(cfg, ne_list)
     assert str(err.value) == message
     assert solves == []
+
+
+@pytest.mark.parametrize("run,message", [
+    (lambda: studies.sweep(make_case("B", p=1.0), "p", ["1", "2", "900"]),
+     "power-law index p = 900 exceeds the section quadrature cap"),
+    (lambda: evaluate_cases([make_case("A", p=2.0), make_case("B", p=1.0, bc="CF"),
+                             make_case("C", load=LoadCase("udl", 0.0))]),
+     "nondimensionalization requires a positive load magnitude q"),
+], ids=["sweep_p_cap", "zero_udl"])
+def test_invalid_case_raises_before_any_solve(run, message, monkeypatch):
+    solves = count_solves(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run()
+    assert solves == []
+
+
+def test_earliest_failed_solve_is_raised_after_every_group(monkeypatch):
+    # groups solve in turn: cases 0 and 2 (ne = 4), then case 1 (ne = 8); the
+    # second and third solves fail, and case 1's failure is the earliest case's
+    real, calls = solver._solve_banded, []
+
+    def solve(ab, F):
+        calls.append(ab.shape[-1])
+        if len(calls) > 1:
+            raise solver.SingularSystemError(f"failed at n = {ab.shape[-1]}")
+        return real(ab, F)
+
+    monkeypatch.setattr(solver, "_solve_banded", solve)
+    configs = [make_case("A", p=2.0, ne=4), make_case("B", p=1.0, ne=8),
+               make_case("C", p=1.0, ne=4)]
+    with pytest.raises(solver.SingularSystemError, match="failed at n = 36"):
+        evaluate_cases(configs)
+    assert calls == [20, 20, 36]
+
+
+@pytest.mark.parametrize("ne", [1, 2, 3, 5])
+@pytest.mark.parametrize("bc,load", [("SS", LoadCase("udl", 2.0)), ("CC", LoadCase("udl", 1.0)),
+                                     ("CF", LoadCase("udl", 1.5)),
+                                     ("CF", LoadCase("point_end", 3.0))])
+def test_coarse_meshes_bit_equal_to_per_case_pipeline(ne, bc, load):
+    # ne = 1 and 3 put L/2 inside an element, ne = 2 on the only interior node
+    cfg = make_case("C", scheme=(1, 2, 1), p=2.0, R_over_L=4.0, bc=bc, load=load, ne=ne)
+    assert_bit_equal(evaluate_case(cfg), reference_evaluate_case(cfg))
+
+
+def test_results_do_not_depend_on_the_batch():
+    cfg = make_case("B", scheme=(2, 2, 1), p=5.0, R_over_L=5.0, bc="CF")
+    other = make_case("A", p=1.0, R_over_L=5.0, bc="SS", load=LoadCase("udl", 3.0))
+    assert other.mesh() == cfg.mesh() and cfg not in FIXTURE_CONFIGS
+    assert sum(c.mesh() == cfg.mesh() for c in FIXTURE_CONFIGS) >= 30
+    runs = [evaluate_cases([cfg])[0], evaluate_cases([other, cfg])[1],
+            evaluate_cases(FIXTURE_CONFIGS[:200] + [cfg] + FIXTURE_CONFIGS[200:])[200]]
+    for res in runs:
+        assert res.solution.d.tobytes() == runs[0].solution.d.tobytes()
+        for key in ("w_bar", "sigma_bar", "tau_bar"):
+            assert _bits(getattr(res, key)) == _bits(getattr(runs[0], key)), key
