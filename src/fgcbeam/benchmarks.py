@@ -43,37 +43,22 @@ _SCHEMES = {"1-1-1": (1, 1, 1), "1-2-1": (1, 2, 1),
 
 @dataclass(frozen=True)
 class BenchmarkCell:
-    """One printed value with full case coordinates.
+    """One printed value with the case it was computed for.
 
-    quantity is 'w_bar', 'sigma_bar' or 'tau_bar'.  ``suspect`` is None
-    for gated cells, otherwise the reason the print is excluded.
+    quantity is 'w_bar', 'sigma_bar' or 'tau_bar'.  ``config`` is the
+    case at h = 1 and the reference mesh; cells of one case share one
+    instance.  ``suspect`` is None for gated cells, otherwise the reason
+    the print is excluded.
     """
 
     table: str
     row: str
     col: str
     quantity: str
-    kind: LayupKind
-    scheme: tuple[float, float, float]
-    p: float
-    L_over_h: float
-    R_over_L: float
-    bc: str
+    config: CaseConfig
     expected: float
     tol: float
     suspect: str | None = None
-
-    def case_key(self) -> tuple:
-        return (self.kind.value, self.scheme, self.p, self.L_over_h,
-                self.R_over_L, self.bc)
-
-    def to_config(self) -> CaseConfig:
-        h = 1.0
-        return CaseConfig(material=DEFAULT_MATERIAL,
-                          layup=Layup(self.kind, self.scheme, self.p, h),
-                          L=self.L_over_h * h, R_over_L=self.R_over_L,
-                          bc=BoundaryCondition(self.bc),
-                          load=LoadCase("udl", 1.0))
 
 
 def _rl_label(rl: float) -> str:
@@ -331,14 +316,19 @@ _T19_SIG = {
 
 def _build_cells() -> list[BenchmarkCell]:
     cells: list[BenchmarkCell] = []
+    configs: dict[tuple, CaseConfig] = {}
     A, B, C = LayupKind.A, LayupKind.B, LayupKind.C
     n0 = (0.0, 0.0, 0.0)
 
     def add(table, row, col, quantity, kind, scheme, p, lh, rl, bc, expected,
             tol, suspect=None):
-        cells.append(BenchmarkCell(table, row, col, quantity, kind, scheme,
-                                   float(p), float(lh), rl, bc, expected, tol,
-                                   suspect))
+        key = kind, scheme, p, lh, rl, bc
+        cfg = configs.get(key)
+        if cfg is None:
+            cfg = configs[key] = CaseConfig(
+                material=DEFAULT_MATERIAL, layup=Layup(kind, scheme, float(p), 1.0),
+                L=float(lh), R_over_L=rl, bc=BoundaryCondition(bc), load=LoadCase("udl", 1.0))
+        cells.append(BenchmarkCell(table, row, col, quantity, cfg, expected, tol, suspect))
 
     for (lh, p), (w, s, t) in _T6.items():
         row = f"L/h={lh},p={p}"
@@ -466,15 +456,11 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
         if unknown:
             raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}")
     cells = [c for c in ALL_CELLS if tables is None or c.table in tables]
-    keys = [cell.case_key() for cell in cells]
-    cases: dict[tuple, CaseConfig] = {}
-    for key, cell in zip(keys, cells):
-        if key not in cases:
-            cases[key] = cell.to_config()
-    solved = dict(zip(cases, evaluate_cases(list(cases.values()))))
+    cases = list(dict.fromkeys(cell.config for cell in cells))
+    solved = dict(zip(cases, evaluate_cases(cases)))
     report = BenchReport()
-    for key, cell in zip(keys, cells):
-        res = solved[key]
+    for cell in cells:
+        res = solved[cell.config]
         computed = {"w_bar": res.w_bar, "sigma_bar": res.sigma_bar,
                     "tau_bar": res.tau_bar}[cell.quantity]
         rel = abs(computed - cell.expected) / abs(cell.expected)

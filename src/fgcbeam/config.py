@@ -8,21 +8,25 @@ Grammar (sections and keys; '#'/';' comments allowed):
                 scheme = a-b-c              (required for B/C)
                 p                           (required, >= 0)
     [geometry]  L, h                        (required, > 0)
-                R_over_L = <number>|inf     (optional; default inf)
+                R_over_L = <number>|inf     (optional; default inf;
+                                             R = R_over_L * L must exceed
+                                             h/2 and have a finite 1/R)
     [bc]        type = SS|CC|CF             (required)
     [load]      type = udl|point_end|point_mid   (required)
                 magnitude                   (optional; default 1.0)
     [mesh]      ne                          (optional; default 16)
 
 Numbers must be finite; ``inf`` is accepted only as R_over_L.  Parse
-errors name the offending section.key.
+errors name the offending section.key.  The checks that span several keys
+(the radius, and a point load the supports would hold) belong to
+``CaseConfig`` itself, so every case built in the library passes them too.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .materials import DEFAULT_MATERIAL, Layup, LayupKind, MaterialPair
 from .solver import BoundaryCondition, LoadCase, Mesh, check_load
@@ -36,7 +40,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CaseConfig:
-    """Fully validated single-case definition."""
+    """Fully validated single-case definition.
+
+    Construction checks the case as a whole: R = R_over_L * L must exceed
+    h/2 and have a finite 1/R (a ``ConfigError`` naming geometry.R_over_L),
+    ``Mesh`` checks L and ne, and ``check_load`` rejects an odd ne under a
+    mid-span point load and a point load the supports would hold.  The
+    derived ``mesh`` is built once here.
+    """
 
     material: MaterialPair
     layup: Layup
@@ -45,6 +56,17 @@ class CaseConfig:
     bc: BoundaryCondition
     load: LoadCase
     ne: int = DEFAULT_NE
+    mesh: Mesh = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        R = self.R_over_L * self.L
+        if not (R > self.h / 2 and 1.0 / R < math.inf):
+            Mesh(self.L, self.ne)         # a bad L or ne is named first
+            raise ConfigError(f"geometry.R_over_L: radius R = R_over_L * L = {R:g} m must "
+                              f"exceed h/2 = {self.h / 2:g} m and have a finite 1/R")
+        mesh = Mesh(L=self.L, ne=self.ne, inv_R=1.0 / R)
+        check_load(mesh, self.bc, self.load)
+        object.__setattr__(self, "mesh", mesh)
 
     @property
     def h(self) -> float:
@@ -52,10 +74,7 @@ class CaseConfig:
 
     @property
     def inv_R(self) -> float:
-        return 0.0 if math.isinf(self.R_over_L) else 1.0 / (self.R_over_L * self.L)
-
-    def mesh(self) -> Mesh:
-        return Mesh(L=self.L, ne=self.ne, inv_R=self.inv_R)
+        return self.mesh.inv_R
 
 
 def parse_scheme(text: str) -> tuple[float, float, float]:
@@ -87,31 +106,31 @@ def _get(cp: configparser.ConfigParser, section: str, key: str,
     return default
 
 
-def _finite(name: str, raw) -> float:
-    """raw as a finite float; a ConfigError that names ``name`` otherwise."""
+def _number(name: str, raw, positive=False, nonnegative=False) -> float:
+    """raw as a finite float within its bound; a ConfigError that names ``name`` otherwise."""
     try:
         val = float(raw)
     except ValueError as err:
         raise ConfigError(f"{name}: expected a number, got {raw!r}") from err
     if not math.isfinite(val):
         raise ConfigError(f"{name}: must be finite, got {raw!r}")
+    if positive and val <= 0:
+        raise ConfigError(f"{name}: must be positive, got {val}")
+    if nonnegative and val < 0:
+        raise ConfigError(f"{name}: must be nonnegative, got {val}")
     return val
 
 
-def _check_radius(name: str, R_over_L: float, L: float) -> None:
-    """A ConfigError naming ``name`` unless R = R_over_L * L is positive with finite 1/R."""
-    R = R_over_L * L
-    if not (R > 0 and 1.0 / R < math.inf):
-        raise ConfigError(f"{name}: radius R = R_over_L * L = {R:g} m has no finite 1/R")
+def _radius_ratio(name: str, raw) -> float:
+    """R_over_L: ``inf`` (a straight beam) or a positive finite number."""
+    if str(raw).strip().lower() == "inf":
+        return math.inf
+    return _number(name, raw, positive=True)
 
 
 def _get_float(cp, section, key, default=None, positive=False, nonnegative=False):
-    val = _finite(f"{section}.{key}", _get(cp, section, key, default))
-    if positive and val <= 0:
-        raise ConfigError(f"{section}.{key}: must be positive, got {val}")
-    if nonnegative and val < 0:
-        raise ConfigError(f"{section}.{key}: must be nonnegative, got {val}")
-    return val
+    return _number(f"{section}.{key}", _get(cp, section, key, default),
+                   positive=positive, nonnegative=nonnegative)
 
 
 def parse_config(text: str) -> CaseConfig:
@@ -157,12 +176,7 @@ def parse_config(text: str) -> CaseConfig:
         layup = Layup(kind, scheme, p, h)
 
     L = _get_float(cp, "geometry", "L", positive=True)
-    rl_raw = _get(cp, "geometry", "R_over_L", "inf").lower()
-    if rl_raw == "inf":
-        R_over_L = math.inf
-    else:
-        R_over_L = _get_float(cp, "geometry", "R_over_L", positive=True)
-    _check_radius("geometry.R_over_L", R_over_L, L)
+    R_over_L = _radius_ratio("geometry.R_over_L", _get(cp, "geometry", "R_over_L", "inf"))
 
     bc_raw = _get(cp, "bc", "type").upper()
     try:
@@ -186,13 +200,13 @@ def parse_config(text: str) -> CaseConfig:
     if load_kind == "point_mid" and ne % 2 != 0:
         raise ConfigError(f"mesh.ne: mid-span point load needs an even count, got {ne}")
 
-    cfg = CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L,
-                     bc=bc, load=load, ne=ne)
     try:
-        check_load(cfg.mesh(), bc, load)
-    except ValueError as err:
+        return CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L,
+                          bc=bc, load=load, ne=ne)
+    except ConfigError:
+        raise
+    except ValueError as err:     # check_load: a point load the supports would hold
         raise ConfigError(f"load.type: {err}") from err
-    return cfg
 
 
 def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
@@ -201,28 +215,14 @@ def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
     param is one of 'p', 'R_over_L', 'scheme', 'L_over_h'.
     """
     if param == "p":
-        p = _finite(param, value)
-        if p < 0:
-            raise ConfigError(f"p: must be nonnegative, got {value}")
-        return replace(cfg, layup=replace(cfg.layup, p=p))
+        return replace(cfg, layup=replace(cfg.layup, p=_number(param, value, nonnegative=True)))
     if param == "R_over_L":
-        if str(value).strip().lower() == "inf":
-            rl = math.inf
-        else:
-            rl = _finite(param, value)
-            if rl <= 0:
-                raise ConfigError(f"R_over_L: must be positive or inf, got {value}")
-        _check_radius(param, rl, cfg.L)
-        return replace(cfg, R_over_L=rl)
+        return replace(cfg, R_over_L=_radius_ratio(param, value))
     if param == "scheme":
         scheme = parse_scheme(value) if isinstance(value, str) else tuple(value)
         if cfg.layup.kind is LayupKind.A:
             raise ConfigError("scheme sweep needs a sandwich layup (kind B or C)")
         return replace(cfg, layup=replace(cfg.layup, scheme=scheme))
     if param == "L_over_h":
-        ratio = _finite(param, value)
-        if ratio <= 0:
-            raise ConfigError(f"L_over_h: must be positive, got {value}")
-        _check_radius(param, cfg.R_over_L, ratio * cfg.layup.h)
-        return replace(cfg, L=ratio * cfg.layup.h)
+        return replace(cfg, L=_number(param, value, positive=True) * cfg.layup.h)
     raise ConfigError(f"unknown sweep parameter {param!r}")

@@ -42,7 +42,7 @@ from .postproc import (
     table_scales,
 )
 from .section import compute_rigidities
-from .solver import Solution, check_load, solve_batch
+from .solver import Solution, solve_batch
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,10 @@ def evaluate_case(cfg: CaseConfig) -> CaseResults:
 def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     """Solve every case and report the table quantities, in input order.
 
-    Before any solve, every case is validated in input order (``Mesh``, the p
-    cap, ``check_load``, q > 0 for a uniform load); then every group is solved
-    and the earliest case's failed solve raises.  No case is solved twice.
+    Each ``CaseConfig`` checked its radius, mesh and load when it was built;
+    before any solve, the checks that remain (the p cap, q > 0 for a uniform
+    load) run in input order.  Then every group is solved and the earliest
+    case's failed solve raises.  No case is solved twice.
     """
     rigs, groups, jobs, scales = {}, {}, [], {}
     for i, cfg in enumerate(configs):
@@ -76,12 +77,10 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
         rig = rigs.get(section)
         if rig is None:
             rig = rigs[section] = compute_rigidities(*section)
-        mesh = cfg.mesh()
-        check_load(mesh, cfg.bc, cfg.load)
         if cfg.load.kind == "udl":
             scales[i] = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)
         jobs.append((rig, cfg.bc, cfg.load))
-        groups.setdefault(mesh, []).append(i)
+        groups.setdefault(cfg.mesh, []).append(i)
     stacks, failures = [], []
     for mesh, members in groups.items():
         d, errors = solve_batch(mesh, [jobs[i] for i in members])
@@ -131,7 +130,7 @@ class ConvergenceResult:
 
 def convergence_study(cfg: CaseConfig, ne_list: list[int]) -> ConvergenceResult:
     """Re-solve the case across mesh sizes and report the deflection; every element
-    count is checked (``evaluate_cases``) before the first solve."""
+    count is checked (its ``CaseConfig`` is built) before the first solve."""
     if not ne_list:
         raise ValueError("ne_list must not be empty")
     quantity = "w_bar" if cfg.load.kind == "udl" else "w"

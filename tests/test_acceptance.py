@@ -126,7 +126,7 @@ def test_criterion_7a_surface_traction(rng):
     for _ in range(100):
         cfg = random_case(rng)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        sol = solve_static(cfg.mesh(), rig, cfg.bc, cfg.load)
+        sol = solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
         x = float(rng.uniform(0.0, cfg.L))
         top = stress_at(sol, cfg.material, cfg.layup, x, +cfg.h / 2)[1]
         bot = stress_at(sol, cfg.material, cfg.layup, x, -cfg.h / 2)[1]
@@ -141,8 +141,8 @@ def test_criterion_7b_stiffness_symmetry(rng):
     for _ in range(10):
         cfg = random_case(rng)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        Ke = element_stiffness(rig, cfg.mesh())
-        K = dense_from_band(_fill_band(cfg.mesh(), Ke))
+        Ke = element_stiffness(rig, cfg.mesh)
+        K = dense_from_band(_fill_band(cfg.mesh, Ke))
         for M in (Ke, K):
             dev = np.max(np.abs(M - M.T)) / np.max(np.abs(M))
             worst = max(worst, dev)
@@ -156,7 +156,7 @@ def test_criterion_7c_rigid_modes(rng):
                             ("C", SCHEMES["1-8-1"], 0.5)]:
         cfg = make_case(kind, scheme, p, L_over_h=8.0, ne=6)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        mesh = cfg.mesh()
+        mesh = cfg.mesh
         K = dense_from_band(_fill_band(mesh, element_stiffness(rig, mesh)))
         norm = np.linalg.norm(K, 2)
         x = np.linspace(0.0, mesh.L, mesh.n_nodes)
@@ -231,7 +231,7 @@ def test_criterion_8_resultant_cross_check(rng):
             cfg = dataclasses.replace(
                 cfg, layup=dataclasses.replace(cfg.layup, p=float(int(cfg.layup.p))))
         rig = compute_rigidities(cfg.material, cfg.layup)
-        sol = solve_static(cfg.mesh(), rig, cfg.bc, cfg.load)
+        sol = solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
         x = float(rng.uniform(0.0, cfg.L))
         h = cfg.h
         n = m = s = 0.0

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from fgcbeam import Layup
+from fgcbeam import CaseConfig, Layup
 from fgcbeam.benchmarks import (
     ALL_CELLS,
     TABLE_IDS,
-    BenchmarkCell,
     benchmark_compare,
 )
 
@@ -115,7 +114,7 @@ class TestFixtureHygiene:
 
     def test_cell_to_config(self):
         c = cell_lookup("T6", "L/h=5,p=1", "w_bar")[0]
-        cfg = c.to_config()
+        cfg = c.config
         assert cfg.ne == 16 and cfg.L == 5.0 and math.isinf(cfg.R_over_L)
         assert cfg.layup == Layup.single_layer(1.0, 1.0)
 
@@ -159,14 +158,16 @@ class TestBenchmarkCompare:
         # and the computed value is still attached for inspection
         assert all(r.computed != 0.0 for r in skipped)
 
-    def test_one_case_key_per_cell(self, monkeypatch):
+    def test_cells_share_their_configs(self, monkeypatch):
+        # one instance per distinct case, built with the fixtures, none per call
+        assert len({id(c.config) for c in ALL_CELLS}) == len({c.config for c in ALL_CELLS}) == 420
         calls = []
-        real = BenchmarkCell.case_key
+        real = CaseConfig.__post_init__
 
-        def case_key(cell):
-            calls.append(cell)
-            return real(cell)
+        def post_init(cfg):
+            calls.append(cfg)
+            real(cfg)
 
-        monkeypatch.setattr(BenchmarkCell, "case_key", case_key)
+        monkeypatch.setattr(CaseConfig, "__post_init__", post_init)
         report = benchmark_compare(tables=["T7", "T17"])
-        assert len(calls) == len(report.results) == 90
+        assert len(report.results) == 90 and calls == []

@@ -177,7 +177,48 @@ def test_tiny_radius_names_r_over_l(L, h, tmp_path, capsys):
     path.write_text(text.replace("R_over_L = 1e-320", "R_over_L = inf"), encoding="utf-8")
     assert main(["sweep", str(path), "--param", "R_over_L", "--values", "1,1e-320"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: R_over_L: radius R")
+    assert out == "" and err.startswith("error: geometry.R_over_L: radius R")
+
+
+@pytest.mark.parametrize("R_over_L", ["0.05", "0.1"])
+def test_radius_at_most_half_the_thickness_is_rejected(R_over_L, tmp_path, capsys):
+    # L = 5, h = 1: R = 0.25 m and R = h/2 = 0.5 m, where the section would reach the centre
+    text = MINIMAL.replace("L = 5", f"L = 5\nR_over_L = {R_over_L}")
+    with pytest.raises(ConfigError, match=r"^geometry.R_over_L: radius R .* h/2 = 0.5 m"):
+        parse_config(text)
+    path = tmp_path / "case.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: geometry.R_over_L: radius R")
+    path.write_text(MINIMAL.replace("L = 5", "L = 5\nR_over_L = 1"), encoding="utf-8")
+    for param, value in (("R_over_L", R_over_L), ("L_over_h", float(R_over_L) * 5)):
+        assert main(["sweep", str(path), "--param", param, "--values", f"1,{value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: geometry.R_over_L: radius R")
+    assert parse_config(text.replace(f"R_over_L = {R_over_L}", "R_over_L = 0.1001")).R_over_L
+
+
+RADIUS = re.escape("geometry.R_over_L: radius R = R_over_L * L = ")
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(R_over_L=1e-320, L=1e-10), RADIUS + "0 m"),
+    (dict(R_over_L=1e-320, layup=fgcbeam.Layup.single_layer(0.0, 1e-321)),  # 1/R = inf
+     RADIUS + "4.99994e-320 m must exceed h/2 = 4.99006e-322 m"),
+    (dict(R_over_L=0.05), RADIUS + "0.25 m must exceed h/2 = 0.5 m"),
+    (dict(R_over_L=-1.0), RADIUS + "-5 m"),
+    (dict(ne=0), "need at least one element, got ne = 0$"),
+    (dict(ne=5, load=fgcbeam.LoadCase("point_mid", 1.0)),
+     "mid-span point load needs an even element count, got ne = 5$"),
+    (dict(load=fgcbeam.LoadCase("point_end", 1.0)),
+     "a point_end load on node 16, dof w0 is held by the SS supports"),
+], ids=["R_underflows", "R_subnormal", "R_below_half_h", "R_negative", "ne_0",
+        "odd_ne_point_mid", "point_load_on_support"])
+def test_no_invalid_case_config_can_be_built(change, message):
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(ValueError, match="^" + message):
+        replace(cfg, **change)
 
 
 class TestWithParameter:

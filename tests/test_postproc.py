@@ -37,7 +37,7 @@ MAT = DEFAULT_MATERIAL
 
 def solve_cfg(cfg):
     rig = compute_rigidities(cfg.material, cfg.layup)
-    return solve_static(cfg.mesh(), rig, cfg.bc, cfg.load), rig
+    return solve_static(cfg.mesh, rig, cfg.bc, cfg.load), rig
 
 
 def element_strains(sol, e, xi):
@@ -77,7 +77,7 @@ class TestDisplacementAt:
         cfg = make_case("A", p=2.0, bc="CF", ne=8)
         sol, _ = solve_cfg(cfg)
         for node in (0, 3, 8):
-            x = node * cfg.mesh().Le
+            x = node * cfg.mesh.Le
             u, w, dw, phi = displacement_at(sol, x)
             assert np.allclose([u, w, dw, phi], sol.d[4 * node: 4 * node + 4], rtol=1e-12)
 
@@ -98,7 +98,7 @@ class TestStrainsAt:
     def test_bending_strain_is_minus_w_second_derivative(self):
         cfg = make_case("A", p=2.0, bc="CF", ne=8)
         sol, _ = solve_cfg(cfg)
-        x = 0.9 * cfg.mesh().Le  # inside the first element
+        x = 0.9 * cfg.mesh.Le  # inside the first element
         d = 1e-4
         w = [displacement_at(sol, x + k * d)[1] for k in (-1, 0, 1)]
         w_xx = (w[0] - 2 * w[1] + w[2]) / d**2
@@ -107,7 +107,7 @@ class TestStrainsAt:
     def test_interior_node_average(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=2.0, bc="CF", ne=4)
         sol, _ = solve_cfg(cfg)
-        mesh = cfg.mesh()
+        mesh = cfg.mesh
         x = 2 * mesh.Le
         left = element_strains(sol, 1, mesh.Le)
         right = element_strains(sol, 2, 0.0)
@@ -117,7 +117,7 @@ class TestStrainsAt:
         for _ in range(20):
             cfg = random_case(rng)
             sol, _ = solve_cfg(cfg)
-            mesh = cfg.mesh()
+            mesh = cfg.mesh
             for e in rng.integers(0, cfg.ne, 3):
                 de = sol.d[4 * e: 4 * e + 8]
                 for xi in (0.0, mesh.Le, float(rng.uniform(0.0, mesh.Le))):
@@ -401,7 +401,7 @@ class TestProfileBitIdentity:
 
     def test_interior_node_station(self):
         cfg = make_case("B", (2, 2, 1), p=3.7, bc="CF", ne=8)
-        self.assert_same(cfg, 3 * cfg.mesh().Le, 201)
+        self.assert_same(cfg, 3 * cfg.mesh.Le, 201)
 
     def test_grid_point_on_an_interface(self):
         # 21 samples over h = 1 put grid points on z = -0.4 and z = +0.4

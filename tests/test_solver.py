@@ -44,7 +44,7 @@ RIG = compute_rigidities(MAT, Layup.single_layer(1.0, 1.0))
 
 def solve_case(cfg):
     rig = compute_rigidities(cfg.material, cfg.layup)
-    return solve_static(cfg.mesh(), rig, cfg.bc, cfg.load)
+    return solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
 
 
 def band(mesh, rig):
@@ -199,13 +199,13 @@ class TestSolveStatic:
     def test_constrained_dofs_exactly_zero(self):
         cfg = make_case("A", p=1.0, bc="CC")
         sol = solve_case(cfg)
-        for i in BoundaryCondition.CC.constrained_dofs(cfg.mesh()):
+        for i in BoundaryCondition.CC.constrained_dofs(cfg.mesh):
             assert sol.d[i] == 0.0
 
     def test_residual_bound(self):
         cfg = make_case("B", scheme=(1, 2, 1), p=5.0, bc="CF", R_over_L=8.0)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        mesh = cfg.mesh()
+        mesh = cfg.mesh
         sol = solve_static(mesh, rig, cfg.bc, cfg.load)
         K = dense(mesh, rig)
         F = assemble_load(mesh, cfg.load)
@@ -233,7 +233,7 @@ class TestSolverInvariants:
     def test_reduced_stiffness_spd(self, bc):
         cfg = make_case("A", p=2.0, R_over_L=5.0, bc=bc, ne=8)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        mesh = cfg.mesh()
+        mesh = cfg.mesh
         K_red, _, _ = eliminate(dense(mesh, rig),
                                 assemble_load(mesh, cfg.load), cfg.bc, mesh)
         assert np.min(np.linalg.eigvalsh(K_red)) > 0.0
@@ -246,7 +246,7 @@ class TestSolverInvariants:
     def test_reactions_balance_udl(self):
         cfg = make_case("B", scheme=(2, 1, 1), p=5.0, bc="SS", ne=10)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        mesh = cfg.mesh()
+        mesh = cfg.mesh
         sol = solve_static(mesh, rig, cfg.bc, cfg.load)
         K = dense(mesh, rig)
         F = assemble_load(mesh, cfg.load)
@@ -265,7 +265,7 @@ class TestSolverInvariants:
         kw = dict(kind="B", scheme=(1, 1, 1), p=2.0, bc="CF", ne=8)
         d_udl = solve_case(make_case(load=LoadCase("udl", 2.0), **kw)).d
         d_pt = solve_case(make_case(load=LoadCase("point_end", 5.0), **kw)).d
-        mesh = make_case(**kw).mesh()
+        mesh = make_case(**kw).mesh
         rig = compute_rigidities(MAT, make_layup("B", (1, 1, 1), 2.0))
         K = dense(mesh, rig)
         F = (assemble_load(mesh, LoadCase("udl", 2.0))
@@ -297,7 +297,7 @@ class TestBandedSolve:
         for _ in range(30):
             cfg = random_case(rng)
             rig = compute_rigidities(cfg.material, cfg.layup)
-            mesh = cfg.mesh()
+            mesh = cfg.mesh
             d = solve_static(mesh, rig, cfg.bc, cfg.load).d
             K_red, F_red, free = eliminate(dense_by_element_loop(mesh, rig),
                                            assemble_load(mesh, cfg.load), cfg.bc, mesh)
@@ -308,8 +308,8 @@ class TestBandedSolve:
             assert np.linalg.norm(d - d_ref) <= bound
 
     def test_every_fixture_case_solves_on_refined_meshes(self):
-        cases = {cell.case_key(): cell.to_config() for cell in ALL_CELLS}
-        for cfg in cases.values():
+        cases = dict.fromkeys(cell.config for cell in ALL_CELLS)
+        for cfg in cases:
             rig = compute_rigidities(cfg.material, cfg.layup)
             for ne in (24, 32, 64, 256, 1024):
                 mesh = Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
@@ -319,8 +319,8 @@ class TestBandedSolve:
 
     def test_fixture_solutions_bit_equal_to_reference_band(self):
         # the two-slab band fill and the vectorised Ke change no bit of K or d
-        cases = {cell.case_key(): cell.to_config() for cell in ALL_CELLS}
-        for cfg in cases.values():
+        cases = dict.fromkeys(cell.config for cell in ALL_CELLS)
+        for cfg in cases:
             rig = compute_rigidities(cfg.material, cfg.layup)
             for ne in (16, 1024):
                 mesh = Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
@@ -335,7 +335,7 @@ class TestBandedSolve:
     def test_gate_rejects_perturbed_solution(self, monkeypatch):
         cfg = make_case("C", scheme=(1, 8, 1), p=2.0, bc="CF", R_over_L=8.0, ne=256)
         rig = compute_rigidities(cfg.material, cfg.layup)
-        mesh = cfg.mesh()
+        mesh = cfg.mesh
         ab = band(mesh, rig)
         F = assemble_load(mesh, cfg.load)
         _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
