@@ -330,24 +330,24 @@ def _build_cells() -> list[BenchmarkCell]:
                 L=float(lh), R_over_L=rl, bc=BoundaryCondition(bc), load=LoadCase("udl", 1.0))
         cells.append(BenchmarkCell(table, row, col, quantity, cfg, expected, tol, suspect))
 
+    def curved(table, data, quantity, kind, scheme, suspects=None):
+        # rows (L/h, p), or (bc, L/h, p), -> values over R_COLS; suspects keyed (L/h, p, R/L)
+        suspects = suspects or {}
+        for (*bc, lh, p), vals in data.items():
+            row = ",".join([*bc, f"L/h={lh},p={p}"])
+            for rl, v in zip(R_COLS, vals):
+                add(table, row, _rl_label(rl), quantity, kind, scheme, p, lh, rl,
+                    bc[0] if bc else "SS", v, TOL_CURVED, suspects.get((lh, p, rl)))
+
     for (lh, p), (w, s, t) in _T6.items():
         row = f"L/h={lh},p={p}"
         add("T6", row, "w_bar", "w_bar", A, n0, p, lh, INF, "SS", w, TOL_STRAIGHT)
         add("T6", row, "sigma_bar", "sigma_bar", A, n0, p, lh, INF, "SS", s, TOL_STRAIGHT)
         add("T6", row, "tau_bar", "tau_bar", A, n0, p, lh, INF, "SS", t, TOL_STRAIGHT)
 
-    for (lh, p), vals in _T7.items():
-        for rl, v in zip(R_COLS, vals):
-            add("T7", f"L/h={lh},p={p}", _rl_label(rl), "w_bar", A, n0, p, lh,
-                rl, "SS", v, TOL_CURVED, _T7_SUSPECT.get((lh, p, rl)))
-    for (lh, p), vals in _T8_TAU.items():
-        for rl, v in zip(R_COLS, vals):
-            add("T8", f"L/h={lh},p={p}", _rl_label(rl), "tau_bar", A, n0, p, lh,
-                rl, "SS", v, TOL_CURVED)
-    for (lh, p), vals in _T8_SIG.items():
-        for rl, v in zip(R_COLS, vals):
-            add("T8", f"L/h={lh},p={p}", _rl_label(rl), "sigma_bar", A, n0, p, lh,
-                rl, "SS", v, TOL_CURVED)
+    curved("T7", _T7, "w_bar", A, n0, _T7_SUSPECT)
+    curved("T8", _T8_TAU, "tau_bar", A, n0)
+    curved("T8", _T8_SIG, "sigma_bar", A, n0)
 
     for table, data, quantity in (("T9", _T9, "w_bar"), ("T10", _T10, "sigma_bar"),
                                   ("T11", _T11, "tau_bar")):
@@ -356,23 +356,11 @@ def _build_cells() -> list[BenchmarkCell]:
                 add(table, f"L/h={lh},p={p}", label, quantity, B,
                     _SCHEMES[label], p, lh, INF, "SS", v, TOL_STRAIGHT)
 
-    for (lh, p), vals in _T12.items():
-        for rl, v in zip(R_COLS, vals):
-            add("T12", f"L/h={lh},p={p}", _rl_label(rl), "w_bar", B,
-                _SCHEMES["1-1-1"], p, lh, rl, "SS", v, TOL_CURVED,
-                _T12_SUSPECT.get((lh, p, rl)))
-
-    for (bc, lh, p), vals in _T15.items():
-        for rl, v in zip(R_COLS, vals):
-            add("T15", f"{bc},L/h={lh},p={p}", _rl_label(rl), "w_bar", B,
-                _SCHEMES["1-1-1"], p, lh, rl, bc, v, TOL_CURVED)
-
-    for data, quantity in ((_T16_W, "w_bar"), (_T16_TAU, "tau_bar"),
-                           (_T16_SIG, "sigma_bar")):
-        for (lh, p), vals in data.items():
-            for rl, v in zip(R_COLS, vals):
-                add("T16", f"L/h={lh},p={p}", _rl_label(rl), quantity, B,
-                    _SCHEMES["2-2-1"], p, lh, rl, "SS", v, TOL_CURVED)
+    curved("T12", _T12, "w_bar", B, _SCHEMES["1-1-1"], _T12_SUSPECT)
+    curved("T15", _T15, "w_bar", B, _SCHEMES["1-1-1"])
+    curved("T16", _T16_W, "w_bar", B, _SCHEMES["2-2-1"])
+    curved("T16", _T16_TAU, "tau_bar", B, _SCHEMES["2-2-1"])
+    curved("T16", _T16_SIG, "sigma_bar", B, _SCHEMES["2-2-1"])
 
     for (lh, bc), vals in _T17.items():
         for p, v in zip(_T17_PS, vals):
@@ -389,13 +377,10 @@ def _build_cells() -> list[BenchmarkCell]:
             p, 20, INF, "SS", s20, TOL_STRAIGHT, sus)
         add("T18", f"p={p}", "tau,L/h=20", "tau_bar", C, _SCHEMES["1-8-1"],
             p, 20, INF, "SS", t20, TOL_STRAIGHT)
-    for data, quantity in ((_T19_W, "w_bar"), (_T19_TAU, "tau_bar"),
-                           (_T19_SIG, "sigma_bar")):
-        for (lh, p), vals in data.items():
-            sus = _TYPEC_P0 if (p == 0 and quantity != "tau_bar") else None
-            for rl, v in zip(R_COLS, vals):
-                add("T19", f"L/h={lh},p={p}", _rl_label(rl), quantity, C,
-                    _SCHEMES["1-8-1"], p, lh, rl, "SS", v, TOL_CURVED, sus)
+    typec_p0 = {(lh, 0, rl): _TYPEC_P0 for lh, p in _T19_W if p == 0 for rl in R_COLS}
+    curved("T19", _T19_W, "w_bar", C, _SCHEMES["1-8-1"], typec_p0)
+    curved("T19", _T19_TAU, "tau_bar", C, _SCHEMES["1-8-1"])
+    curved("T19", _T19_SIG, "sigma_bar", C, _SCHEMES["1-8-1"], typec_p0)
     return cells
 
 
@@ -454,7 +439,8 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
             raise ValueError("no benchmark table selected")
         unknown = set(tables) - set(TABLE_IDS)
         if unknown:
-            raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}")
+            raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}; "
+                             f"available: {','.join(TABLE_IDS)}")
     cells = [c for c in ALL_CELLS if tables is None or c.table in tables]
     cases = list(dict.fromkeys(cell.config for cell in cells))
     solved = dict(zip(cases, evaluate_cases(cases)))

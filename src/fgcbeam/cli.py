@@ -21,7 +21,6 @@ import math
 import sys
 from pathlib import Path
 
-from .benchmarks import TABLE_IDS, BenchReport, benchmark_compare
 from .config import CaseConfig, ConfigError, parse_config
 from .postproc import table_scales, thickness_profile
 from .solver import SingularSystemError
@@ -33,10 +32,7 @@ def _fmt(x: float) -> str:
 
 
 def _load_config(path: str) -> CaseConfig:
-    try:
-        return parse_config(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def _case_header(cfg: CaseConfig) -> list[str]:
@@ -82,9 +78,7 @@ def _parse_station(text: str, cfg: CaseConfig, flag: str) -> float:
         x = float(text)
     except ValueError:
         raise ConfigError(f"{flag} must be mid, end, support or a coordinate, got {text!r}")
-    if not (0.0 <= x <= cfg.L):
-        raise ConfigError(f"{flag} = {x} outside the beam [0, {cfg.L}]")
-    return x
+    return x          # the recovery checks the range, with its node snap
 
 
 def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
@@ -145,7 +139,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _format_bench_report(report: BenchReport) -> str:
+def _format_bench_report(report) -> str:
     lines = []
     header = (f"{'table':<5} {'row':<16} {'column':<14} {'quantity':<10}"
               f" {'expected':>12} {'computed':>15} {'rel_err':>10} {'status':<7}")
@@ -181,7 +175,7 @@ def _format_bench_report(report: BenchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bench_csv(report: BenchReport) -> str:
+def _bench_csv(report) -> str:
     lines = ["table,row,column,quantity,expected,computed,rel_err,tol,status"]
     for r in report.results:
         status = "skip" if r.skipped else ("pass" if r.passed else "fail")
@@ -192,6 +186,7 @@ def _bench_csv(report: BenchReport) -> str:
 
 
 def _cmd_bench(args) -> int:
+    from .benchmarks import benchmark_compare    # builds the 920 fixture cells: bench only
     tables = None
     if args.table is not None:
         tables = [t.strip() for t in args.table.split(",") if t.strip()]
@@ -231,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="run the embedded benchmark gate")
-    p_bench.add_argument("--table", help=f"subset, e.g. T6,T9 (available: {','.join(TABLE_IDS)})")
+    p_bench.add_argument("--table", help="comma-separated subset, e.g. T6,T9")
     p_bench.add_argument("--csv", metavar="FILE", help="write machine-readable results")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -250,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, SingularSystemError) as err:
+    except (ConfigError, ValueError, SingularSystemError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

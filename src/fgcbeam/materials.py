@@ -66,19 +66,29 @@ class MaterialPair:
 DEFAULT_MATERIAL = MaterialPair(E_m=70e9, E_c=380e9, nu=0.3)
 
 
+#: Fraction of h within which z counts as lying on an interface or a surface.
+_Z_SNAP = 1e-12
+
+
 @dataclass(frozen=True)
 class Layup:
     """Thickness layout of the section.
 
     kind   : LayupKind (A, B or C)
     scheme : bottom-face : core : top-face thickness ratios, e.g. (1, 8, 1).
-             Ignored for Type A.
+             Ignored for Type A, which is laid out as the scheme (0, 1, 0).
     p      : power-law index controlling the gradation (p >= 0)
     h      : total thickness (m)
 
     The derived ``interfaces`` tuple holds (h1, h2, h3, h4) with
     h1 = -h/2 and h4 = +h/2.  For Type A the inner interfaces collapse
-    onto the surfaces (h2 = h1, h3 = h4).
+    onto the surfaces (h2 = h1, h3 = h4).  The derived ``layers`` tuple
+    lists, bottom to top, one (n, lo, hi, grade) entry per layer of
+    positive ratio and positive thickness: n is 0, 1 or 2 (bottom face,
+    core, top face), lo and hi are ``interfaces[n]`` and
+    ``interfaces[n + 1]``, and grade is ``LAYER_GRADES[kind][n]``.  A zero
+    ratio leaves no layer, even where rounding leaves a sliver between h3
+    and h4.  ``layer_index`` picks the entry that holds a given z.
     """
 
     kind: LayupKind
@@ -86,24 +96,26 @@ class Layup:
     p: float
     h: float
     interfaces: tuple[float, float, float, float] = field(init=False)
+    layers: tuple[tuple[int, float, float, float | str], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.h < math.inf:
             raise ValueError("thickness h must be positive and finite")
         if not 0 <= self.p < math.inf:
             raise ValueError("power-law index p must be nonnegative and finite")
-        if self.kind is LayupKind.A:
-            hh = (-self.h / 2, -self.h / 2, self.h / 2, self.h / 2)
-        else:
-            a, b, c = self.scheme
-            if not (min(a, b, c) >= 0 and 0 < a + b + c < math.inf):
-                raise ValueError("scheme ratios must be finite and nonnegative with positive sum")
-            total = a + b + c
-            h1 = -self.h / 2
-            h2 = h1 + self.h * a / total
-            h3 = h2 + self.h * b / total
-            hh = (h1, h2, h3, self.h / 2)
+        a, b, c = ratios = (0.0, 1.0, 0.0) if self.kind is LayupKind.A else self.scheme
+        if not (min(a, b, c) >= 0 and 0 < a + b + c < math.inf):
+            raise ValueError("scheme ratios must be finite and nonnegative with positive sum")
+        total = a + b + c
+        h1 = -self.h / 2
+        h2 = h1 + self.h * a / total
+        h3 = h2 + self.h * b / total
+        hh = (h1, h2, h3, self.h / 2)
         object.__setattr__(self, "interfaces", hh)
+        grades = LAYER_GRADES[self.kind]
+        object.__setattr__(self, "layers", tuple((n, hh[n], hh[n + 1], grades[n]) for n in range(3)
+                                                 if ratios[n] > 0 and hh[n + 1] > hh[n]))
 
     @staticmethod
     def single_layer(p: float, h: float) -> "Layup":
@@ -111,51 +123,45 @@ class Layup:
         return Layup(LayupKind.A, (0.0, 0.0, 0.0), p, h)
 
     def layer_index(self, z: float, side: str | None = None) -> int:
-        """Layer (0, 1 or 2) containing z.
+        """Index (0, 1 or 2) of the layer containing z, an entry of ``layers``.
 
-        Layers are the half-open intervals [h_n, h_{n+1}) with the top
-        layer closed at +h/2, so a coordinate landing exactly on an
-        interface deterministically belongs to the layer above it.
+        Layers are the half-open intervals [lo, hi) with the top layer
+        closed at +h/2, so a coordinate landing exactly on an interface
+        deterministically belongs to the layer above it.
         ``side="below"`` / ``side="above"`` force the choice at an
-        interface (used when sampling a stress jump from both sides).
-        Zero-thickness layers are never returned: each surface belongs
-        to the outermost layer of positive thickness on its side.
+        interface (used when sampling a stress jump from both sides): the
+        lowest layer that ends, or starts, within 1e-12 h of z.
         """
-        h1, h2, h3, h4 = self.interfaces
-        eps = 1e-12 * self.h
+        return self._layer(z, side)[0]
+
+    def _layer(self, z: float, side: str | None) -> tuple[int, float, float, float | str]:
+        """The ``layers`` entry that ``layer_index`` picks."""
+        h1, h4 = self.interfaces[0], self.interfaces[3]
+        eps = _Z_SNAP * self.h
         if z < h1 - eps or z > h4 + eps:
             raise ValueError(f"z = {z} outside the section [{h1}, {h4}]")
         z = min(max(z, h1), h4)
-        top = 2 if h4 > h3 else 1 if h3 > h2 else 0
-        if side == "below":
-            if abs(z - h2) <= eps:
-                return 0 if h2 > h1 else 1 if h3 > h2 else 2
-            if abs(z - h3) <= eps:
-                return 1          # h3 > h2, or the test on h2 would have matched
-        elif side == "above":
-            if abs(z - h2) <= eps:
-                return 1 if h3 > h2 else top
-            if abs(z - h3) <= eps:
-                return top
-        elif side is not None:
-            raise ValueError(f"side must be 'below', 'above' or None, got {side!r}")
-        if z < h2:
-            return 0
-        if z < h3:
-            return 1
-        return top
+        if side is not None:
+            if side not in ("below", "above"):
+                raise ValueError(f"side must be 'below', 'above' or None, got {side!r}")
+            end = 2 if side == "below" else 1      # the layer's top, or its bottom, meets z
+            for layer in self.layers:
+                if abs(z - layer[end]) <= eps:
+                    return layer
+        for layer in self.layers:
+            if z < layer[2]:
+                return layer
+        return self.layers[-1]
 
 
 def volume_fraction(layup: Layup, z: float, side: str | None = None) -> float:
     """Ceramic volume fraction V(z) in [0, 1].
 
     The layer is picked by ``layup.layer_index`` (optionally forced with
-    ``side`` at an interface) and graded by ``LAYER_GRADES``.
+    ``side`` at an interface) and graded by its ``layers`` entry.
     """
-    layer = layup.layer_index(z, side=side)      # rejects z outside the section
-    lo, hi = layup.interfaces[layer:layer + 2]
+    _, lo, hi, grade = layup._layer(z, side)      # rejects z outside the section
     z = min(max(z, lo), hi)           # z may lie up to 1e-12 h outside the picked layer
-    grade = LAYER_GRADES[layup.kind][layer]
     if grade == "up":
         return ((z - lo) / (hi - lo)) ** layup.p
     if grade == "down":

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .element import _hermite, _lagrange, strain_rows
-from .materials import Layup, MaterialPair, effective_modulus, stiffness_coeffs
+from .materials import _Z_SNAP, Layup, MaterialPair, effective_modulus, stiffness_coeffs
 from .solver import BoundaryCondition, Mesh, Solution
 
 _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
@@ -69,7 +69,7 @@ class ProfileRow(NamedTuple):
 def _locate(mesh: Mesh, x: float) -> tuple[int, float]:
     """Element index and local coordinate for a position x in [0, L]."""
     L, ne, Le = mesh.L, mesh.ne, mesh.Le
-    if x < -_NODE_SNAP * L or x > L * (1 + _NODE_SNAP):
+    if not -_NODE_SNAP * L <= x <= L * (1 + _NODE_SNAP):      # NaN fails too
         raise ValueError(f"x = {x} outside the beam [0, {L}]")
     x = min(max(x, 0.0), L)
     e = min(int(x / Le), ne - 1)
@@ -185,10 +185,10 @@ def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
     if n_samples < 2:
         raise ValueError("need at least two samples across the thickness")
     h = layup.h
-    h1, h2, h3, h4 = layup.interfaces
-    eps = 1e-12 * h
-    inner = []
-    for zi in (h2, h3):
+    h1, h4 = layup.interfaces[0], layup.interfaces[3]
+    eps = _Z_SNAP * h
+    inner = []    # the bottom of each layer above the first, off the surfaces and unrepeated
+    for _, zi, _, _ in layup.layers[1:]:
         if h1 + eps < zi < h4 - eps and all(abs(zi - zj) > eps for zj in inner):
             inner.append(zi)
     grid = np.linspace(h1, h4, n_samples)

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .materials import LAYER_GRADES, Layup, MaterialPair
+from .materials import Layup, MaterialPair
 
 # Highest polynomial moment degree is 10 (f^2); n points integrate
 # degree 2n-1 exactly, 8 leaves margin.
@@ -111,7 +111,7 @@ def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndar
     sum_i c_i * m(z_i) = integral of E(z) * m(z) dz (exact for
     polynomial m up to degree 2 * _NPOINTS - 1).
 
-    Per layer the ceramic fraction is the constant of ``LAYER_GRADES`` or
+    Per layer of ``layup.layers`` the ceramic fraction is a constant or
     s**p with s running 0 -> 1 up the layer ("up") or down it ("down");
     the constant part of E uses Gauss-Legendre and the graded part
     Gauss-Jacobi with weight s**p.
@@ -120,33 +120,26 @@ def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndar
         raise ValueError(
             f"power-law index p = {layup.p:g} exceeds the section quadrature cap "
             f"({_P_MAX:g}); such a section is pure metal to machine precision")
-    hs = layup.interfaces
     dE = mat.E_c - mat.E_m
     zs, cs = [], []
-    for lo, hi, grade in zip(hs, hs[1:], LAYER_GRADES[layup.kind]):
+    for _, lo, hi, grade in layup.layers:
         t = hi - lo
-        if t <= 0:
-            continue
-        z_gl = lo + t * _GL_S
-        if grade == "up" or grade == "down":
-            # constant metal baseline
-            zs.append(z_gl)
-            cs.append(t * _GL_W * mat.E_m)
+        graded = grade == "up" or grade == "down"
+        # constant part: the metal baseline of a graded layer, or the layer's own modulus
+        zs.append(lo + t * _GL_S)
+        cs.append(t * _GL_W * (mat.E_m if graded else mat.E_m + dE * grade))
+        if graded:
             # graded ceramic excess, weight s**p
             s_gj, w_gj = _jacobi_rule(layup.p)
             zs.append(lo + t * s_gj if grade == "up" else hi - t * s_gj)
             cs.append(t * w_gj * dE)
-        else:
-            E = mat.E_m + dE * grade
-            zs.append(z_gl)
-            cs.append(t * _GL_W * E)
     return np.concatenate(zs), np.concatenate(cs)
 
 
 def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
     """Integrate the seven rigidities over the section (unit width).
 
-    Zero-thickness layers contribute nothing.  The result is linear in
+    Only the layers of ``layup.layers`` contribute.  The result is linear in
     (E_m, E_c) and the (A11, B11, B11s; B11, D11, D11s; B11s, D11s,
     H11s) block is positive semi-definite by construction.
     """

@@ -176,6 +176,8 @@ class LoadCase:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"load kind must be one of {self.KINDS}, got {self.kind!r}")
+        if not -np.inf < self.magnitude < np.inf:
+            raise ValueError(f"load magnitude must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,10 @@ class TestCliRun:
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_as_config_is_a_clean_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
     def test_bad_config_reports_key(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(MINIMAL.replace("h = 1", "h = -3"), encoding="utf-8")
@@ -443,6 +447,23 @@ class TestCliProfile:
     def test_bad_station(self, sandwich_file, capsys):
         assert main(["profile", str(sandwich_file), "--x", "7.0"]) == 2
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "5.0001"])
+    def test_station_outside_the_beam(self, x, sandwich_file, capsys):
+        assert main(["profile", str(sandwich_file), "--x", x]) == 2
+        assert "outside the beam [0, 5.0]" in capsys.readouterr().err
+
+    def test_station_within_the_node_snap_of_the_end(self, sandwich_file, capsys):
+        # the library's 1e-9 L snap: x = L + 1e-9 m on L = 5 m is the end node
+        assert main(["profile", str(sandwich_file), "--x", "5.000000001", "--samples", "5"]) == 0
+        snapped = capsys.readouterr().out
+        assert main(["profile", str(sandwich_file), "--x", "end", "--samples", "5"]) == 0
+        assert capsys.readouterr().out == snapped
+
+    def test_unwritable_output_is_a_clean_error(self, sandwich_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "profile.csv"
+        assert main(["profile", str(sandwich_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
 
 class TestCliBench:
     def test_single_table_passes(self, capsys):
@@ -452,6 +473,9 @@ class TestCliBench:
 
     def test_unknown_table(self, capsys):
         assert main(["bench", "--table", "T99"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown benchmark table(s): ['T99']; "
+            "available: T6,T7,T8,T9,T10,T11,T12,T15,T16,T17,T18,T19\n")
 
     @pytest.mark.parametrize("tables", [",", ""])
     def test_empty_table_list_rejected(self, tables, capsys):
@@ -466,6 +490,11 @@ class TestCliBench:
         assert lines[0].startswith("table,row,column,quantity")
         assert len(lines) == 31
         assert all(row.endswith("pass") for row in lines[1:])
+
+    def test_unwritable_csv_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--table", "T6", "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
 
 FRESH = "import sys; from fgcbeam import cli; sys.exit(cli.main(sys.argv[1:]))"

@@ -9,6 +9,7 @@ from fgcbeam import (
     DEFAULT_MATERIAL,
     Layup,
     LayupKind,
+    LoadCase,
     MaterialPair,
     Mesh,
     effective_modulus,
@@ -87,6 +88,8 @@ NON_FINITE_INPUTS = [
     (Layup, dict(kind=LayupKind.B, scheme=(1, 1, 1), p=math.inf, h=1.0), "p"),
     (Layup, dict(kind=LayupKind.B, scheme=(1, math.nan, 1), p=1.0, h=1.0), "scheme"),
     (Layup, dict(kind=LayupKind.C, scheme=(1, math.inf, 1), p=1.0, h=1.0), "scheme"),
+    (LoadCase, dict(kind="udl", magnitude=math.nan), "magnitude"),
+    (LoadCase, dict(kind="point_end", magnitude=-math.inf), "magnitude"),
 ]
 
 
@@ -186,15 +189,16 @@ class TestVolumeFraction:
 
     @pytest.mark.parametrize("kind", [LayupKind.B, LayupKind.C])
     @pytest.mark.parametrize("scheme", [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                                        (0, 1, 1), (1, 0, 1)])
+                                        (0, 1, 1), (1, 0, 1), (1, 2, 0), (2, 1, 0)])
     def test_zero_thickness_layer_never_picked(self, kind, scheme):
-        # each surface belongs to the outermost layer of positive thickness on its side
+        # each surface belongs to the outermost layer of positive ratio on its side; with
+        # 1-2-0 and 2-1-0, rounding leaves h3 a few ulps below h4, a sliver of no layer
         lay = Layup(kind, scheme, p=2.0, h=1.0)
         hs = lay.interfaces
         for z in hs:
             for side in (None, "below", "above"):
                 n = lay.layer_index(z, side=side)
-                assert hs[n + 1] > hs[n], (z, side)
+                assert scheme[n] > 0 and hs[n + 1] > hs[n], (z, side)
                 assert 0.0 <= volume_fraction(lay, z, side=side) <= 1.0
 
     @pytest.mark.parametrize("kind,scheme", [(LayupKind.B, (1, 1, 1)),
@@ -211,11 +215,23 @@ class TestVolumeFraction:
                     assert effective_modulus(MAT, lay, z, side=side) <= MAT.E_c
 
     def test_top_surface_of_a_section_without_top_face(self):
-        faces = Layup(LayupKind.B, (1, 1, 0), p=2.0, h=1.0)      # ceramic core on top
         core = Layup(LayupKind.C, (1, 0, 0), p=2.0, h=1.0)       # all metal
-        for side in (None, "above", "below"):
-            assert volume_fraction(faces, 0.5, side=side) == 1.0
-            assert volume_fraction(core, 0.5, side=side) == 0.0
+        for scheme in ((1, 1, 0), (1, 2, 0), (2, 1, 0)):
+            faces = Layup(LayupKind.B, scheme, p=2.0, h=1.0)    # ceramic core on top
+            for side in (None, "above", "below"):
+                assert volume_fraction(faces, 0.5, side=side) == 1.0, (scheme, side)
+                assert volume_fraction(core, 0.5, side=side) == 0.0
+
+    def test_layer_thinner_than_the_snap_window(self):
+        # a side picks the lowest layer ending (below) or starting (above) within 1e-12 h of z
+        sides = (None, "below", "above")
+        bottom = Layup(LayupKind.C, (1e-13, 1, 1), p=2.0, h=1.0)
+        assert [bottom.layer_index(-0.5, side) for side in sides] == [0, 0, 0]
+        core = Layup(LayupKind.C, (1, 1e-13, 1), p=2.0, h=1.0)
+        for z in core.interfaces[1:3]:
+            assert [core.layer_index(z, side) for side in sides[1:]] == [0, 1], z
+        top = Layup(LayupKind.C, (1, 1, 1e-13), p=2.0, h=1.0)
+        assert [top.layer_index(0.5, side) for side in sides] == [2, 1, 2]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_layer_monotone(self, p):

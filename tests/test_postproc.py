@@ -1,6 +1,7 @@
 """Field recovery, stress sampling, resultants and nondimensional values."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ class TestDisplacementAt:
             displacement_at(sol, -0.1)
         with pytest.raises(ValueError):
             displacement_at(sol, 5.1)
+
+    def test_nan_station_rejected(self):
+        cfg = make_case("A", p=1.0)
+        sol, _ = solve_cfg(cfg)
+        for recover in (lambda x: displacement_at(sol, x),
+                        lambda x: stress_at(sol, MAT, cfg.layup, x, 0.0),
+                        lambda x: thickness_profile(sol, MAT, cfg.layup, x, 5)):
+            with pytest.raises(ValueError, match="outside the beam"):
+                recover(math.nan)
 
     def test_nodal_values_match_dof_vector(self):
         cfg = make_case("A", p=2.0, bc="CF", ne=8)

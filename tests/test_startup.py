@@ -92,6 +92,19 @@ def test_import_order_gives_identical_results(runs):
         assert run["same_module"] and run["same_dpbtrf"]
 
 
+def test_run_leaves_the_benchmark_fixtures_unbuilt():
+    """Only ``bench`` imports ``fgcbeam.benchmarks``, which builds the 920 fixture cells."""
+    script = ("import contextlib, io, sys\n"
+              "from fgcbeam.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['run', sys.argv[1]])\n"
+              "print(code, 'fgcbeam.benchmarks' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(CASE)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
+
+
 def test_loader_returns_none_for_a_missing_extension():
     assert solver._linalg_extension("_no_such_extension") is None
     assert "scipy.linalg._no_such_extension" not in sys.modules
