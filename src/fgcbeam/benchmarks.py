@@ -429,8 +429,9 @@ class BenchReport:
 def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
     """Run every gated fixture cell and compare at its tolerance class.
 
-    Cells sharing a physical configuration share one solve, and all
-    solves go through one ``evaluate_cases`` call.  Suspect
+    Cells of one configuration share its ``CaseConfig`` object (see
+    ``_build_cells``), so one solve per object, deduped by identity, and
+    all solves go through one ``evaluate_cases`` call.  Suspect
     cells are still evaluated and reported, but marked skipped and
     never counted as failures.
     """
@@ -442,11 +443,11 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
             raise ValueError(f"unknown benchmark table(s): {sorted(unknown)}; "
                              f"available: {','.join(TABLE_IDS)}")
     cells = [c for c in ALL_CELLS if tables is None or c.table in tables]
-    cases = list(dict.fromkeys(cell.config for cell in cells))
-    solved = dict(zip(cases, evaluate_cases(cases)))
+    cases = list({id(cell.config): cell.config for cell in cells}.values())
+    solved = dict(zip(map(id, cases), evaluate_cases(cases)))
     report = BenchReport()
     for cell in cells:
-        res = solved[cell.config]
+        res = solved[id(cell.config)]
         computed = {"w_bar": res.w_bar, "sigma_bar": res.sigma_bar,
                     "tau_bar": res.tau_bar}[cell.quantity]
         rel = abs(computed - cell.expected) / abs(cell.expected)

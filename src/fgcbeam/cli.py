@@ -16,6 +16,8 @@ scientific notation; identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
 import math
 import sys
@@ -94,15 +96,19 @@ def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _output(path: str | None):
+    """The FILE of ``--out`` or ``--csv``, opened before any solve so that a bad path costs
+    none; a context of None without one."""
+    return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext()
+
+
 def _cmd_profile(args) -> int:
     cfg = _load_config(args.config)
     x = _parse_station(args.x, cfg, "--x")
-    text = _profile_csv(evaluate_case(cfg), x, args.samples)
+    with _output(args.out) as out:
+        (out or sys.stdout).write(_profile_csv(evaluate_case(cfg), x, args.samples))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
         sys.stdout.write(f"profile written to {args.out}\n")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -175,14 +181,16 @@ def _format_bench_report(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bench_csv(report) -> str:
-    lines = ["table,row,column,quantity,expected,computed,rel_err,tol,status"]
+def _write_bench_csv(file, report) -> None:
+    """One row per cell; labels such as 'L/h=5,p=0' are quoted."""
+    writer = csv.writer(file, lineterminator="\n")
+    writer.writerow(["table", "row", "column", "quantity", "expected", "computed", "rel_err",
+                     "tol", "status"])
     for r in report.results:
         status = "skip" if r.skipped else ("pass" if r.passed else "fail")
-        lines.append(f"{r.cell.table},{r.cell.row},{r.cell.col},{r.cell.quantity},"
-                     f"{_fmt(r.cell.expected)},{_fmt(r.computed)},{_fmt(r.rel_err)},"
-                     f"{_fmt(r.cell.tol)},{status}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.cell.table, r.cell.row, r.cell.col, r.cell.quantity,
+                         _fmt(r.cell.expected), _fmt(r.computed), _fmt(r.rel_err),
+                         _fmt(r.cell.tol), status])
 
 
 def _cmd_bench(args) -> int:
@@ -190,11 +198,12 @@ def _cmd_bench(args) -> int:
     tables = None
     if args.table is not None:
         tables = [t.strip() for t in args.table.split(",") if t.strip()]
-    report = benchmark_compare(tables=tables)
-    sys.stdout.write(_format_bench_report(report))
-    if args.csv:
-        Path(args.csv).write_text(_bench_csv(report), encoding="utf-8")
-        sys.stdout.write(f"csv report written to {args.csv}\n")
+    with _output(args.csv) as out:
+        report = benchmark_compare(tables=tables)
+        sys.stdout.write(_format_bench_report(report))
+        if out:
+            _write_bench_csv(out, report)
+            sys.stdout.write(f"csv report written to {args.csv}\n")
     return 0 if report.ok else 1
 
 

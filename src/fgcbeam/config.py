@@ -1,30 +1,39 @@
 """Case configuration: INI-style text in, validated CaseConfig out.
 
-Grammar (sections and keys; '#'/';' comments allowed):
+Grammar (sections and keys; '#'/';' comments allowed), with the
+constructor that checks each value's range:
 
     [material]  E_m, E_c, nu                (optional; defaults to the
-                                             70/380 GPa, nu = 0.3 pair)
+                                             70/380 GPa, nu = 0.3 pair;
+                                             MaterialPair: E > 0, 0 <= nu < 0.5)
     [layup]     kind = A|B|C                (required)
-                scheme = a-b-c              (required for B/C)
-                p                           (required, >= 0)
-    [geometry]  L, h                        (required, > 0)
-                R_over_L = <number>|inf     (optional; default inf;
+                scheme = a-b-c              (required for B/C; Layup: ratios
+                                             >= 0 with a positive sum)
+                p                           (required; Layup: p >= 0)
+    [geometry]  L, h                        (required; Mesh: L > 0, Layup: h > 0)
+                R_over_L = <number>|inf     (optional; default inf; CaseConfig:
                                              R = R_over_L * L must exceed
                                              h/2 and have a finite 1/R)
     [bc]        type = SS|CC|CF             (required)
-    [load]      type = udl|point_end|point_mid   (required)
+    [load]      type = udl|point_end|point_mid   (required; LoadCase)
                 magnitude                   (optional; default 1.0)
-    [mesh]      ne                          (optional; default 16)
+    [mesh]      ne                          (optional; default 16; Mesh: ne >= 1;
+                                             check_load: even for point_mid, and
+                                             no point load that the supports hold)
 
-Numbers must be finite; ``inf`` is accepted only as R_over_L.  Parse
-errors name the offending section.key.  The checks that span several keys
-(the radius, and a point load the supports would hold) belong to
-``CaseConfig`` itself, so every case built in the library passes them too.
+This module only turns text into values: a number, finite unless the key
+accepts ``inf`` (only R_over_L does), an integer, an enum name and the
+scheme's a-b-c shape.  Each range rule is checked once, by the constructor
+that owns it, so every case built in the library passes it too; its
+ValueError names the INI key, and ``parse_config`` and ``with_parameter``
+raise it as a ``ConfigError``.  An error in a value starts with its
+section.key, and only once.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -77,24 +86,17 @@ class CaseConfig:
         return self.mesh.inv_R
 
 
-def parse_scheme(text: str) -> tuple[float, float, float]:
-    """'a-b-c' layer thickness ratios, e.g. '1-8-1'."""
-    parts = text.strip().split("-")
-    if len(parts) != 3:
-        raise ConfigError(f"scheme must be three dash-separated ratios, got {text!r}")
-    try:
-        a, b, c = (float(s) for s in parts)
-    except ValueError as err:
-        raise ConfigError(f"scheme ratios must be numeric, got {text!r}") from err
-    if min(a, b, c) < 0 or a + b + c <= 0:
-        raise ConfigError(f"scheme ratios must be nonnegative with a positive sum, got {text!r}")
-    return a, b, c
-
-
-def _one_of(names) -> str:
-    """'a, b or c' for an error message."""
-    *head, last = names
-    return f"{', '.join(head)} or {last}"
+def _key_errors(fn):
+    """fn raising each constructor's ValueError as a ConfigError; its message names the key."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ConfigError:
+            raise
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+    return checked
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str,
@@ -102,39 +104,51 @@ def _get(cp: configparser.ConfigParser, section: str, key: str,
     if cp.has_option(section, key):
         return cp.get(section, key).strip()
     if default is None:
-        raise ConfigError(f"missing required key {section}.{key}")
+        raise ConfigError(f"{section}.{key}: missing required key")
     return default
 
 
-def _number(name: str, raw, positive=False, nonnegative=False) -> float:
-    """raw as a finite float within its bound; a ConfigError that names ``name`` otherwise."""
+def _number(name: str, raw) -> float:
+    """raw as a finite float; a ConfigError that names ``name`` otherwise."""
     try:
         val = float(raw)
     except ValueError as err:
         raise ConfigError(f"{name}: expected a number, got {raw!r}") from err
     if not math.isfinite(val):
         raise ConfigError(f"{name}: must be finite, got {raw!r}")
-    if positive and val <= 0:
-        raise ConfigError(f"{name}: must be positive, got {val}")
-    if nonnegative and val < 0:
-        raise ConfigError(f"{name}: must be nonnegative, got {val}")
     return val
 
 
 def _radius_ratio(name: str, raw) -> float:
-    """R_over_L: ``inf`` (a straight beam) or a positive finite number."""
-    if str(raw).strip().lower() == "inf":
-        return math.inf
-    return _number(name, raw, positive=True)
+    """R_over_L: ``inf`` (a straight beam) or a finite number."""
+    return math.inf if str(raw).strip().lower() == "inf" else _number(name, raw)
 
 
-def _get_float(cp, section, key, default=None, positive=False, nonnegative=False):
-    return _number(f"{section}.{key}", _get(cp, section, key, default),
-                   positive=positive, nonnegative=nonnegative)
+def _scheme(name: str, raw: str) -> tuple[float, float, float]:
+    """'a-b-c' layer thickness ratios, e.g. '1-8-1'."""
+    try:
+        a, b, c = (float(s) for s in raw.split("-"))
+    except ValueError as err:
+        raise ConfigError(f"{name}: must be three dash-separated numbers, got {raw!r}") from err
+    return a, b, c
 
 
+def _member(enum_type, name: str, raw: str):
+    """The member of enum_type whose value is raw; a ConfigError that names ``name`` otherwise."""
+    try:
+        return enum_type(raw)
+    except ValueError as err:
+        *head, last = (m.value for m in enum_type)
+        raise ConfigError(f"{name}: must be {', '.join(head)} or {last}, got {raw!r}") from err
+
+
+def _get_float(cp, section, key, default=None):
+    return _number(f"{section}.{key}", _get(cp, section, key, default))
+
+
+@_key_errors
 def parse_config(text: str) -> CaseConfig:
-    """Parse and validate a case configuration from INI text."""
+    """Parse a case configuration from INI text; the constructors check the values."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
@@ -149,80 +163,45 @@ def parse_config(text: str) -> CaseConfig:
         if section not in known:
             raise ConfigError(f"unknown section [{section}]")
 
-    if cp.has_section("material"):
-        try:
-            mat = MaterialPair(
-                E_m=_get_float(cp, "material", "E_m", positive=True),
-                E_c=_get_float(cp, "material", "E_c", positive=True),
-                nu=_get_float(cp, "material", "nu", nonnegative=True),
-            )
-        except ValueError as err:
-            raise ConfigError(f"material: {err}") from err
-    else:
-        mat = DEFAULT_MATERIAL
+    mat = (MaterialPair(*(_get_float(cp, "material", key) for key in ("E_m", "E_c", "nu")))
+           if cp.has_section("material") else DEFAULT_MATERIAL)
 
-    kind_raw = _get(cp, "layup", "kind").upper()
-    try:
-        kind = LayupKind(kind_raw)
-    except ValueError as err:
-        raise ConfigError(f"layup.kind: must be {_one_of(k.value for k in LayupKind)}, "
-                          f"got {kind_raw!r}") from err
-    p = _get_float(cp, "layup", "p", nonnegative=True)
-    h = _get_float(cp, "geometry", "h", positive=True)
+    kind = _member(LayupKind, "layup.kind", _get(cp, "layup", "kind").upper())
+    p = _get_float(cp, "layup", "p")
+    h = _get_float(cp, "geometry", "h")
     if kind is LayupKind.A:
         layup = Layup.single_layer(p=p, h=h)
     else:
-        scheme = parse_scheme(_get(cp, "layup", "scheme"))
-        layup = Layup(kind, scheme, p, h)
+        layup = Layup(kind, _scheme("layup.scheme", _get(cp, "layup", "scheme")), p, h)
 
-    L = _get_float(cp, "geometry", "L", positive=True)
+    L = _get_float(cp, "geometry", "L")
     R_over_L = _radius_ratio("geometry.R_over_L", _get(cp, "geometry", "R_over_L", "inf"))
+    bc = _member(BoundaryCondition, "bc.type", _get(cp, "bc", "type").upper())
+    load = LoadCase(_get(cp, "load", "type").lower(), _get_float(cp, "load", "magnitude", "1.0"))
 
-    bc_raw = _get(cp, "bc", "type").upper()
-    try:
-        bc = BoundaryCondition(bc_raw)
-    except ValueError as err:
-        raise ConfigError(f"bc.type: must be {_one_of(b.value for b in BoundaryCondition)}, "
-                          f"got {bc_raw!r}") from err
-
-    load_kind = _get(cp, "load", "type").lower()
-    if load_kind not in LoadCase.KINDS:
-        raise ConfigError(f"load.type: must be {_one_of(LoadCase.KINDS)}, got {load_kind!r}")
-    load = LoadCase(load_kind, _get_float(cp, "load", "magnitude", "1.0"))
-
-    ne_raw = _get(cp, "mesh", "ne", str(DEFAULT_NE)) if cp.has_section("mesh") else str(DEFAULT_NE)
+    ne_raw = _get(cp, "mesh", "ne", str(DEFAULT_NE))
     try:
         ne = int(ne_raw)
     except ValueError as err:
         raise ConfigError(f"mesh.ne: expected an integer, got {ne_raw!r}") from err
-    if ne < 1:
-        raise ConfigError(f"mesh.ne: must be at least 1, got {ne}")
-    if load_kind == "point_mid" and ne % 2 != 0:
-        raise ConfigError(f"mesh.ne: mid-span point load needs an even count, got {ne}")
-
-    try:
-        return CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L,
-                          bc=bc, load=load, ne=ne)
-    except ConfigError:
-        raise
-    except ValueError as err:     # check_load: a point load the supports would hold
-        raise ConfigError(f"load.type: {err}") from err
+    return CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L, bc=bc, load=load, ne=ne)
 
 
+@_key_errors
 def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
     """Copy of cfg with one sweep parameter replaced.
 
     param is one of 'p', 'R_over_L', 'scheme', 'L_over_h'.
     """
     if param == "p":
-        return replace(cfg, layup=replace(cfg.layup, p=_number(param, value, nonnegative=True)))
+        return replace(cfg, layup=replace(cfg.layup, p=_number(param, value)))
     if param == "R_over_L":
         return replace(cfg, R_over_L=_radius_ratio(param, value))
     if param == "scheme":
-        scheme = parse_scheme(value) if isinstance(value, str) else tuple(value)
+        scheme = _scheme(param, value) if isinstance(value, str) else tuple(value)
         if cfg.layup.kind is LayupKind.A:
-            raise ConfigError("scheme sweep needs a sandwich layup (kind B or C)")
+            raise ConfigError("scheme: the sweep needs a sandwich layup (kind B or C)")
         return replace(cfg, layup=replace(cfg.layup, scheme=scheme))
     if param == "L_over_h":
-        return replace(cfg, L=_number(param, value, positive=True) * cfg.layup.h)
+        return replace(cfg, L=_number(param, value) * cfg.layup.h)
     raise ConfigError(f"unknown sweep parameter {param!r}")

@@ -55,11 +55,13 @@ class MaterialPair:
     nu: float
 
     def __post_init__(self):
-        for name in ("E_m", "E_c"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"phase modulus {name} must be positive and finite")
-        if not (0.0 <= self.nu < 0.5):
-            raise ValueError("Poisson's ratio must satisfy 0 <= nu < 0.5")
+        for name, E in (("E_m", self.E_m), ("E_c", self.E_c)):
+            if not 0 < E < math.inf:
+                raise ValueError(f"material.{name}: phase modulus must be positive and finite, "
+                                 f"got {E}")
+        if not 0.0 <= self.nu < 0.5:
+            raise ValueError(f"material.nu: Poisson's ratio must satisfy 0 <= nu < 0.5, "
+                             f"got {self.nu}")
 
 
 #: Al / alumina pair used by the embedded benchmark tables (E in Pa).
@@ -80,39 +82,38 @@ class Layup:
     p      : power-law index controlling the gradation (p >= 0)
     h      : total thickness (m)
 
-    The derived ``interfaces`` tuple holds (h1, h2, h3, h4) with
-    h1 = -h/2 and h4 = +h/2.  For Type A the inner interfaces collapse
-    onto the surfaces (h2 = h1, h3 = h4).  The derived ``layers`` tuple
-    lists, bottom to top, one (n, lo, hi, grade) entry per layer of
+    Construction checks h > 0, p >= 0 and the ratios (nonnegative with a
+    positive sum), each error naming its INI key.  The derived ``layers``
+    tuple lists, bottom to top, one (n, lo, hi, grade) entry per layer of
     positive ratio and positive thickness: n is 0, 1 or 2 (bottom face,
-    core, top face), lo and hi are ``interfaces[n]`` and
-    ``interfaces[n + 1]``, and grade is ``LAYER_GRADES[kind][n]``.  A zero
-    ratio leaves no layer, even where rounding leaves a sliver between h3
-    and h4.  ``layer_index`` picks the entry that holds a given z.
+    core, top face), lo and hi are the layer's bounds, the bottom face
+    starting at -h/2 and the top face ending at +h/2, and grade is
+    ``LAYER_GRADES[kind][n]``.  A zero ratio leaves no layer, even where
+    rounding leaves a sliver below +h/2.  ``layer_index`` picks the entry
+    that holds a given z.
     """
 
     kind: LayupKind
     scheme: tuple[float, float, float]
     p: float
     h: float
-    interfaces: tuple[float, float, float, float] = field(init=False)
     layers: tuple[tuple[int, float, float, float | str], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.h < math.inf:
-            raise ValueError("thickness h must be positive and finite")
+            raise ValueError(f"geometry.h: thickness must be positive and finite, got {self.h}")
         if not 0 <= self.p < math.inf:
-            raise ValueError("power-law index p must be nonnegative and finite")
+            raise ValueError(f"layup.p: power-law index must be nonnegative and finite, "
+                             f"got {self.p}")
         a, b, c = ratios = (0.0, 1.0, 0.0) if self.kind is LayupKind.A else self.scheme
         if not (min(a, b, c) >= 0 and 0 < a + b + c < math.inf):
-            raise ValueError("scheme ratios must be finite and nonnegative with positive sum")
+            raise ValueError(f"layup.scheme: ratios must be finite and nonnegative with a "
+                             f"positive sum, got {tuple(ratios)}")
         total = a + b + c
         h1 = -self.h / 2
         h2 = h1 + self.h * a / total
-        h3 = h2 + self.h * b / total
-        hh = (h1, h2, h3, self.h / 2)
-        object.__setattr__(self, "interfaces", hh)
+        hh = (h1, h2, h2 + self.h * b / total, self.h / 2)
         grades = LAYER_GRADES[self.kind]
         object.__setattr__(self, "layers", tuple((n, hh[n], hh[n + 1], grades[n]) for n in range(3)
                                                  if ratios[n] > 0 and hh[n + 1] > hh[n]))
@@ -125,25 +126,28 @@ class Layup:
     def layer_index(self, z: float, side: str | None = None) -> int:
         """Index (0, 1 or 2) of the layer containing z, an entry of ``layers``.
 
-        Layers are the half-open intervals [lo, hi) with the top layer
-        closed at +h/2, so a coordinate landing exactly on an interface
-        deterministically belongs to the layer above it.
-        ``side="below"`` / ``side="above"`` force the choice at an
-        interface (used when sampling a stress jump from both sides): the
-        lowest layer that ends, or starts, within 1e-12 h of z.
+        A z within 1e-12 h of a surface belongs to that surface's layer,
+        the first or the last entry, whatever the side.  Elsewhere layers
+        are the half-open intervals [lo, hi), so a coordinate landing
+        exactly on an interface deterministically belongs to the layer
+        above it.  ``side="below"`` / ``side="above"`` force the choice at
+        an interface (used when sampling a stress jump from both sides):
+        the lowest layer that ends, or starts, within 1e-12 h of z.
         """
         return self._layer(z, side)[0]
 
     def _layer(self, z: float, side: str | None) -> tuple[int, float, float, float | str]:
         """The ``layers`` entry that ``layer_index`` picks."""
-        h1, h4 = self.interfaces[0], self.interfaces[3]
-        eps = _Z_SNAP * self.h
-        if z < h1 - eps or z > h4 + eps:
-            raise ValueError(f"z = {z} outside the section [{h1}, {h4}]")
-        z = min(max(z, h1), h4)
+        top, eps = self.h / 2, _Z_SNAP * self.h
+        if z < -top - eps or z > top + eps:
+            raise ValueError(f"z = {z} outside the section [{-top}, {top}]")
+        if side is not None and side not in ("below", "above"):
+            raise ValueError(f"side must be 'below', 'above' or None, got {side!r}")
+        if z <= -top + eps:
+            return self.layers[0]
+        if z >= top - eps:
+            return self.layers[-1]
         if side is not None:
-            if side not in ("below", "above"):
-                raise ValueError(f"side must be 'below', 'above' or None, got {side!r}")
             end = 2 if side == "below" else 1      # the layer's top, or its bottom, meets z
             for layer in self.layers:
                 if abs(z - layer[end]) <= eps:

@@ -185,8 +185,7 @@ def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
     if n_samples < 2:
         raise ValueError("need at least two samples across the thickness")
     h = layup.h
-    h1, h4 = layup.interfaces[0], layup.interfaces[3]
-    eps = _Z_SNAP * h
+    h1, h4, eps = -h / 2, h / 2, _Z_SNAP * h
     inner = []    # the bottom of each layer above the first, off the surfaces and unrepeated
     for _, zi, _, _ in layup.layers[1:]:
         if h1 + eps < zi < h4 - eps and all(abs(zi - zj) > eps for zj in inner):

@@ -115,6 +115,9 @@ class Mesh:
     L     : total arc length (m)
     ne    : number of elements
     inv_R : curvature 1/R shared by all elements (0 = straight)
+
+    Construction checks L > 0 and ne >= 1; the errors name the INI keys
+    geometry.L and mesh.ne.
     """
 
     L: float
@@ -123,9 +126,9 @@ class Mesh:
 
     def __post_init__(self):
         if not 0 < self.L < np.inf:
-            raise ValueError("beam length L must be positive and finite")
+            raise ValueError(f"geometry.L: beam length must be positive and finite, got {self.L}")
         if self.ne < 1:
-            raise ValueError(f"need at least one element, got ne = {self.ne}")
+            raise ValueError(f"mesh.ne: need at least one element, got ne = {self.ne}")
         if not 0 <= self.inv_R < np.inf:
             raise ValueError("curvature inv_R = 1/R must be nonnegative and finite")
 
@@ -175,9 +178,10 @@ class LoadCase:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"load kind must be one of {self.KINDS}, got {self.kind!r}")
+            raise ValueError(f"load.type: must be one of {', '.join(self.KINDS)}, "
+                             f"got {self.kind!r}")
         if not -np.inf < self.magnitude < np.inf:
-            raise ValueError(f"load magnitude must be finite, got {self.magnitude}")
+            raise ValueError(f"load.magnitude: must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,7 @@ def _point_dof(mesh: Mesh, load: LoadCase) -> int:
         return 4 * mesh.ne + 1
     if mesh.ne % 2 != 0:
         raise ValueError(
-            f"mid-span point load needs an even element count, got ne = {mesh.ne}")
+            f"mesh.ne: mid-span point load needs an even element count, got ne = {mesh.ne}")
     return 4 * (mesh.ne // 2) + 1
 
 
@@ -246,7 +250,7 @@ def check_load(mesh: Mesh, bc: BoundaryCondition, load: LoadCase) -> None:
     if load.kind != "udl":
         k = _point_dof(mesh, load)
         if k in bc.constrained_dofs(mesh):
-            raise ValueError(f"a {load.kind} load on {_dof_label(k)} is held by the "
+            raise ValueError(f"load.type: a {load.kind} load on {_dof_label(k)} is held by the "
                              f"{bc.value} supports and would not deflect the beam")
 
 

@@ -27,6 +27,11 @@ def make_layup(kind: str, scheme=None, p: float = 1.0, h: float = 1.0) -> Layup:
     return Layup(k, scheme if scheme is not None else SCHEMES["1-1-1"], p, h)
 
 
+def layer_edges(layup: Layup) -> list[float]:
+    """The two surfaces and the bounds of every entry of ``layup.layers``, sorted, unrepeated."""
+    return sorted({-layup.h / 2, layup.h / 2}.union(*((lo, hi) for _, lo, hi, _ in layup.layers)))
+
+
 def make_case(kind="A", scheme=None, p=1.0, L_over_h=5.0, R_over_L=math.inf,
               bc="SS", load=None, ne=16, h=1.0) -> CaseConfig:
     layup = make_layup(kind, scheme, p, h)

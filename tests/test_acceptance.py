@@ -30,7 +30,7 @@ from fgcbeam.section import f_shear
 from fgcbeam.solver import _fill_band
 from fgcbeam.studies import convergence_study, evaluate_case
 
-from conftest import SCHEMES, make_case, random_case
+from conftest import SCHEMES, layer_edges, make_case, random_case
 from reference_element import dense_from_band
 from test_section import assert_rigidities_close, oracle_rigidities, rigidity_matrix
 
@@ -235,7 +235,7 @@ def test_criterion_8_resultant_cross_check(rng):
         x = float(rng.uniform(0.0, cfg.L))
         h = cfg.h
         n = m = s = 0.0
-        edges = sorted(set(cfg.layup.interfaces))
+        edges = layer_edges(cfg.layup)
         for a, b in zip(edges, edges[1:]):
             if b - a <= 0:
                 continue

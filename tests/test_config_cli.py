@@ -1,6 +1,7 @@
 """Configuration parsing and the command line interface."""
 
 import argparse
+import csv
 import math
 import os
 import re
@@ -23,6 +24,8 @@ from fgcbeam import (
 )
 from fgcbeam.cli import build_parser, main
 from fgcbeam.config import with_parameter
+
+from test_studies import count_solves
 
 MINIMAL = """\
 [layup]
@@ -208,17 +211,56 @@ RADIUS = re.escape("geometry.R_over_L: radius R = R_over_L * L = ")
      RADIUS + "4.99994e-320 m must exceed h/2 = 4.99006e-322 m"),
     (dict(R_over_L=0.05), RADIUS + "0.25 m must exceed h/2 = 0.5 m"),
     (dict(R_over_L=-1.0), RADIUS + "-5 m"),
-    (dict(ne=0), "need at least one element, got ne = 0$"),
+    (dict(ne=0), "mesh.ne: need at least one element, got ne = 0$"),
     (dict(ne=5, load=fgcbeam.LoadCase("point_mid", 1.0)),
-     "mid-span point load needs an even element count, got ne = 5$"),
+     "mesh.ne: mid-span point load needs an even element count, got ne = 5$"),
     (dict(load=fgcbeam.LoadCase("point_end", 1.0)),
-     "a point_end load on node 16, dof w0 is held by the SS supports"),
+     "load.type: a point_end load on node 16, dof w0 is held by the SS supports"),
 ], ids=["R_underflows", "R_subnormal", "R_below_half_h", "R_negative", "ne_0",
         "odd_ne_point_mid", "point_load_on_support"])
 def test_no_invalid_case_config_can_be_built(change, message):
     cfg = parse_config(MINIMAL)
     with pytest.raises(ValueError, match="^" + message):
         replace(cfg, **change)
+
+
+# one bad value per range rule: (changed keys, the key the error must name)
+ONE_KEY_PER_RULE = [
+    ({"material.E_m": "-1"}, "material.E_m"),
+    ({"material.E_c": "0"}, "material.E_c"),
+    ({"material.nu": "0.6"}, "material.nu"),
+    ({"layup.p": "-1"}, "layup.p"),
+    ({"geometry.h": "0"}, "geometry.h"),
+    ({"layup.scheme": "1--1-1"}, "layup.scheme"),
+    ({"layup.scheme": "0-0-0"}, "layup.scheme"),
+    ({"geometry.L": "-5"}, "geometry.L"),
+    ({"geometry.R_over_L": "0"}, "geometry.R_over_L"),
+    ({"geometry.R_over_L": "-1"}, "geometry.R_over_L"),
+    ({"mesh.ne": "0"}, "mesh.ne"),
+    ({"load.type": "point_mid", "mesh.ne": "5"}, "mesh.ne"),
+    ({"load.type": "point_end"}, "load.type"),
+    ({"load.type": "wind"}, "load.type"),
+]
+
+
+def assert_one_key_prefix(message, key):
+    assert message.startswith(f"{key}: "), message
+    assert not re.match(r"[\w.]+: ", message[len(key) + 2:]), message
+
+
+@pytest.mark.parametrize("changes,key", ONE_KEY_PER_RULE, ids=[
+    ",".join(f"{k}={v}" for k, v in changes.items()) for changes, _ in ONE_KEY_PER_RULE])
+def test_each_range_rule_names_its_key_once(changes, key, tmp_path, capsys):
+    text = SANDWICH
+    for changed, value in changes.items():
+        text = with_key(text, changed, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert_one_key_prefix(str(err.value), key)
+    path = tmp_path / "case.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err.value}\n")
 
 
 class TestWithParameter:
@@ -258,6 +300,12 @@ class TestWithParameter:
             with_parameter(cfg, "R_over_L", -5)
         with pytest.raises(ConfigError):
             with_parameter(cfg, "volume", 1)
+        for param, value, key in (("p", "-1", "layup.p"), ("L_over_h", "-1", "geometry.L"),
+                                  ("R_over_L", "-1", "geometry.R_over_L"),
+                                  ("scheme", "0-0-0", "layup.scheme")):
+            with pytest.raises(ConfigError) as err:
+                with_parameter(cfg, param, value)
+            assert_one_key_prefix(str(err.value), key)
 
 
 @pytest.fixture
@@ -365,7 +413,8 @@ class TestCliConverge:
     @pytest.mark.parametrize("ne", ["0", "-4"])
     def test_element_count_below_one_names_it(self, ne, sandwich_file, capsys):
         assert main(["converge", str(sandwich_file), "--ne", f"4,{ne}"]) == 2
-        assert capsys.readouterr() == ("", f"error: need at least one element, got ne = {ne}\n")
+        assert capsys.readouterr() == (
+            "", f"error: mesh.ne: need at least one element, got ne = {ne}\n")
 
     def test_singular_system_is_a_clean_error(self, sandwich_file, capsys, monkeypatch):
         def singular(*args, **kwargs):
@@ -459,10 +508,17 @@ class TestCliProfile:
         assert main(["profile", str(sandwich_file), "--x", "end", "--samples", "5"]) == 0
         assert capsys.readouterr().out == snapped
 
-    def test_unwritable_output_is_a_clean_error(self, sandwich_file, tmp_path, capsys):
+    def test_unwritable_output_is_a_clean_error(self, sandwich_file, tmp_path, capsys,
+                                                monkeypatch):
+        # the file is opened before any solve, so a bad path costs none
+        solves = count_solves(monkeypatch)
         out = tmp_path / "missing" / "profile.csv"
         assert main(["profile", str(sandwich_file), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: [Errno 2]")
+        assert stdout == "" and solves == []
+        assert main(["profile", str(sandwich_file), "--out", str(tmp_path / "p.csv")]) == 0
+        assert solves
 
 
 class TestCliBench:
@@ -491,10 +547,30 @@ class TestCliBench:
         assert len(lines) == 31
         assert all(row.endswith("pass") for row in lines[1:])
 
-    def test_unwritable_csv_is_a_clean_error(self, tmp_path, capsys):
+    def test_unwritable_csv_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        # the file is opened before any solve, so a bad path prints no report
+        solves = count_solves(monkeypatch)
         out = tmp_path / "missing" / "bench.csv"
         assert main(["bench", "--table", "T6", "--csv", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: [Errno 2]")
+        assert stdout == "" and solves == []
+        assert main(["bench", "--table", "T6", "--csv", str(tmp_path / "bench.csv")]) == 0
+        assert solves
+
+    def test_csv_report_is_valid_csv(self, tmp_path, capsys):
+        # T6's row labels ('L/h=5,p=0') and T18's column labels ('sigma,L/h=5') carry commas
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--table", "T6,T18", "--csv", str(out)]) == 0
+        with out.open(encoding="utf-8", newline="") as file:
+            reader = csv.DictReader(file)
+            rows = list(reader)
+        assert len(reader.fieldnames) == 9 and len(rows) == 30 + 20
+        for row in rows:
+            assert None not in row and None not in row.values(), row
+            float(row["computed"])
+        assert any("," in row["row"] for row in rows) and any("," in row["column"] for row in rows)
+        assert {row["status"] for row in rows} <= {"pass", "skip"}
 
 
 FRESH = "import sys; from fgcbeam import cli; sys.exit(cli.main(sys.argv[1:]))"

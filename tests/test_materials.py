@@ -17,6 +17,8 @@ from fgcbeam import (
     volume_fraction,
 )
 
+from conftest import layer_edges
+
 MAT = DEFAULT_MATERIAL
 P_GRID = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
 
@@ -38,10 +40,9 @@ class TestMaterialPair:
 
 class TestLayup:
     def test_type_a_interfaces_collapse(self):
+        # the inner interfaces fall on the surfaces: one graded layer spans the section
         lay = Layup.single_layer(p=2.0, h=0.4)
-        h1, h2, h3, h4 = lay.interfaces
-        assert h1 == -0.2 and h4 == 0.2
-        assert h2 == h1 and h3 == h4
+        assert lay.layers == ((1, -0.2, 0.2, "up"),)
 
     @pytest.mark.parametrize("scheme,expected", [
         ((1, 1, 1), (-0.5, -0.5 + 1 / 3, -0.5 + 2 / 3, 0.5)),
@@ -51,17 +52,18 @@ class TestLayup:
     ])
     def test_interfaces_reproduce_scheme(self, scheme, expected):
         lay = Layup(LayupKind.B, scheme, p=1.0, h=1.0)
-        assert lay.interfaces == pytest.approx(expected, abs=1e-15)
-        h1, h2, h3, h4 = lay.interfaces
-        thick = np.array([h2 - h1, h3 - h2, h4 - h3])
+        assert layer_edges(lay) == pytest.approx(expected, abs=1e-15)
+        assert [n for n, *_ in lay.layers] == [0, 1, 2]
+        thick = np.array([hi - lo for _, lo, hi, _ in lay.layers])
         ratios = thick / thick.sum() * sum(scheme)
         assert ratios == pytest.approx(scheme, abs=1e-12)
 
     def test_ordering_invariant(self):
         for scheme in [(1, 0, 1), (0, 1, 0), (3, 4, 3)]:
-            h1, h2, h3, h4 = Layup(LayupKind.C, scheme, 1.0, 2.0).interfaces
-            assert h1 <= h2 <= h3 <= h4
-            assert h1 == -1.0 and h4 == 1.0
+            layers = Layup(LayupKind.C, scheme, 1.0, 2.0).layers
+            bounds = [b for _, lo, hi, _ in layers for b in (lo, hi)]
+            assert bounds == sorted(bounds)
+            assert bounds[0] == -1.0 and bounds[-1] == 1.0
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +125,7 @@ class TestVolumeFraction:
 
     def test_fg_faces_interface_value(self):
         lay = Layup(LayupKind.B, (1, 1, 1), p=2.0, h=1.0)
-        h2 = lay.interfaces[1]
+        h2 = lay.layers[1][1]
         assert volume_fraction(lay, h2) == pytest.approx(1.0, abs=1e-15)
 
     def test_out_of_range_rejected(self):
@@ -167,15 +169,14 @@ class TestVolumeFraction:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 5.0])
     def test_interface_continuity(self, kind, scheme, p):
         lay = Layup(LayupKind(kind), scheme, p, 1.0)
-        for z in lay.interfaces[1:3]:
+        for _, z, _, _ in lay.layers[1:]:
             below = volume_fraction(lay, z, side="below")
             above = volume_fraction(lay, z, side="above")
             assert below == pytest.approx(above, abs=1e-14)
             # approach limits agree too (V has slope ~ (d/t)^p near an
             # interface for p < 1, so the tolerance must track it)
             d = 1e-9
-            t_min = min(b - a for a, b in zip(lay.interfaces, lay.interfaces[1:])
-                        if b - a > 0)
+            t_min = min(hi - lo for _, lo, hi, _ in lay.layers)
             tol = 2.0 * max(p, 1.0) * (d / t_min) ** min(p, 1.0) + 1e-12
             assert volume_fraction(lay, z - d) == pytest.approx(below, abs=tol)
             assert volume_fraction(lay, z + d) == pytest.approx(above, abs=tol)
@@ -183,7 +184,7 @@ class TestVolumeFraction:
     def test_fg_core_p0_jump_is_two_sided(self):
         # the one genuinely discontinuous case: FG core at p = 0
         lay = Layup(LayupKind.C, (1, 8, 1), p=0.0, h=1.0)
-        h2 = lay.interfaces[1]
+        h2 = lay.layers[1][1]
         assert volume_fraction(lay, h2, side="below") == 0.0
         assert volume_fraction(lay, h2, side="above") == 1.0
 
@@ -194,11 +195,11 @@ class TestVolumeFraction:
         # each surface belongs to the outermost layer of positive ratio on its side; with
         # 1-2-0 and 2-1-0, rounding leaves h3 a few ulps below h4, a sliver of no layer
         lay = Layup(kind, scheme, p=2.0, h=1.0)
-        hs = lay.interfaces
-        for z in hs:
+        thickness = {n: hi - lo for n, lo, hi, _ in lay.layers}
+        for z in layer_edges(lay):
             for side in (None, "below", "above"):
                 n = lay.layer_index(z, side=side)
-                assert scheme[n] > 0 and hs[n + 1] > hs[n], (z, side)
+                assert scheme[n] > 0 and thickness[n] > 0, (z, side)
                 assert 0.0 <= volume_fraction(lay, z, side=side) <= 1.0
 
     @pytest.mark.parametrize("kind,scheme", [(LayupKind.B, (1, 1, 1)),
@@ -207,7 +208,7 @@ class TestVolumeFraction:
         # layer_index snaps z within 1e-12 h of an interface to the forced side, so z can
         # lie just outside the picked layer; V must still be a real number in [0, 1]
         lay = Layup(kind, scheme, p=0.5, h=1.0)
-        for zi in lay.interfaces[1:3]:
+        for _, zi, _, _ in lay.layers[1:]:
             for z in (zi - 1e-14, zi + 1e-14):
                 for side in ("below", "above"):
                     v = volume_fraction(lay, z, side=side)
@@ -223,15 +224,16 @@ class TestVolumeFraction:
                 assert volume_fraction(core, 0.5, side=side) == 0.0
 
     def test_layer_thinner_than_the_snap_window(self):
-        # a side picks the lowest layer ending (below) or starting (above) within 1e-12 h of z
+        # inside, a side picks the lowest layer ending (below) or starting (above) within
+        # 1e-12 h of z; at a surface every side picks that surface's layer
         sides = (None, "below", "above")
         bottom = Layup(LayupKind.C, (1e-13, 1, 1), p=2.0, h=1.0)
         assert [bottom.layer_index(-0.5, side) for side in sides] == [0, 0, 0]
         core = Layup(LayupKind.C, (1, 1e-13, 1), p=2.0, h=1.0)
-        for z in core.interfaces[1:3]:
+        for _, z, _, _ in core.layers[1:]:
             assert [core.layer_index(z, side) for side in sides[1:]] == [0, 1], z
         top = Layup(LayupKind.C, (1, 1, 1e-13), p=2.0, h=1.0)
-        assert [top.layer_index(0.5, side) for side in sides] == [2, 1, 2]
+        assert [top.layer_index(0.5, side) for side in sides] == [2, 2, 2]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_layer_monotone(self, p):

@@ -30,7 +30,7 @@ from fgcbeam.section import f_shear, g_shear
 from fgcbeam.studies import evaluate_case
 
 import reference_element
-from conftest import make_case, random_case
+from conftest import layer_edges, make_case, random_case
 from test_section import rigidity_matrix
 
 MAT = DEFAULT_MATERIAL
@@ -207,7 +207,7 @@ class TestResultantsAt:
         sol, rig = solve_cfg(cfg)
         x = 0.6 * cfg.L
         h = cfg.h
-        edges = [e for e in sorted(set(cfg.layup.interfaces))]
+        edges = layer_edges(cfg.layup)
         xg, wg = leggauss(50)
         n = m = s = 0.0
         for a, b in zip(edges, edges[1:]):
@@ -356,10 +356,10 @@ def reference_thickness_profile(sol, mat, layup, x, n_samples):
     """The profile as it was computed before the array kernel: each row's
     factors from scalar effective_modulus, stiffness_coeffs, f_shear and g_shear."""
     h = layup.h
-    h1, h2, h3, h4 = layup.interfaces
+    h1, h4 = -h / 2, h / 2
     eps = 1e-12 * h
     grid = list(np.linspace(h1, h4, n_samples))
-    inner = [zi for zi in (h2, h3) if h1 + eps < zi < h4 - eps]
+    inner = [zi for zi in layer_edges(layup) if h1 + eps < zi < h4 - eps]
     pts = [(z, "") for z in grid if all(abs(z - zi) > eps for zi in inner)]
     seen = set()
     for zi in inner:

@@ -31,6 +31,8 @@ from fgcbeam import (
 )
 from fgcbeam.section import SectionRigidities
 
+from conftest import layer_edges
+
 MAT = DEFAULT_MATERIAL
 INT_G2 = 1297.0 / 2520.0          # integral of g(z)^2 over the thickness, h = 1
 INT_ZF = 11.0 / 168.0             # integral of z f(z), h = 1
@@ -39,8 +41,7 @@ INT_ZF = 11.0 / 168.0             # integral of z f(z), h = 1
 def oracle_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
     """Adaptive-quadrature reference, split at the layer interfaces."""
     h = layup.h
-    h1, h2, h3, h4 = layup.interfaces
-    edges = sorted({h1, h2, h3, h4})
+    edges = layer_edges(layup)
     moments = [lambda z: 1.0, lambda z: z, lambda z: z * z,
                lambda z: f_shear(z, h), lambda z: z * f_shear(z, h),
                lambda z: f_shear(z, h) ** 2]

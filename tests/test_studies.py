@@ -154,9 +154,9 @@ def count_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("load,ne_list,message", [
-    (LoadCase("udl", 1.0), [2, 4, 8, 16, 0], "need at least one element, got ne = 0"),
+    (LoadCase("udl", 1.0), [2, 4, 8, 16, 0], "mesh.ne: need at least one element, got ne = 0"),
     (LoadCase("point_mid", 1.0), [2, 4, 5],
-     "mid-span point load needs an even element count, got ne = 5"),
+     "mesh.ne: mid-span point load needs an even element count, got ne = 5"),
 ], ids=["ne_0", "odd_ne_point_mid"])
 def test_convergence_study_checks_every_element_count_before_any_solve(
         load, ne_list, message, monkeypatch):
