@@ -23,7 +23,7 @@ from .postproc import (
     table_scales,
     thickness_profile,
 )
-from .section import SectionRigidities, compute_rigidities, f_shear, g_shear
+from .section import SectionRigidities, compute_rigidities, shear_functions
 from .solver import (
     BoundaryCondition,
     LoadCase,
@@ -41,7 +41,7 @@ __all__ = [
     "effective_modulus", "stiffness_coeffs", "volume_fraction",
     "deflection_point", "displacement_at", "strains_at", "stress_at",
     "table_scales", "thickness_profile",
-    "SectionRigidities", "compute_rigidities", "f_shear", "g_shear",
+    "SectionRigidities", "compute_rigidities", "shear_functions",
     "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError", "Solution",
     "assemble_load", "solve_static",
     "CaseResults", "convergence_study", "evaluate_case", "evaluate_cases", "sweep",

@@ -257,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, SingularSystemError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except ArithmeticError as err:       # a length or modulus whose powers leave float64
+        sys.stderr.write(f"error: an input magnitude is out of floating-point range: {err}\n")
+        return 2
 
 
 if __name__ == "__main__":

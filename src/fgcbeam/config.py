@@ -35,6 +35,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 from .materials import DEFAULT_MATERIAL, Layup, LayupKind, MaterialPair
@@ -125,9 +126,10 @@ def _radius_ratio(name: str, raw) -> float:
 
 
 def _scheme(name: str, raw: str) -> tuple[float, float, float]:
-    """'a-b-c' layer thickness ratios, e.g. '1-8-1'."""
+    """'a-b-c' layer thickness ratios, e.g. '1-8-1' or '1-1-1e-13': a dash that
+    follows 'e' or 'E' is an exponent's sign, not a separator."""
     try:
-        a, b, c = (float(s) for s in raw.split("-"))
+        a, b, c = (float(s) for s in re.split(r"(?<![eE])-", raw))
     except ValueError as err:
         raise ConfigError(f"{name}: must be three dash-separated numbers, got {raw!r}") from err
     return a, b, c

@@ -25,18 +25,19 @@ two adjacent elements (symmetric cases make the limits equal, and the
 left end support, where tau is reported, uses the only element
 available).
 
-Recovery at a station is split in two: the rows that depend on the
-mesh alone (``_shape_station``, ``_strain_stations``) and their products
-with the DOFs of one solution or of an (M, ndof) stack on one mesh.
-Every product is ``np.vecdot`` (BLAS ``ddot`` per row), whose bits do not
-depend on the stack as a ``gemm``'s do, so the point functions below and
-the case engine share one kernel and agree bit for bit.
+Recovery multiplies the shape or strain rows of a station by the DOFs
+of one solution or of an (M, ndof) stack on one mesh (``_deflections``,
+``_strains``).  Every product is ``np.vecdot`` (BLAS ``ddot`` per row),
+whose bits do not depend on the stack as a ``gemm``'s do, so the point
+functions below and the case engine share one kernel and agree bit for
+bit.
 
 The factors C11(z), f(z) and C55(z) g(z) come from one array kernel,
 ``_stress_factors``: ``stress_at`` is its one-point call, the case
 engine makes one two-point call (z = h/2 and z = 0) per section, and a
-profile makes one call per station.  Its powers (V = s**p, (z/h)**4)
-are Python float powers, so every z gets the bits of a scalar call.
+profile makes one call per station.  Its powers (V = s**p, and (z/h)**4
+in ``section.shear_functions``) are Python float powers, so every z gets
+the bits of a scalar call on every host.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import numpy as np
 
 from .element import _hermite, _lagrange, strain_rows
 from .materials import _Z_SNAP, Layup, MaterialPair, effective_modulus, stiffness_coeffs
+from .section import shear_functions
 from .solver import BoundaryCondition, Mesh, Solution
 
 _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
@@ -99,51 +101,40 @@ def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float
     return float(N[0] * de[0] + N[1] * de[4]), w, dw, float(N[0] * de[3] + N[1] * de[7])
 
 
-def _element_strains(de: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Generalized strains (..., 4) of element DOFs (..., 8) from its (4, 8) strain rows."""
-    return np.vecdot(rows, de[..., None, :])
-
-
-def _strain_stations(mesh: Mesh, xs) -> list[tuple[tuple[slice, np.ndarray], ...]]:
-    """Per x in xs, the (element DOFs, strain rows) pairs whose strains give the strains
-    at x: one inside an element, both adjacent elements' at an interior node (to be
-    averaged).  One ``strain_rows`` call gives every row."""
-    points = []
+def _strains(d: np.ndarray, mesh: Mesh, xs) -> list[np.ndarray]:
+    """Generalized strains (eps0, eps1, eps2, gamma0) at each x in xs from DOFs
+    (..., ndof): one (..., 4) array per x.  Inside an element they are its strain rows
+    times its DOFs; at an interior node, the average of both adjacent elements'.  One
+    ``strain_rows`` call gives every row."""
+    stations = []
     for x in xs:
         e, xi = _locate(mesh, x)
         node = int(round(x / mesh.Le))
         interior = abs(x - node * mesh.Le) <= _NODE_SNAP * mesh.L and 0 < node < mesh.ne
-        points.append(((node - 1, mesh.Le), (node, 0.0)) if interior else ((e, xi),))
-    rows = iter(strain_rows([xi for station in points for _, xi in station], mesh))
-    return [tuple((mesh.element_dofs(e), next(rows)) for e, _ in station) for station in points]
-
-
-def _station_strains(d: np.ndarray, station) -> np.ndarray:
-    """Generalized strains (eps0, eps1, eps2, gamma0) at one of ``_strain_stations``
-    from DOFs (..., ndof): shape (..., 4)."""
-    eps = [_element_strains(d[..., dofs], rows) for dofs, rows in station]
-    return eps[0] if len(eps) == 1 else 0.5 * (eps[0] + eps[1])
+        stations.append(((node - 1, mesh.Le), (node, 0.0)) if interior else ((e, xi),))
+    rows = iter(strain_rows([xi for station in stations for _, xi in station], mesh))
+    eps = [[np.vecdot(next(rows), d[..., mesh.element_dofs(e)][..., None, :]) for e, _ in station]
+           for station in stations]
+    return [ep[0] if len(ep) == 1 else 0.5 * (ep[0] + ep[1]) for ep in eps]
 
 
 def strains_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
     """Generalized strains (eps0 (-), eps1 (1/m), eps2 (1/m), gamma0 (rad)) at x,
     averaging both elements at interior nodes."""
-    return tuple(map(float, _station_strains(sol.d, *_strain_stations(sol.mesh, [x]))))
+    return tuple(map(float, _strains(sol.d, sol.mesh, [x])[0]))
 
 
 def _stress_factors(mat: MaterialPair, layup: Layup, z,
                     sides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C11, f, C55 g) at the heights z, each with its side (None, '', 'below' or 'above'):
     the factors that turn a station's strains into stresses there.  E(z) is
-    ``effective_modulus`` point by point; f and g are ``section``'s shear functions."""
+    ``effective_modulus`` point by point; f and g are ``section.shear_functions``."""
     z = np.asarray(z, dtype=float)
     E = np.array([effective_modulus(mat, layup, zi, side or None)
                   for zi, side in zip(z.tolist(), sides)])
     C11, C55 = stiffness_coeffs(E, mat.nu)
-    zh = z / layup.h
-    # scalar pow, as in f_shear(z, h) at one z: numpy's array ** rounds some zh**4 differently
-    zh4 = np.array([t ** 4 for t in zh.tolist()])
-    return C11, z * (1.0 - 1.5 * zh * zh + 0.4 * zh4), C55 * (1.0 - 4.5 * zh * zh + 2.0 * zh4)
+    f, g = shear_functions(z, layup.h)
+    return C11, f, C55 * g
 
 
 def _stresses(eps, factors, z):

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .materials import Layup, MaterialPair
+from .materials import Layup, MaterialPair, stiffness_coeffs
 
 # Highest polynomial moment degree is 10 (f^2); n points integrate
 # degree 2n-1 exactly, 8 leaves margin.
@@ -65,16 +65,20 @@ _JACOBI_HEX = {
 }
 
 
-def f_shear(z, h):
-    """Shear shape function f(z); odd, zero slope at both surfaces."""
-    zh = np.asarray(z) / h
-    return np.asarray(z) * (1.0 - 1.5 * zh * zh + 0.4 * zh ** 4)
+def shear_functions(z, h) -> tuple[np.ndarray, np.ndarray]:
+    """Shear shape function f(z) = z (1 - (3/2)(z/h)^2 + (2/5)(z/h)^4), odd, and its
+    slope g(z) = f'(z) = 1 - (9/2)(z/h)^2 + 2(z/h)^4, exactly 0 at z = +-h/2.
 
-
-def g_shear(z, h):
-    """g(z) = f'(z) = 1 - (9/2)(z/h)^2 + 2(z/h)^4; exactly 0 at z = +-h/2."""
-    zh = np.asarray(z) / h
-    return 1.0 - 4.5 * zh * zh + 2.0 * zh ** 4
+    The section quadrature and the stress recovery both call it.  (z/h)**4 is a
+    Python float power per height: numpy's array ``**`` rounds some powers
+    differently on hosts whose SIMD code it dispatches to, so this gives every
+    height the bits of a scalar call on every host.
+    """
+    z = np.asarray(z, dtype=float)
+    zh = z / h
+    zh4 = np.array([t ** 4 for t in zh.ravel().tolist()]).reshape(zh.shape)
+    # as written: 1.5 * zh * zh is (1.5 * zh) * zh, which a shared zh * zh would round differently
+    return z * (1.0 - 1.5 * zh * zh + 0.4 * zh4), 1.0 - 4.5 * zh * zh + 2.0 * zh4
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,9 @@ def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
     (E_m, E_c) and the (A11, B11, B11s; B11, D11, D11s; B11s, D11s,
     H11s) block is positive semi-definite by construction.
     """
-    z, c11 = _modulus_nodes(mat, layup)
-    c55 = c11 / (2.0 * (1.0 + mat.nu))
-    f = f_shear(z, layup.h)
-    g = g_shear(z, layup.h)
+    z, c = _modulus_nodes(mat, layup)
+    c11, c55 = stiffness_coeffs(c, mat.nu)
+    f, g = shear_functions(z, layup.h)
     return SectionRigidities(
         A11=float(c11.sum()),
         B11=float((c11 * z).sum()),

@@ -34,8 +34,7 @@ from .config import CaseConfig, with_parameter
 from .postproc import (
     _deflections,
     _shape_station,
-    _station_strains,
-    _strain_stations,
+    _strains,
     _stress_factors,
     _stresses,
     deflection_point,
@@ -67,18 +66,19 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     """Solve every case and report the table quantities, in input order.
 
     Each ``CaseConfig`` checked its radius, mesh and load when it was built;
-    before any solve, the checks that remain (the p cap, q > 0 for a uniform
-    load) run in input order.  Then every group is solved and the earliest
-    case's failed solve raises.  No case is solved twice.
+    before any solve, the checks that remain (q > 0 and representable table
+    scales for a uniform load, then the p cap) run in input order.  Then
+    every group is solved and the earliest case's failed solve raises.  No
+    case is solved twice.
     """
     rigs, groups, jobs, scales = {}, {}, [], {}
     for i, cfg in enumerate(configs):
+        if cfg.load.kind == "udl":
+            scales[i] = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)
         section = cfg.material, cfg.layup
         rig = rigs.get(section)
         if rig is None:
             rig = rigs[section] = compute_rigidities(*section)
-        if cfg.load.kind == "udl":
-            scales[i] = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)
         jobs.append((rig, cfg.bc, cfg.load))
         groups.setdefault(cfg.mesh, []).append(i)
     stacks, failures = [], []
@@ -94,9 +94,7 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
         w_at = {x: _deflections(d, _shape_station(mesh, x))[:, 0].tolist() for x in set(x_w)}
         udl, strains = [m for m, i in enumerate(members) if i in scales], {}
         if udl:                           # the udl cases' strains at x = L/2 and x = 0
-            d_udl = d[udl]
-            eps = (_station_strains(d_udl, st).tolist()
-                   for st in _strain_stations(mesh, (mesh.L / 2.0, 0.0)))
+            eps = (s.tolist() for s in _strains(d[udl], mesh, (mesh.L / 2.0, 0.0)))
             strains = dict(zip(udl, zip(*eps)))
         for m, (i, x) in enumerate(zip(members, x_w)):
             cfg, w = configs[i], w_at[x][m]

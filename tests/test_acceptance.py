@@ -26,7 +26,7 @@ from fgcbeam import (
 )
 from fgcbeam.benchmarks import ALL_CELLS, benchmark_compare
 from fgcbeam.element import element_stiffness
-from fgcbeam.section import f_shear
+from fgcbeam.section import shear_functions
 from fgcbeam.solver import _fill_band
 from fgcbeam.studies import convergence_study, evaluate_case
 
@@ -245,7 +245,7 @@ def test_criterion_8_resultant_cross_check(rng):
                             for zi in z])
             n += np.sum(w * sig)
             m += np.sum(w * sig * z)
-            s += np.sum(w * sig * f_shear(z, h))
+            s += np.sum(w * sig * shear_functions(z, h)[0])
         N_x, M_x, S_x, _ = rigidity_matrix(rig) @ np.array(strains_at(sol, x))
         scale = cfg.load.magnitude * cfg.L
         for got, ref, sc in ((N_x, n, scale), (M_x, m, scale * h),

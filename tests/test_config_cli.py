@@ -467,6 +467,67 @@ class TestCliSweep:
         assert "error:" in capsys.readouterr().err
 
 
+class TestSchemeExponent:
+    """A ratio written with a negative exponent: the dash after 'e' is its sign."""
+
+    def test_ini(self):
+        cfg = parse_config(with_key(SANDWICH, "layup.scheme", "1-1-1e-13"))
+        assert cfg.layup.scheme == (1.0, 1.0, 1e-13)
+
+    def test_sweep(self, sandwich_file, capsys):
+        assert with_parameter(parse_config(SANDWICH), "scheme",
+                              "1-1-1e-13").layup.scheme == (1.0, 1.0, 1e-13)
+        assert main(["sweep", str(sandwich_file), "--param", "scheme",
+                     "--values", "1-1-1e-13,1-1-0.0000000000001"]) == 0
+        _, exponent, decimal = capsys.readouterr().out.splitlines()
+        assert exponent.startswith("1-1-1e-13,")
+        assert exponent.split(",")[1:] == decimal.split(",")[1:]
+
+    def test_double_dash_still_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_key(SANDWICH, "layup.scheme", "1--1-1"))
+        assert str(err.value) == ("layup.scheme: must be three dash-separated numbers, "
+                                  "got '1--1-1'")
+
+
+# lengths whose powers leave float64: L**4 underflows to 0 in table_scales, Le**2 in the
+# element's Hermite functions, and L**4 overflows in table_scales
+OUT_OF_RANGE = [
+    ("a_ss_udl", {"geometry.L": "1e-200"}),
+    ("a_cc_point_mid", {"geometry.L": "1e-200"}),
+    ("a_ss_udl", {"geometry.L": "5e100", "geometry.h": "1e100"}),
+]
+
+
+def golden_case_with(tmp_path, case, changes):
+    """A golden case file with the given keys changed, written to tmp_path."""
+    text = (Path(__file__).parent / "golden" / "cases" / f"{case}.ini").read_text(encoding="utf-8")
+    for key, value in changes.items():
+        text = with_key(text, key, value)
+    path = tmp_path / f"{case}.ini"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case,changes", OUT_OF_RANGE, ids=["tiny_L_udl", "tiny_L_point",
+                                                            "huge_L_and_h"])
+def test_magnitude_out_of_float64_range_is_a_clean_error(case, changes, tmp_path, capsys):
+    assert main(["run", str(golden_case_with(tmp_path, case, changes))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: an input magnitude is out of floating-point range: .+\n", err)
+
+
+def test_magnitude_out_of_float64_range_has_no_traceback(tmp_path):
+    path = golden_case_with(tmp_path, *OUT_OF_RANGE[2])
+    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "fgcbeam.cli", "run", str(path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: an input magnitude is out of floating-point range: ")
+    assert "Traceback" not in res.stderr and res.stderr.count("\n") == 1
+
+
 class TestCliProfile:
     def test_stdout_csv(self, sandwich_file, capsys):
         assert main(["profile", str(sandwich_file), "--x", "mid",
@@ -624,7 +685,7 @@ def test_public_api_is_pinned():
         "Layup", "LayupKind", "LoadCase", "MaterialPair", "Mesh", "SectionRigidities",
         "SingularSystemError", "Solution", "assemble_load", "compute_rigidities",
         "convergence_study", "deflection_point", "displacement_at", "effective_modulus",
-        "evaluate_case", "evaluate_cases", "f_shear", "g_shear", "parse_config",
+        "evaluate_case", "evaluate_cases", "parse_config", "shear_functions",
         "solve_static", "stiffness_coeffs", "strains_at", "stress_at", "sweep",
         "table_scales", "thickness_profile", "volume_fraction",
     ]

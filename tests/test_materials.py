@@ -272,9 +272,3 @@ class TestStiffnessCoeffs:
 
     def test_unit(self):
         assert stiffness_coeffs(1.0, 0.0) == (1.0, 0.5)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            stiffness_coeffs(-1.0, 0.3)
-        with pytest.raises(ValueError):
-            stiffness_coeffs(1.0, 0.7)

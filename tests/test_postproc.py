@@ -24,9 +24,8 @@ from fgcbeam import (
     table_scales,
     thickness_profile,
 )
-from fgcbeam.element import strain_rows
-from fgcbeam.postproc import _element_strains
-from fgcbeam.section import f_shear, g_shear
+from fgcbeam.postproc import _locate, _strains
+from fgcbeam.section import shear_functions
 from fgcbeam.studies import evaluate_case
 
 import reference_element
@@ -41,10 +40,10 @@ def solve_cfg(cfg):
     return solve_static(cfg.mesh, rig, cfg.bc, cfg.load), rig
 
 
-def element_strains(sol, e, xi):
-    """Strains of element e at local coordinate xi, through the recovery's row product."""
-    rows = strain_rows((xi,), sol.mesh)[0]
-    return _element_strains(sol.d[sol.mesh.element_dofs(e)], rows)
+def reference_strains(sol, e, xi):
+    """Strains of element e at local coordinate xi from the reference element's rows."""
+    de = sol.d[sol.mesh.element_dofs(e)]
+    return np.array([B @ de for B in reference_element.strain_displacement(xi, sol.mesh)])
 
 
 class TestDisplacementAt:
@@ -119,21 +118,26 @@ class TestStrainsAt:
         sol, _ = solve_cfg(cfg)
         mesh = cfg.mesh
         x = 2 * mesh.Le
-        left = element_strains(sol, 1, mesh.Le)
-        right = element_strains(sol, 2, 0.0)
+        left = reference_strains(sol, 1, mesh.Le)
+        right = reference_strains(sol, 2, 0.0)
         assert strains_at(sol, x) == pytest.approx(0.5 * (left + right))
 
     def test_element_strains_bit_equal_to_reference_rows(self, rng):
+        # inside an element, and at both ends, the strains are the reference rows
+        # times its DOFs; at an interior node, the mean of both elements'
         for _ in range(20):
             cfg = random_case(rng)
             sol, _ = solve_cfg(cfg)
             mesh = cfg.mesh
             for e in rng.integers(0, cfg.ne, 3):
-                de = sol.d[4 * e: 4 * e + 8]
-                for xi in (0.0, mesh.Le, float(rng.uniform(0.0, mesh.Le))):
-                    want = np.array([B @ de for B in
-                                     reference_element.strain_displacement(xi, mesh)])
-                    assert element_strains(sol, e, xi).tobytes() == want.tobytes()
+                xs = [0.0, mesh.L, e * mesh.Le, float(rng.uniform(e * mesh.Le, (e + 1) * mesh.Le))]
+                for x, got in zip(xs, _strains(sol.d, mesh, xs)):
+                    if x == e * mesh.Le and 0 < e:
+                        want = 0.5 * (reference_strains(sol, e - 1, mesh.Le)
+                                      + reference_strains(sol, e, 0.0))
+                    else:
+                        want = reference_strains(sol, *_locate(mesh, x))
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestStressAt:
@@ -170,7 +174,7 @@ class TestStressAt:
         for z in rng.uniform(-0.49, 0.49, 12):
             tz = stress_at(sol, MAT, cfg.layup, x, z)[1]
             Cz = effective_modulus(MAT, cfg.layup, z) / (2 * (1 + MAT.nu))
-            expected = Cz * g_shear(z, cfg.h) / C0
+            expected = Cz * shear_functions(z, cfg.h)[1] / C0
             assert tz / t0 == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_section_rejected(self):
@@ -217,7 +221,7 @@ class TestResultantsAt:
                             for zi in z])
             n += np.sum(w * sig)
             m += np.sum(w * sig * z)
-            s += np.sum(w * sig * f_shear(z, h))
+            s += np.sum(w * sig * shear_functions(z, h)[0])
         N_x, M_x, S_x, _ = resultants_at(sol, rig, x)
         scale = abs(cfg.load.magnitude) * cfg.L
         assert abs(N_x - n) <= 1e-8 * max(abs(n), 1e-6 * scale)
@@ -277,13 +281,13 @@ class TestThicknessProfile:
         # affine in z up to the small shear-warp term
         eps0, eps1, eps2, _ = strains_at(sol, x)
         C11 = MAT.E_c
-        model = C11 * (eps0 + z * eps1 + f_shear(z, cfg.h) * eps2)
+        model = C11 * (eps0 + z * eps1 + shear_functions(z, cfg.h)[0] * eps2)
         assert np.allclose(sig, model, rtol=0, atol=1e-12 * np.max(np.abs(sig)))
         coef = np.polyfit(z, sig, 1)
         assert np.allclose(np.polyval(coef, z), sig,
                            rtol=0, atol=2e-2 * np.max(np.abs(sig)))
         # tau proportional to g(z)
-        g = g_shear(z, cfg.h)
+        g = shear_functions(z, cfg.h)[1]
         mask = np.abs(g) > 1e-3
         ratios = tau[mask] / g[mask]
         assert np.max(np.abs(tau)) > 0
@@ -354,7 +358,7 @@ class TestThicknessProfile:
 
 def reference_thickness_profile(sol, mat, layup, x, n_samples):
     """The profile as it was computed before the array kernel: each row's
-    factors from scalar effective_modulus, stiffness_coeffs, f_shear and g_shear."""
+    factors from scalar effective_modulus, stiffness_coeffs and shear_functions."""
     h = layup.h
     h1, h4 = -h / 2, h / 2
     eps = 1e-12 * h
@@ -373,7 +377,8 @@ def reference_thickness_profile(sol, mat, layup, x, n_samples):
     rows = []
     for z, side in pts:
         C11, C55 = stiffness_coeffs(effective_modulus(mat, layup, z, side=side or None), mat.nu)
-        f, C55g = float(f_shear(z, h)), C55 * float(g_shear(z, h))
+        f, g = map(float, shear_functions(z, h))
+        C55g = C55 * g
         rows.append((z, z / h, C11 * (eps0 + z * eps1 + f * eps2), C55g * gamma0, side))
     return rows
 

@@ -26,10 +26,10 @@ from fgcbeam import (
     MaterialPair,
     compute_rigidities,
     effective_modulus,
-    f_shear,
-    g_shear,
+    shear_functions,
 )
-from fgcbeam.section import SectionRigidities
+from fgcbeam.benchmarks import ALL_CELLS
+from fgcbeam.section import SectionRigidities, _modulus_nodes
 
 from conftest import layer_edges
 
@@ -42,9 +42,12 @@ def oracle_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
     """Adaptive-quadrature reference, split at the layer interfaces."""
     h = layup.h
     edges = layer_edges(layup)
-    moments = [lambda z: 1.0, lambda z: z, lambda z: z * z,
-               lambda z: f_shear(z, h), lambda z: z * f_shear(z, h),
-               lambda z: f_shear(z, h) ** 2]
+
+    def f(z):
+        return shear_functions(z, h)[0]
+
+    moments = [lambda z: 1.0, lambda z: z, lambda z: z * z, f, lambda z: z * f(z),
+               lambda z: f(z) ** 2]
     vals = np.zeros(7)
     with warnings.catch_warnings():
         # the requested tolerance sits at the roundoff floor; quad warns
@@ -58,7 +61,7 @@ def oracle_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
                                 a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
             vals[6] += quad(
                 lambda z: effective_modulus(mat, layup, z)
-                / (2 * (1 + mat.nu)) * g_shear(z, h) ** 2,
+                / (2 * (1 + mat.nu)) * shear_functions(z, h)[1] ** 2,
                 a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
     return SectionRigidities(*vals)
 
@@ -90,31 +93,44 @@ def rigidity_matrix(rig: SectionRigidities) -> np.ndarray:
 
 class TestShearFunctions:
     def test_f_zero_at_midplane(self):
-        assert f_shear(0.0, 1.0) == 0.0
+        assert shear_functions(0.0, 1.0)[0] == 0.0
 
     @pytest.mark.parametrize("h", [1.0, 0.25, 3.0])
     def test_f_at_top_surface(self, h):
-        assert f_shear(h / 2, h) == pytest.approx(0.325 * h, rel=1e-15)
+        assert shear_functions(h / 2, h)[0] == pytest.approx(0.325 * h, rel=1e-15)
 
     def test_f_odd(self, rng):
         h = 0.7
         for z in rng.uniform(0, h / 2, 10):
-            assert f_shear(-z, h) == pytest.approx(-f_shear(z, h), rel=1e-14)
+            f_minus, f_plus = shear_functions(-z, h)[0], shear_functions(z, h)[0]
+            assert f_minus == pytest.approx(-f_plus, rel=1e-14)
 
     def test_g_at_midplane(self):
-        assert g_shear(0.0, 1.0) == 1.0
+        assert shear_functions(0.0, 1.0)[1] == 1.0
 
     @pytest.mark.parametrize("h", [1.0, 0.02, 5.0])
     def test_g_exactly_zero_at_surfaces(self, h):
-        assert g_shear(h / 2, h) == 0.0
-        assert g_shear(-h / 2, h) == 0.0
+        assert shear_functions(h / 2, h)[1] == 0.0
+        assert shear_functions(-h / 2, h)[1] == 0.0
 
     def test_g_is_derivative_of_f(self, rng):
         h = 1.3
         d = 1e-6 * h
         for z in rng.uniform(-h / 2 + d, h / 2 - d, 10):
-            fd = (f_shear(z + d, h) - f_shear(z - d, h)) / (2 * d)
-            assert fd == pytest.approx(g_shear(z, h), abs=5e-10)
+            fd = (shear_functions(z + d, h)[0] - shear_functions(z - d, h)[0]) / (2 * d)
+            assert fd == pytest.approx(shear_functions(z, h)[1], abs=5e-10)
+
+    def test_array_call_equals_scalar_calls_on_every_fixture_section(self):
+        # numpy's array ** dispatches to SIMD code that rounds some (z/h)**4 unlike
+        # libm pow; each node must get the bits of a scalar call, on every host
+        sections = {(cell.config.material, cell.config.layup) for cell in ALL_CELLS}
+        assert len(sections) == 30
+        for mat, layup in sections:
+            z, _ = _modulus_nodes(mat, layup)
+            f, g = shear_functions(z, layup.h)
+            scalar = np.array([shear_functions(zi, layup.h) for zi in z.tolist()])
+            assert f.tobytes() == scalar[:, 0].tobytes()
+            assert g.tobytes() == scalar[:, 1].tobytes()
 
 
 class TestHomogeneousSection:
@@ -135,7 +151,8 @@ class TestHomogeneousSection:
         # confirm the frozen constant with a 50-point quadrature
         x, w = leggauss(50)
         z = 0.5 * x
-        assert np.sum(0.5 * w * g_shear(z, 1.0) ** 2) == pytest.approx(INT_G2, rel=1e-14)
+        g = shear_functions(z, 1.0)[1]
+        assert np.sum(0.5 * w * g ** 2) == pytest.approx(INT_G2, rel=1e-14)
 
     def test_shear_warp_coupling_unit_section(self):
         rig = compute_rigidities(MaterialPair(1.0, 1.0, 0.3),
@@ -204,6 +221,16 @@ class TestGradedSection:
         rig = compute_rigidities(MAT, Layup(LayupKind.B, (1, 0, 1), 2.0, 1.0))
         ref = oracle_rigidities(MAT, Layup(LayupKind.B, (1, 0, 1), 2.0, 1.0))
         assert_rigidities_close(rig, ref, MAT, 1.0)
+
+    @pytest.mark.parametrize("kind,scheme", [("B", (1, 1, 1)), ("C", (1, 8, 1))])
+    def test_swapped_phases_match_oracle(self, kind, scheme):
+        # E_c < E_m is a valid pair whose graded quadrature coefficients
+        # t w (E_c - E_m) are negative, so stiffness_coeffs checks no sign
+        mat = MaterialPair(380e9, 70e9, 0.3)
+        layup = Layup(LayupKind(kind), scheme, 2.0, 1.0)
+        assert (_modulus_nodes(mat, layup)[1] < 0).any()
+        assert_rigidities_close(compute_rigidities(mat, layup), oracle_rigidities(mat, layup),
+                                mat, layup.h)
 
     def test_huge_p_rejected(self):
         with pytest.raises(ValueError):
