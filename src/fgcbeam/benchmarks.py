@@ -392,37 +392,38 @@ TABLE_IDS = tuple(dict.fromkeys(c.table for c in ALL_CELLS))
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Outcome of one fixture cell comparison."""
+    """Outcome of one fixture cell comparison.
+
+    status is 'pass' or 'fail' at the cell's tolerance, or 'skip' for a
+    suspect cell, which is evaluated but never gated.  rel_err is that of
+    ``computed`` rounded to the 10 significant digits ``bench --csv``
+    prints, so each CSV row's rel_err follows from its own strings on
+    every host; ``computed`` itself is kept unrounded.
+    """
 
     cell: BenchmarkCell
     computed: float
     rel_err: float
-    passed: bool
-    skipped: bool
+    status: str
 
 
 @dataclass
 class BenchReport:
     results: list[BenchResult] = field(default_factory=list)
 
-    @property
-    def n_pass(self) -> int:
-        return sum(r.passed and not r.skipped for r in self.results)
+    def _count(self, status: str) -> int:
+        return sum(r.status == status for r in self.results)
 
-    @property
-    def n_fail(self) -> int:
-        return sum((not r.passed) and not r.skipped for r in self.results)
-
-    @property
-    def n_skipped(self) -> int:
-        return sum(r.skipped for r in self.results)
+    n_pass = property(lambda self: self._count("pass"))
+    n_fail = property(lambda self: self._count("fail"))
+    n_skipped = property(lambda self: self._count("skip"))
 
     @property
     def ok(self) -> bool:
         return self.n_fail == 0
 
     def worst(self, n: int = 10) -> list[BenchResult]:
-        gated = [r for r in self.results if not r.skipped]
+        gated = [r for r in self.results if r.status != "skip"]
         return sorted(gated, key=lambda r: -r.rel_err)[:n]
 
 
@@ -432,7 +433,7 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
     Cells of one configuration share its ``CaseConfig`` object (see
     ``_build_cells``), so one solve per object, deduped by identity, and
     all solves go through one ``evaluate_cases`` call.  Suspect
-    cells are still evaluated and reported, but marked skipped and
+    cells are still evaluated and reported, with status 'skip', and
     never counted as failures.
     """
     if tables is not None:
@@ -447,11 +448,8 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
     solved = dict(zip(map(id, cases), evaluate_cases(cases)))
     report = BenchReport()
     for cell in cells:
-        res = solved[id(cell.config)]
-        computed = {"w_bar": res.w_bar, "sigma_bar": res.sigma_bar,
-                    "tau_bar": res.tau_bar}[cell.quantity]
-        rel = abs(computed - cell.expected) / abs(cell.expected)
-        report.results.append(BenchResult(
-            cell=cell, computed=computed, rel_err=rel,
-            passed=rel <= cell.tol, skipped=cell.suspect is not None))
+        computed = getattr(solved[id(cell.config)], cell.quantity)
+        rel = abs(float(f"{computed:.9e}") - cell.expected) / abs(cell.expected)
+        status = "skip" if cell.suspect is not None else "pass" if rel <= cell.tol else "fail"
+        report.results.append(BenchResult(cell, computed, rel, status))
     return report

@@ -27,7 +27,8 @@ scheme's a-b-c shape.  Each range rule is checked once, by the constructor
 that owns it, so every case built in the library passes it too; its
 ValueError names the INI key, and ``parse_config`` and ``with_parameter``
 raise it as a ``ConfigError``.  An error in a value starts with its
-section.key, and only once.
+section.key, and only once; a sweep error puts the parameter and the value
+as given before it.
 """
 
 from __future__ import annotations
@@ -189,21 +190,26 @@ def parse_config(text: str) -> CaseConfig:
     return CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L, bc=bc, load=load, ne=ne)
 
 
-@_key_errors
 def with_parameter(cfg: CaseConfig, param: str, value) -> CaseConfig:
     """Copy of cfg with one sweep parameter replaced.
 
-    param is one of 'p', 'R_over_L', 'scheme', 'L_over_h'.
+    param is one of 'p', 'R_over_L', 'scheme', 'L_over_h'.  A rejected value
+    raises a ConfigError that names the parameter and the value as given,
+    then the reason, which names the key whose rule the value breaks:
+    'L_over_h = -1: geometry.L: beam length must be positive ...'.
     """
-    if param == "p":
-        return replace(cfg, layup=replace(cfg.layup, p=_number(param, value)))
-    if param == "R_over_L":
-        return replace(cfg, R_over_L=_radius_ratio(param, value))
-    if param == "scheme":
-        scheme = _scheme(param, value) if isinstance(value, str) else tuple(value)
+    try:
+        if param == "p":
+            return replace(cfg, layup=replace(cfg.layup, p=_number("layup.p", value)))
+        if param == "R_over_L":
+            return replace(cfg, R_over_L=_radius_ratio("geometry.R_over_L", value))
+        if param == "L_over_h":
+            return replace(cfg, L=_number("geometry.L", value) * cfg.layup.h)
+        if param != "scheme":
+            raise ConfigError("unknown sweep parameter")
         if cfg.layup.kind is LayupKind.A:
-            raise ConfigError("scheme: the sweep needs a sandwich layup (kind B or C)")
+            raise ConfigError("layup.kind: the sweep needs a sandwich layup (kind B or C)")
+        scheme = _scheme("layup.scheme", value) if isinstance(value, str) else tuple(value)
         return replace(cfg, layup=replace(cfg.layup, scheme=scheme))
-    if param == "L_over_h":
-        return replace(cfg, L=_number(param, value) * cfg.layup.h)
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+    except ValueError as err:
+        raise ConfigError(f"{param} = {value}: {err}") from err

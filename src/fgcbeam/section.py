@@ -145,17 +145,25 @@ def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
 
     Only the layers of ``layup.layers`` contribute.  The result is linear in
     (E_m, E_c) and the (A11, B11, B11s; B11, D11, D11s; B11s, D11s,
-    H11s) block is positive semi-definite by construction.
+    H11s) block is positive semi-definite by construction.  A rigidity
+    beyond the float64 range raises an ``OverflowError`` that names
+    geometry.h, before numpy can warn.
     """
-    z, c = _modulus_nodes(mat, layup)
-    c11, c55 = stiffness_coeffs(c, mat.nu)
-    f, g = shear_functions(z, layup.h)
-    return SectionRigidities(
-        A11=float(c11.sum()),
-        B11=float((c11 * z).sum()),
-        D11=float((c11 * z * z).sum()),
-        B11s=float((c11 * f).sum()),
-        D11s=float((c11 * z * f).sum()),
-        H11s=float((c11 * f * f).sum()),
-        A55s=float((c55 * g * g).sum()),
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            z, c = _modulus_nodes(mat, layup)
+            c11, c55 = stiffness_coeffs(c, mat.nu)
+            f, g = shear_functions(z, layup.h)
+            return SectionRigidities(
+                A11=float(c11.sum()),
+                B11=float((c11 * z).sum()),
+                D11=float((c11 * z * z).sum()),
+                B11s=float((c11 * f).sum()),
+                D11s=float((c11 * z * f).sum()),
+                H11s=float((c11 * f * f).sum()),
+                A55s=float((c55 * g * g).sum()),
+            )
+    except FloatingPointError as err:
+        E = max(mat.E_m, mat.E_c)
+        raise OverflowError(f"geometry.h: h = {layup.h:g} m with E up to {E:g} Pa gives section "
+                            f"rigidities (D11 ~ E h^3) beyond float64: {err}") from err

@@ -148,12 +148,13 @@ class TestBenchmarkCompare:
         assert not bad.ok and bad.n_fail == 1
         offender = bad.worst(1)[0]
         assert offender.cell.row == "L/h=5,p=1" and offender.cell.col == "1-1-1"
+        assert offender.status == "fail"
 
     def test_skipped_cells_still_reported(self):
         report = benchmark_compare(tables=["T17"])
         assert report.n_skipped == 6
         assert report.ok
-        skipped = [r for r in report.results if r.skipped]
+        skipped = [r for r in report.results if r.status == "skip"]
         assert all(r.cell.suspect for r in skipped)
         # and the computed value is still attached for inspection
         assert all(r.computed != 0.0 for r in skipped)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from fgcbeam import (
     solver,
     studies,
 )
-from fgcbeam.cli import build_parser, main
+from fgcbeam.cli import _fmt, build_parser, main
 from fgcbeam.config import with_parameter
 
 from test_studies import count_solves
@@ -180,7 +181,7 @@ def test_tiny_radius_names_r_over_l(L, h, tmp_path, capsys):
     path.write_text(text.replace("R_over_L = 1e-320", "R_over_L = inf"), encoding="utf-8")
     assert main(["sweep", str(path), "--param", "R_over_L", "--values", "1,1e-320"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: geometry.R_over_L: radius R")
+    assert out == "" and err.startswith("error: R_over_L = 1e-320: geometry.R_over_L: radius R")
 
 
 @pytest.mark.parametrize("R_over_L", ["0.05", "0.1"])
@@ -198,7 +199,8 @@ def test_radius_at_most_half_the_thickness_is_rejected(R_over_L, tmp_path, capsy
     for param, value in (("R_over_L", R_over_L), ("L_over_h", float(R_over_L) * 5)):
         assert main(["sweep", str(path), "--param", param, "--values", f"1,{value}"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: geometry.R_over_L: radius R")
+        assert out == "" and err.startswith(f"error: {param} = {value}: geometry.R_over_L: "
+                                            "radius R")
     assert parse_config(text.replace(f"R_over_L = {R_over_L}", "R_over_L = 0.1001")).R_over_L
 
 
@@ -290,7 +292,18 @@ class TestWithParameter:
         assert main(["sweep", str(sandwich_file), "--param", param,
                      "--values", f"1,{value}"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {param}: must be finite, got {value!r}\n"
+        assert out == "" and err.count("\n") == 1
+        key = {"p": "layup.p", "L_over_h": "geometry.L", "R_over_L": "geometry.R_over_L"}[param]
+        assert_one_key_prefix(err.removeprefix(f"error: {param} = {value}: "), key)
+
+    def test_error_names_the_value_as_typed(self, tmp_path, capsys):
+        # L = L_over_h * h: the rule broken is geometry.L's, the value typed is L_over_h's
+        path = tmp_path / "case.ini"
+        path.write_text(MINIMAL.replace("h = 1", "h = 0.5"), encoding="utf-8")
+        assert main(["sweep", str(path), "--param", "L_over_h", "--values", "1,-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: L_over_h = -1: geometry.L: beam length must be "
+                                     "positive and finite, got -0.5\n")
 
     def test_invalid_rejected_before_solve(self):
         cfg = parse_config(SANDWICH)
@@ -298,14 +311,18 @@ class TestWithParameter:
             with_parameter(cfg, "p", -1.0)
         with pytest.raises(ConfigError):
             with_parameter(cfg, "R_over_L", -5)
-        with pytest.raises(ConfigError):
-            with_parameter(cfg, "volume", 1)
         for param, value, key in (("p", "-1", "layup.p"), ("L_over_h", "-1", "geometry.L"),
                                   ("R_over_L", "-1", "geometry.R_over_L"),
-                                  ("scheme", "0-0-0", "layup.scheme")):
+                                  ("scheme", "0-0-0", "layup.scheme"),
+                                  ("scheme", "1-2", "layup.scheme"),
+                                  ("L_over_h", "abc", "geometry.L")):
             with pytest.raises(ConfigError) as err:
                 with_parameter(cfg, param, value)
-            assert_one_key_prefix(str(err.value), key)
+            assert_one_key_prefix(str(err.value).removeprefix(f"{param} = {value}: "), key)
+        with pytest.raises(ConfigError, match="^volume = 1: unknown sweep parameter$"):
+            with_parameter(cfg, "volume", 1)
+        with pytest.raises(ConfigError, match="^scheme = 1-2-1: layup.kind: the sweep needs"):
+            with_parameter(parse_config(MINIMAL), "scheme", "1-2-1")
 
 
 @pytest.fixture
@@ -491,11 +508,14 @@ class TestSchemeExponent:
 
 
 # lengths whose powers leave float64: L**4 underflows to 0 in table_scales, Le**2 in the
-# element's Hermite functions, and L**4 overflows in table_scales
+# element's Hermite functions, L**4 overflows in table_scales, and under a point load, which
+# has no table scales, E h**3 overflows in the section rigidities
+HUGE_SECTION = {"geometry.L": "5e100", "geometry.h": "1e100"}
 OUT_OF_RANGE = [
     ("a_ss_udl", {"geometry.L": "1e-200"}),
     ("a_cc_point_mid", {"geometry.L": "1e-200"}),
-    ("a_ss_udl", {"geometry.L": "5e100", "geometry.h": "1e100"}),
+    ("a_ss_udl", HUGE_SECTION),
+    ("a_cc_point_mid", HUGE_SECTION),
 ]
 
 
@@ -510,12 +530,25 @@ def golden_case_with(tmp_path, case, changes):
 
 
 @pytest.mark.parametrize("case,changes", OUT_OF_RANGE, ids=["tiny_L_udl", "tiny_L_point",
-                                                            "huge_L_and_h"])
+                                                            "huge_L_and_h", "huge_section"])
 def test_magnitude_out_of_float64_range_is_a_clean_error(case, changes, tmp_path, capsys):
     assert main(["run", str(golden_case_with(tmp_path, case, changes))]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(r"error: an input magnitude is out of floating-point range: .+\n", err)
+
+
+def test_overflowing_section_names_the_thickness(tmp_path, capsys):
+    # one error line, raised before numpy can warn and before the solve sees an inf rigidity
+    path = golden_case_with(tmp_path, "a_cc_point_mid", HUGE_SECTION)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: an input magnitude is out of floating-point range: "
+                          "geometry.h: h = 1e+100 m with E up to 3.8e+11 Pa gives section "
+                          "rigidities")
 
 
 def test_magnitude_out_of_float64_range_has_no_traceback(tmp_path):
@@ -632,6 +665,22 @@ class TestCliBench:
             float(row["computed"])
         assert any("," in row["row"] for row in rows) and any("," in row["column"] for row in rows)
         assert {row["status"] for row in rows} <= {"pass", "skip"}
+
+    def test_csv_rows_follow_from_their_printed_strings(self, tmp_path, capsys):
+        # rel_err is judged on computed as printed, so each row's rel_err and verdict follow
+        # from its own strings and not from digits the file never shows
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--csv", str(out)]) == 0
+        with out.open(encoding="utf-8", newline="") as file:
+            rows = list(csv.DictReader(file))
+        assert len(rows) == 920
+        for row in rows:
+            computed, expected = float(row["computed"]), float(row["expected"])
+            rel = abs(computed - expected) / abs(expected)
+            assert row["rel_err"] == _fmt(rel), row
+            assert row["status"] in ("pass", "fail", "skip"), row
+            if row["status"] != "skip":
+                assert (row["status"] == "pass") == (rel <= float(row["tol"])), row
 
 
 FRESH = "import sys; from fgcbeam import cli; sys.exit(cli.main(sys.argv[1:]))"
