@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .config import CaseConfig
 from .materials import DEFAULT_MATERIAL, Layup, LayupKind
 from .solver import BoundaryCondition, LoadCase
-from .studies import evaluate_cases
+from .studies import evaluate_cases, printed
 
 INF = math.inf
 
@@ -396,9 +396,9 @@ class BenchResult:
 
     status is 'pass' or 'fail' at the cell's tolerance, or 'skip' for a
     suspect cell, which is evaluated but never gated.  rel_err is that of
-    ``computed`` rounded to the 10 significant digits ``bench --csv``
-    prints, so each CSV row's rel_err follows from its own strings on
-    every host; ``computed`` itself is kept unrounded.
+    ``computed`` as ``bench --csv`` prints it (``studies.printed``, 10
+    significant digits), so each CSV row's rel_err follows from its own
+    strings on every host; ``computed`` itself is kept unrounded.
     """
 
     cell: BenchmarkCell
@@ -414,9 +414,17 @@ class BenchReport:
     def _count(self, status: str) -> int:
         return sum(r.status == status for r in self.results)
 
-    n_pass = property(lambda self: self._count("pass"))
-    n_fail = property(lambda self: self._count("fail"))
-    n_skipped = property(lambda self: self._count("skip"))
+    @property
+    def n_pass(self) -> int:
+        return self._count("pass")
+
+    @property
+    def n_fail(self) -> int:
+        return self._count("fail")
+
+    @property
+    def n_skipped(self) -> int:
+        return self._count("skip")
 
     @property
     def ok(self) -> bool:
@@ -449,7 +457,7 @@ def benchmark_compare(tables: list[str] | None = None) -> BenchReport:
     report = BenchReport()
     for cell in cells:
         computed = getattr(solved[id(cell.config)], cell.quantity)
-        rel = abs(float(f"{computed:.9e}") - cell.expected) / abs(cell.expected)
+        rel = abs(float(printed(computed)) - cell.expected) / abs(cell.expected)
         status = "skip" if cell.suspect is not None else "pass" if rel <= cell.tol else "fail"
         report.results.append(BenchResult(cell, computed, rel, status))
     return report

@@ -26,11 +26,7 @@ from pathlib import Path
 from .config import CaseConfig, ConfigError, parse_config
 from .postproc import table_scales, thickness_profile
 from .solver import SingularSystemError
-from .studies import CaseResults, convergence_study, evaluate_case, sweep
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9e}"
+from .studies import CaseResults, convergence_study, evaluate_case, printed, sweep
 
 
 def _load_config(path: str) -> CaseConfig:
@@ -59,11 +55,11 @@ def _cmd_run(args) -> int:
     out = sys.stdout
     for line in _case_header(cfg):
         out.write(line + "\n")
-    out.write(f"w at x = {res.x_deflection:g} m : {_fmt(res.w)} m\n")
+    out.write(f"w at x = {res.x_deflection:g} m : {printed(res.w)} m\n")
     if res.w_bar is not None:
-        out.write(f"w_bar     = {_fmt(res.w_bar)}\n")
-        out.write(f"sigma_bar = {_fmt(res.sigma_bar)}   (x = L/2, z = +h/2)\n")
-        out.write(f"tau_bar   = {_fmt(res.tau_bar)}   (x = 0, z = 0)\n")
+        out.write(f"w_bar     = {printed(res.w_bar)}\n")
+        out.write(f"sigma_bar = {printed(res.sigma_bar)}   (x = L/2, z = +h/2)\n")
+        out.write(f"tau_bar   = {printed(res.tau_bar)}   (x = 0, z = 0)\n")
     else:
         out.write("nondimensional outputs are defined for the udl load case only\n")
     return 0
@@ -92,7 +88,7 @@ def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
     scale = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)[1] if udl else 1.0
     lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
     lines += ["%.9e,%.9e,%.9e,%s" % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
-              for r in rows]          # _fmt's format, one formatting call per row
+              for r in rows]          # printed's format, one formatting call per row
     return "\n".join(lines) + "\n"
 
 
@@ -125,7 +121,7 @@ def _cmd_converge(args) -> int:
     result = convergence_study(cfg, ne_list)
     sys.stdout.write(f"ne,{result.quantity}\n")
     for ne, value in result.rows:
-        sys.stdout.write(f"{ne},{_fmt(value)}\n")
+        sys.stdout.write(f"{ne},{printed(value)}\n")
     if not result.monotone:
         sys.stdout.write("# warning: sequence is not monotone\n")
     return 0
@@ -138,10 +134,10 @@ def _cmd_sweep(args) -> int:
     sys.stdout.write(f"{args.param},w_bar,sigma_bar,tau_bar\n")
     for value, r in rows:
         if r.w_bar is None:
-            sys.stdout.write(f"{value},{_fmt(r.w)},,\n")
+            sys.stdout.write(f"{value},{printed(r.w)},,\n")
         else:
-            sys.stdout.write(f"{value},{_fmt(r.w_bar)},{_fmt(r.sigma_bar)},"
-                             f"{_fmt(r.tau_bar)}\n")
+            sys.stdout.write(f"{value},{printed(r.w_bar)},{printed(r.sigma_bar)},"
+                             f"{printed(r.tau_bar)}\n")
     return 0
 
 
@@ -176,8 +172,8 @@ def _write_bench_csv(file, report) -> None:
                      "tol", "status"])
     for r in report.results:
         writer.writerow([r.cell.table, r.cell.row, r.cell.col, r.cell.quantity,
-                         _fmt(r.cell.expected), _fmt(r.computed), _fmt(r.rel_err),
-                         _fmt(r.cell.tol), r.status])
+                         printed(r.cell.expected), printed(r.computed),
+                         printed(r.rel_err), printed(r.cell.tol), r.status])
 
 
 def _cmd_bench(args) -> int:

@@ -34,7 +34,6 @@ as given before it.
 from __future__ import annotations
 
 import configparser
-import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -88,19 +87,6 @@ class CaseConfig:
         return self.mesh.inv_R
 
 
-def _key_errors(fn):
-    """fn raising each constructor's ValueError as a ConfigError; its message names the key."""
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError:
-            raise
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-    return checked
-
-
 def _get(cp: configparser.ConfigParser, section: str, key: str,
          default: str | None = None) -> str:
     if cp.has_option(section, key):
@@ -149,9 +135,16 @@ def _get_float(cp, section, key, default=None):
     return _number(f"{section}.{key}", _get(cp, section, key, default))
 
 
-@_key_errors
 def parse_config(text: str) -> CaseConfig:
-    """Parse a case configuration from INI text; the constructors check the values."""
+    """Parse a case configuration from INI text; the constructors check the values.
+    Every ValueError, whose message names its key, is raised as a ConfigError."""
+    try:
+        return _parse_config(text)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _parse_config(text: str) -> CaseConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)

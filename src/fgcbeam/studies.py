@@ -44,6 +44,12 @@ from .section import compute_rigidities
 from .solver import Solution, solve_batch
 
 
+def printed(x: float) -> str:
+    """x as every command prints a result value: 10 significant digits.  The bench gate
+    judges this value, so a printed row's rel_err follows from its own strings."""
+    return f"{x:.9e}"
+
+
 @dataclass(frozen=True)
 class CaseResults:
     """Headline results of one case."""

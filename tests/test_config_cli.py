@@ -23,8 +23,9 @@ from fgcbeam import (
     solver,
     studies,
 )
-from fgcbeam.cli import _fmt, build_parser, main
+from fgcbeam.cli import build_parser, main
 from fgcbeam.config import with_parameter
+from fgcbeam.studies import printed
 
 from test_studies import count_solves
 
@@ -292,9 +293,9 @@ class TestWithParameter:
         assert main(["sweep", str(sandwich_file), "--param", param,
                      "--values", f"1,{value}"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
         key = {"p": "layup.p", "L_over_h": "geometry.L", "R_over_L": "geometry.R_over_L"}[param]
-        assert_one_key_prefix(err.removeprefix(f"error: {param} = {value}: "), key)
+        assert out == "" and err == (f"error: {param} = {value}: {key}: must be finite, "
+                                     f"got {value!r}\n")
 
     def test_error_names_the_value_as_typed(self, tmp_path, capsys):
         # L = L_over_h * h: the rule broken is geometry.L's, the value typed is L_over_h's
@@ -538,17 +539,24 @@ def test_magnitude_out_of_float64_range_is_a_clean_error(case, changes, tmp_path
     assert re.fullmatch(r"error: an input magnitude is out of floating-point range: .+\n", err)
 
 
-def test_overflowing_section_names_the_thickness(tmp_path, capsys):
-    # one error line, raised before numpy can warn and before the solve sees an inf rigidity
-    path = golden_case_with(tmp_path, "a_cc_point_mid", HUGE_SECTION)
+@pytest.mark.parametrize("changes,material,culprit", [
+    (HUGE_SECTION, "", "geometry.h: h = 1e+100 m with E up to 3.8e+11 Pa"),
+    ({"geometry.h": "2"}, "[material]\nE_m = 70e9\nE_c = 1.7e308\nnu = 0.3\n",
+     "material.E_c: E_c = 1.7e+308 Pa with h = 2 m"),
+], ids=["thickness", "modulus"])
+def test_overflowing_section_names_its_key(changes, material, culprit, tmp_path, capsys):
+    # one error line, raised before numpy can warn and before the solve sees an inf rigidity;
+    # it names the larger factor of E h^3 (the pure-ceramic A11 = E_c h overflows at h = 2)
+    path = golden_case_with(tmp_path, "a_cc_point_mid", changes)
+    path.write_text(path.read_text(encoding="utf-8") + material, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: an input magnitude is out of floating-point range: "
-                          "geometry.h: h = 1e+100 m with E up to 3.8e+11 Pa gives section "
-                          "rigidities")
+                          f"{culprit} gives section rigidities (A11 ~ E h, D11 ~ E h^3) "
+                          "beyond float64: overflow encountered in ")
 
 
 def test_magnitude_out_of_float64_range_has_no_traceback(tmp_path):
@@ -677,7 +685,7 @@ class TestCliBench:
         for row in rows:
             computed, expected = float(row["computed"]), float(row["expected"])
             rel = abs(computed - expected) / abs(expected)
-            assert row["rel_err"] == _fmt(rel), row
+            assert row["rel_err"] == printed(rel), row
             assert row["status"] in ("pass", "fail", "skip"), row
             if row["status"] != "skip":
                 assert (row["status"] == "pass") == (rel <= float(row["tol"])), row
