@@ -143,25 +143,35 @@ def _cmd_sweep(args) -> int:
 
 def _format_bench_report(report) -> str:
     from .benchmarks import BenchReport    # counts each table as the report counts the whole
+    lines = []
     header = (f"{'table':<5} {'row':<16} {'column':<14} {'quantity':<10}"
               f" {'expected':>12} {'computed':>15} {'rel_err':>10} {'status':<7}")
-    lines = [header, "-" * len(header)]
-    for table in dict.fromkeys(r.cell.table for r in report.results):
-        t = BenchReport([r for r in report.results if r.cell.table == table])
-        worst = max((r.rel_err for r in t.worst(1)), default=0.0)
+    lines.append(header)
+    lines.append("-" * len(header))
+    by_table: dict[str, list] = {}
+    for r in report.results:
+        by_table.setdefault(r.cell.table, []).append(r)
+    for table, results in by_table.items():
+        t = BenchReport(results)
+        worst = max((r.rel_err for r in results if r.status != "skip"), default=0.0)
         skip_note = f", {t.n_skipped} suspect cells skipped" if t.n_skipped else ""
         lines.append(f"{table}: {t.n_pass}/{t.n_pass + t.n_fail} within tolerance, "
                      f"worst rel err {worst:.2e}{skip_note}")
-        lines += [f"{r.cell.table:<5} {r.cell.row:<16} {r.cell.col:<14} {r.cell.quantity:<10} "
-                  f"{r.cell.expected:>12g} {r.computed:>15.8g} {r.rel_err:>10.2e} "
-                  f"{r.status.upper():<7}" for r in t.results if r.status != "pass"]
-    lines += ["", f"total: {report.n_pass} pass, {report.n_fail} fail, "
-                  f"{report.n_skipped} suspect cells skipped"]
+        for r in results:
+            if r.status != "pass":
+                lines.append(
+                    f"{r.cell.table:<5} {r.cell.row:<16} {r.cell.col:<14} "
+                    f"{r.cell.quantity:<10} {r.cell.expected:>12g} "
+                    f"{r.computed:>15.8g} {r.rel_err:>10.2e} {r.status.upper():<7}")
+    lines.append("")
+    lines.append(f"total: {report.n_pass} pass, {report.n_fail} fail, "
+                 f"{report.n_skipped} suspect cells skipped")
     if report.n_fail:
         lines.append("worst offenders:")
-        lines += [f"  {r.cell.table} {r.cell.row} {r.cell.col} {r.cell.quantity}: "
-                  f"expected {r.cell.expected:g}, computed {r.computed:.8g}, "
-                  f"rel err {r.rel_err:.2e}" for r in report.worst(5)]
+        for r in report.worst(5):
+            lines.append(f"  {r.cell.table} {r.cell.row} {r.cell.col} "
+                         f"{r.cell.quantity}: expected {r.cell.expected:g}, "
+                         f"computed {r.computed:.8g}, rel err {r.rel_err:.2e}")
     return "\n".join(lines) + "\n"
 
 
