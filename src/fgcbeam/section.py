@@ -147,8 +147,8 @@ def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
     (E_m, E_c) and the (A11, B11, B11s; B11, D11, D11s; B11s, D11s,
     H11s) block is positive semi-definite by construction.  A rigidity
     beyond the float64 range raises an ``OverflowError``, before numpy can
-    warn, that names geometry.h or the larger modulus, whichever is the
-    larger factor of E h^3.
+    warn, that names geometry.h or the larger modulus's key, whichever is
+    the larger factor of E h^3.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -165,11 +165,8 @@ def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
                 A55s=float((c55 * g * g).sum()),
             )
     except FloatingPointError as err:
-        E, name = max((mat.E_m, "E_m"), (mat.E_c, "E_c"))
-        # the rigidities scale as E h and E h^3: name the larger factor's key
-        if E ** (1 / 3) >= layup.h:
-            what = f"material.{name}: {name} = {E:g} Pa with h = {layup.h:g} m"
-        else:
-            what = f"geometry.h: h = {layup.h:g} m with E up to {E:g} Pa"
-        raise OverflowError(f"{what} gives section rigidities (A11 ~ E h, D11 ~ E h^3) "
-                            f"beyond float64: {err}") from err
+        E, key = max((mat.E_m, "material.E_m"), (mat.E_c, "material.E_c"))
+        # the rigidities scale as E h and E h^3: name the key of the larger factor of E h^3
+        key = key if E ** (1 / 3) >= layup.h else "geometry.h"
+        raise OverflowError(f"{key}: E = {E:g} Pa and h = {layup.h:g} m give section rigidities "
+                            f"(A11 ~ E h, D11 ~ E h^3) beyond float64: {err}") from err
