@@ -23,10 +23,10 @@ import math
 import sys
 from pathlib import Path
 
-from .config import CaseConfig, ConfigError, parse_config
+from .config import CaseConfig, parse_config
 from .postproc import table_scales, thickness_profile
 from .solver import SingularSystemError
-from .studies import CaseResults, convergence_study, evaluate_case, printed, sweep
+from .studies import PRINTED, CaseResults, convergence_study, evaluate_case, printed, sweep
 
 
 def _load_config(path: str) -> CaseConfig:
@@ -75,8 +75,11 @@ def _parse_station(text: str, cfg: CaseConfig, flag: str) -> float:
     try:
         x = float(text)
     except ValueError:
-        raise ConfigError(f"{flag} must be mid, end, support or a coordinate, got {text!r}")
+        raise ValueError(f"{flag} must be mid, end, support or a coordinate, got {text!r}")
     return x          # the recovery checks the range, with its node snap
+
+
+_PROFILE_ROW = f"{PRINTED},{PRINTED},{PRINTED},%s"      # one formatting call per row
 
 
 def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
@@ -87,8 +90,8 @@ def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
     # a product with 1.0 is exact: point-load rows keep the dimensional stresses
     scale = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)[1] if udl else 1.0
     lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
-    lines += ["%.9e,%.9e,%.9e,%s" % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
-              for r in rows]          # printed's format, one formatting call per row
+    lines += [_PROFILE_ROW % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
+              for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -108,16 +111,17 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}")
+def _items(text: str) -> list[str]:
+    """The entries of a comma-separated list, stripped, with empty entries left out."""
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
-    ne_list = _parse_int_list(args.ne, "--ne")
+    try:
+        ne_list = [int(s) for s in _items(args.ne)]
+    except ValueError:
+        raise ValueError(f"--ne expects a comma-separated integer list, got {args.ne!r}")
     result = convergence_study(cfg, ne_list)
     sys.stdout.write(f"ne,{result.quantity}\n")
     for ne, value in result.rows:
@@ -129,8 +133,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    values = [s.strip() for s in args.values.split(",") if s.strip()]
-    rows = sweep(cfg, args.param, values)
+    rows = sweep(cfg, args.param, _items(args.values))
     sys.stdout.write(f"{args.param},w_bar,sigma_bar,tau_bar\n")
     for value, r in rows:
         if r.w_bar is None:
@@ -188,9 +191,7 @@ def _write_bench_csv(file, report) -> None:
 
 def _cmd_bench(args) -> int:
     from .benchmarks import benchmark_compare    # builds the 920 fixture cells: bench only
-    tables = None
-    if args.table is not None:
-        tables = [t.strip() for t in args.table.split(",") if t.strip()]
+    tables = None if args.table is None else _items(args.table)
     with _output(args.csv) as out:
         report = benchmark_compare(tables=tables)
         sys.stdout.write(_format_bench_report(report))
@@ -247,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, SingularSystemError, OSError) as err:
+    except (ValueError, SingularSystemError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except ArithmeticError as err:       # a length or modulus whose powers leave float64

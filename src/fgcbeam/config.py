@@ -24,11 +24,11 @@ constructor that checks each value's range:
 This module only turns text into values: a number, finite unless the key
 accepts ``inf`` (only R_over_L does), an integer, an enum name and the
 scheme's a-b-c shape.  Each range rule is checked once, by the constructor
-that owns it, so every case built in the library passes it too; its
-ValueError names the INI key, and ``parse_config`` and ``with_parameter``
-raise it as a ``ConfigError``.  An error in a value starts with its
-section.key, and only once; a sweep error puts the parameter and the value
-as given before it.
+that owns it, so every case built in the library passes it too; the
+constructor raises a ``ConfigError`` (a ValueError, defined in
+``materials``) that names the INI key.  An error in a value starts with its
+section.key, and only once; ``with_parameter`` puts the parameter and the
+value as given before it.
 """
 
 from __future__ import annotations
@@ -38,15 +38,10 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .materials import DEFAULT_MATERIAL, Layup, LayupKind, MaterialPair
+from .materials import DEFAULT_MATERIAL, ConfigError, Layup, LayupKind, MaterialPair
 from .solver import BoundaryCondition, LoadCase, Mesh, check_load
 
 DEFAULT_NE = 16
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent case configuration."""
-
 
 @dataclass(frozen=True)
 class CaseConfig:
@@ -136,15 +131,7 @@ def _get_float(cp, section, key, default=None):
 
 
 def parse_config(text: str) -> CaseConfig:
-    """Parse a case configuration from INI text; the constructors check the values.
-    Every ValueError, whose message names its key, is raised as a ConfigError."""
-    try:
-        return _parse_config(text)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
-def _parse_config(text: str) -> CaseConfig:
+    """Parse a case configuration from INI text; the constructors check the values."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)

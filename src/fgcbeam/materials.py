@@ -22,6 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 
+class ConfigError(ValueError):
+    """Malformed or inconsistent case configuration; the message starts with the INI key."""
+
+
 class LayupKind(enum.Enum):
     """Section layout family: single graded layer or sandwich variant."""
 
@@ -55,11 +59,11 @@ class MaterialPair:
     def __post_init__(self):
         for name, E in (("E_m", self.E_m), ("E_c", self.E_c)):
             if not 0 < E < math.inf:
-                raise ValueError(f"material.{name}: phase modulus must be positive and finite, "
-                                 f"got {E}")
+                raise ConfigError(f"material.{name}: phase modulus must be positive and finite, "
+                                  f"got {E}")
         if not 0.0 <= self.nu < 0.5:
-            raise ValueError(f"material.nu: Poisson's ratio must satisfy 0 <= nu < 0.5, "
-                             f"got {self.nu}")
+            raise ConfigError(f"material.nu: Poisson's ratio must satisfy 0 <= nu < 0.5, "
+                              f"got {self.nu}")
 
 
 #: Al / alumina pair used by the embedded benchmark tables (E in Pa).
@@ -100,14 +104,14 @@ class Layup:
 
     def __post_init__(self):
         if not 0 < self.h < math.inf:
-            raise ValueError(f"geometry.h: thickness must be positive and finite, got {self.h}")
+            raise ConfigError(f"geometry.h: thickness must be positive and finite, got {self.h}")
         if not 0 <= self.p < math.inf:
-            raise ValueError(f"layup.p: power-law index must be nonnegative and finite, "
-                             f"got {self.p}")
+            raise ConfigError(f"layup.p: power-law index must be nonnegative and finite, "
+                              f"got {self.p}")
         a, b, c = ratios = (0.0, 1.0, 0.0) if self.kind is LayupKind.A else self.scheme
         if not (min(a, b, c) >= 0 and 0 < a + b + c < math.inf):
-            raise ValueError(f"layup.scheme: ratios must be finite and nonnegative with a "
-                             f"positive sum, got {tuple(ratios)}")
+            raise ConfigError(f"layup.scheme: ratios must be finite and nonnegative with a "
+                              f"positive sum, got {tuple(ratios)}")
         total = a + b + c
         h1 = -self.h / 2
         h2 = h1 + self.h * a / total

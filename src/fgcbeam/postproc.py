@@ -25,9 +25,9 @@ two adjacent elements (symmetric cases make the limits equal, and the
 left end support, where tau is reported, uses the only element
 available).
 
-Recovery multiplies the shape or strain rows of a station by the DOFs
-of one solution or of an (M, ndof) stack on one mesh (``_deflections``,
-``_strains``).  Every product is ``np.vecdot`` (BLAS ``ddot`` per row),
+Recovery multiplies the shape or strain rows at a station x by the DOFs
+of one solution or of an (M, ndof) stack on one mesh: ``_deflections(d,
+mesh, x)`` and ``_strains(d, mesh, xs)``.  Every product is ``np.vecdot`` (BLAS ``ddot`` per row),
 whose bits do not depend on the stack as a ``gemm``'s do, so the point
 functions below and the case engine share one kernel and agree bit for
 bit.
@@ -78,27 +78,21 @@ def _locate(mesh: Mesh, x: float) -> tuple[int, float]:
     return e, x - e * Le
 
 
-def _shape_station(mesh: Mesh, x: float) -> tuple[slice, tuple, np.ndarray]:
-    """Element DOFs, the Lagrange values N and the rows (Nb, dNb/dx) that interpolate at x."""
+def _deflections(d: np.ndarray, mesh: Mesh, x: float) -> np.ndarray:
+    """(w0, dw0/dx) at x from DOFs (..., ndof): the Hermite rows (Nb, dNb/dx) times the
+    element's w0 DOFs, shape (..., 2)."""
     e, xi = _locate(mesh, x)
-    xi, Le = float(xi), float(mesh.Le)
-    N, _ = _lagrange(xi, Le)
-    Nb, dNb, _ = _hermite(xi, Le)
-    return mesh.element_dofs(e), N, np.array((Nb, dNb))
-
-
-def _deflections(d: np.ndarray, station) -> np.ndarray:
-    """(w0, dw0/dx) at a ``_shape_station`` from DOFs (..., ndof): shape (..., 2)."""
-    dofs, _, rows = station
-    return np.vecdot(rows, d[..., dofs][..., None, [1, 2, 5, 6]])
+    Nb, dNb, _ = _hermite(float(xi), float(mesh.Le))
+    return np.vecdot(np.array((Nb, dNb)), d[..., mesh.element_dofs(e)][..., None, [1, 2, 5, 6]])
 
 
 def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
     """Interpolated (u0, w0, dw0/dx, phi_x) at x."""
-    station = dofs, N, _ = _shape_station(sol.mesh, x)
-    de = sol.d[dofs]
-    w, dw = _deflections(sol.d, station).tolist()
-    return float(N[0] * de[0] + N[1] * de[4]), w, dw, float(N[0] * de[3] + N[1] * de[7])
+    e, xi = _locate(sol.mesh, x)
+    (N0, N1), _ = _lagrange(float(xi), float(sol.mesh.Le))
+    de = sol.d[sol.mesh.element_dofs(e)]
+    w, dw = _deflections(sol.d, sol.mesh, x).tolist()
+    return float(N0 * de[0] + N1 * de[4]), w, dw, float(N0 * de[3] + N1 * de[7])
 
 
 def _strains(d: np.ndarray, mesh: Mesh, xs) -> list[np.ndarray]:

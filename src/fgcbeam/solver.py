@@ -66,6 +66,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 
 from .element import element_load_udl, element_stiffness
+from .materials import ConfigError
 from .section import SectionRigidities
 
 
@@ -116,8 +117,8 @@ class Mesh:
     ne    : number of elements
     inv_R : curvature 1/R shared by all elements (0 = straight)
 
-    Construction checks L > 0 and ne >= 1; the errors name the INI keys
-    geometry.L and mesh.ne.
+    Construction checks L > 0 and ne >= 1; each ``ConfigError`` names its INI
+    key, geometry.L or mesh.ne.
     """
 
     L: float
@@ -126,9 +127,9 @@ class Mesh:
 
     def __post_init__(self):
         if not 0 < self.L < np.inf:
-            raise ValueError(f"geometry.L: beam length must be positive and finite, got {self.L}")
+            raise ConfigError(f"geometry.L: beam length must be positive and finite, got {self.L}")
         if self.ne < 1:
-            raise ValueError(f"mesh.ne: need at least one element, got ne = {self.ne}")
+            raise ConfigError(f"mesh.ne: need at least one element, got ne = {self.ne}")
         if not 0 <= self.inv_R < np.inf:
             raise ValueError("curvature inv_R = 1/R must be nonnegative and finite")
 
@@ -178,10 +179,10 @@ class LoadCase:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"load.type: must be one of {', '.join(self.KINDS)}, "
-                             f"got {self.kind!r}")
+            raise ConfigError(f"load.type: must be one of {', '.join(self.KINDS)}, "
+                              f"got {self.kind!r}")
         if not -np.inf < self.magnitude < np.inf:
-            raise ValueError(f"load.magnitude: must be finite, got {self.magnitude}")
+            raise ConfigError(f"load.magnitude: must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def _point_dof(mesh: Mesh, load: LoadCase) -> int:
     if load.kind == "point_end":
         return 4 * mesh.ne + 1
     if mesh.ne % 2 != 0:
-        raise ValueError(
+        raise ConfigError(
             f"mesh.ne: mid-span point load needs an even element count, got ne = {mesh.ne}")
     return 4 * (mesh.ne // 2) + 1
 
@@ -242,7 +243,7 @@ def assemble_load(mesh: Mesh, load: LoadCase) -> np.ndarray:
 
 
 def check_load(mesh: Mesh, bc: BoundaryCondition, load: LoadCase) -> None:
-    """Raise ValueError for a point load on a DOF the supports fix.
+    """Raise a ConfigError for a point load on a DOF the supports fix.
 
     The constraint would absorb the whole load and the solve would
     return d = 0 (an end point load under SS or CC).
@@ -250,8 +251,8 @@ def check_load(mesh: Mesh, bc: BoundaryCondition, load: LoadCase) -> None:
     if load.kind != "udl":
         k = _point_dof(mesh, load)
         if k in bc.constrained_dofs(mesh):
-            raise ValueError(f"load.type: a {load.kind} load on {_dof_label(k)} is held by the "
-                             f"{bc.value} supports and would not deflect the beam")
+            raise ConfigError(f"load.type: a {load.kind} load on {_dof_label(k)} is held by the "
+                              f"{bc.value} supports and would not deflect the beam")
 
 
 def _dof_label(idx: int) -> str:
@@ -346,7 +347,7 @@ def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
                  load: LoadCase) -> Solution:
     """Assemble, constrain and solve K d = F for the static response.
 
-    A point load on a constrained DOF raises ValueError.  The returned
+    A point load on a constrained DOF raises a ConfigError.  The returned
     vector carries exact zeros at constrained DOFs.  The solve is
     accepted only if its normwise backward error is at most n * eps
     (see the module docstring).  This is the one-job ``solve_batch``.

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from .config import CaseConfig, with_parameter
 from .postproc import (
     _deflections,
-    _shape_station,
     _strains,
     _stress_factors,
     _stresses,
@@ -44,10 +43,14 @@ from .section import compute_rigidities
 from .solver import Solution, solve_batch
 
 
+#: The format of every printed result value: 10 significant digits.
+PRINTED = "%.9e"
+
+
 def printed(x: float) -> str:
-    """x as every command prints a result value: 10 significant digits.  The bench gate
+    """x as every command prints a result value, in the ``PRINTED`` format.  The bench gate
     judges this value, so a printed row's rel_err follows from its own strings."""
-    return f"{x:.9e}"
+    return PRINTED % x
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     results, factors = [None] * len(configs), {}
     for mesh, members, d in stacks:
         x_w = [deflection_point(configs[i].bc, mesh.L) for i in members]
-        w_at = {x: _deflections(d, _shape_station(mesh, x))[:, 0].tolist() for x in set(x_w)}
+        w_at = {x: _deflections(d, mesh, x)[:, 0].tolist() for x in set(x_w)}
         udl, strains = [m for m, i in enumerate(members) if i in scales], {}
         if udl:                           # the udl cases' strains at x = L/2 and x = 0
             eps = (s.tolist() for s in _strains(d[udl], mesh, (mesh.L / 2.0, 0.0)))
