@@ -21,6 +21,10 @@ constructor that checks each value's range:
                                              check_load: even for point_mid, and
                                              no point load that the supports hold)
 
+Any other section or key, and a [DEFAULT] section, is an error that names
+it (key names are read lowercased), and '%' is a plain character: no
+value is interpolated.
+
 This module only turns text into values: a number, finite unless the key
 accepts ``inf`` (only R_over_L does), an integer, an enum name and the
 scheme's a-b-c shape.  Each range rule is checked once, by the constructor
@@ -130,21 +134,32 @@ def _get_float(cp, section, key, default=None):
     return _number(f"{section}.{key}", _get(cp, section, key, default))
 
 
+#: Each section's keys, lowercased as configparser stores them.
+_KEYS = {"material": ("e_m", "e_c", "nu"), "layup": ("kind", "scheme", "p"),
+         "geometry": ("l", "h", "r_over_l"), "bc": ("type",), "load": ("type", "magnitude"),
+         "mesh": ("ne",)}
+
+
 def parse_config(text: str) -> CaseConfig:
     """Parse a case configuration from INI text; the constructors check the values."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # '%' is a plain character; no header can name the empty default section, so a
+    # [DEFAULT] header starts an ordinary section, which the grammar does not know
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                   default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"malformed configuration: {err}") from err
 
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{section}.{key}: unknown key")
     for section in ("layup", "geometry", "bc", "load"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
-    known = {"material", "layup", "geometry", "bc", "load", "mesh"}
-    for section in cp.sections():
-        if section not in known:
-            raise ConfigError(f"unknown section [{section}]")
 
     mat = (MaterialPair(*(_get_float(cp, "material", key) for key in ("E_m", "E_c", "nu")))
            if cp.has_section("material") else DEFAULT_MATERIAL)

@@ -114,18 +114,20 @@ def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
     seven products of all four points are formed as one (M, 4, 7, 8, 8)
     array; every step is elementwise or a sum in index order, so each
     slice is bit-identical to a per-point loop of ``np.outer`` calls for
-    its rigidities alone, and exactly symmetric.
+    its rigidities alone, and exactly symmetric.  A product or sum beyond
+    float64 raises a ``FloatingPointError`` before numpy can warn.
     """
     rigs = [rig] if isinstance(rig, SectionRigidities) else rig
     half = 0.5 * mesh.Le
     B = strain_rows(half * (_GAUSS_X + 1.0), mesh)
-    P = B.take(_LEFT, axis=1)[:, :, :, None] * B.take(_RIGHT, axis=1)[:, :, None, :]
-    P = np.where(_CROSS, P + P.swapaxes(2, 3), P)
-    P = P * np.array([[r.A11, r.B11, r.B11s, r.D11, r.D11s, r.H11s, r.A55s]
-                      for r in rigs])[:, None, :, None, None]
-    S = P.sum(axis=2)                   # over a non-contiguous axis numpy adds in order
-    S *= (half * _GAUSS_W)[:, None, None]
-    K = np.add.reduce(S, axis=1, initial=0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        P = B.take(_LEFT, axis=1)[:, :, :, None] * B.take(_RIGHT, axis=1)[:, :, None, :]
+        P = np.where(_CROSS, P + P.swapaxes(2, 3), P)
+        P = P * np.array([[r.A11, r.B11, r.B11s, r.D11, r.D11s, r.H11s, r.A55s]
+                          for r in rigs])[:, None, :, None, None]
+        S = P.sum(axis=2)                   # over a non-contiguous axis numpy adds in order
+        S *= (half * _GAUSS_W)[:, None, None]
+        K = np.add.reduce(S, axis=1, initial=0.0)
     return K[0] if isinstance(rig, SectionRigidities) else K
 
 

@@ -25,12 +25,14 @@ two adjacent elements (symmetric cases make the limits equal, and the
 left end support, where tau is reported, uses the only element
 available).
 
-Recovery multiplies the shape or strain rows at a station x by the DOFs
-of one solution or of an (M, ndof) stack on one mesh: ``_deflections(d,
-mesh, x)`` and ``_strains(d, mesh, xs)``.  Every product is ``np.vecdot`` (BLAS ``ddot`` per row),
-whose bits do not depend on the stack as a ``gemm``'s do, so the point
-functions below and the case engine share one kernel and agree bit for
-bit.
+Recovery multiplies the Hermite or strain rows at a station x by the
+DOFs of one solution or of an (M, ndof) stack on one mesh:
+``_deflections(d, mesh, x)`` gives (w0, dw0/dx) and ``_strains(d, mesh,
+xs)`` the generalized strains.  Every product is ``np.vecdot`` (BLAS
+``ddot`` per row), whose bits do not depend on the stack as a ``gemm``'s
+do, so the point functions below and the case engine share one kernel and
+agree bit for bit.  ``table_scales`` rejects a load magnitude q <= 0 with
+a ``ConfigError`` that names load.magnitude.
 
 The factors C11(z), f(z) and C55(z) g(z) come from one array kernel,
 ``_stress_factors``: ``stress_at`` is its one-point call, the case
@@ -47,7 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .element import _hermite, _lagrange, strain_rows
-from .materials import _Z_SNAP, Layup, MaterialPair, effective_modulus, stiffness_coeffs
+from .materials import (_Z_SNAP, ConfigError, Layup, MaterialPair, effective_modulus,
+                        stiffness_coeffs)
 from .section import shear_functions
 from .solver import BoundaryCondition, Mesh, Solution
 
@@ -152,9 +155,11 @@ def deflection_point(bc: BoundaryCondition, L: float) -> float:
 
 def table_scales(E_m: float, L: float, h: float, q: float) -> tuple[float, float]:
     """Factors (100 E_m h^3 / (q L^4), h / (q L)) that turn a deflection and a
-    stress into their table form; defined for a uniform load magnitude q > 0."""
+    stress into their table form; defined for a uniform load magnitude q > 0, and
+    a ConfigError naming load.magnitude otherwise."""
     if q <= 0:
-        raise ValueError("nondimensionalization requires a positive load magnitude q")
+        raise ConfigError("load.magnitude: nondimensionalization requires a positive load "
+                          "magnitude q")
     return 100.0 * E_m * h**3 / (q * L**4), h / (q * L)
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .materials import Layup, MaterialPair, stiffness_coeffs
+from .materials import ConfigError, Layup, MaterialPair, stiffness_coeffs
 
 # Highest polynomial moment degree is 10 (f^2); n points integrate
 # degree 2n-1 exactly, 8 leaves margin.
@@ -121,8 +121,8 @@ def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndar
     Gauss-Jacobi with weight s**p.
     """
     if layup.p > _P_MAX:
-        raise ValueError(
-            f"power-law index p = {layup.p:g} exceeds the section quadrature cap "
+        raise ConfigError(
+            f"layup.p: power-law index p = {layup.p:g} exceeds the section quadrature cap "
             f"({_P_MAX:g}); such a section is pure metal to machine precision")
     dE = mat.E_c - mat.E_m
     zs, cs = [], []

@@ -223,7 +223,7 @@ RADIUS = re.escape("geometry.R_over_L: radius R = R_over_L * L = ")
         "odd_ne_point_mid", "point_load_on_support"])
 def test_no_invalid_case_config_can_be_built(change, message):
     cfg = parse_config(MINIMAL)
-    with pytest.raises(ValueError, match="^" + message):
+    with pytest.raises(ConfigError, match="^" + message):
         replace(cfg, **change)
 
 
@@ -557,6 +557,39 @@ def test_overflowing_section_names_its_key(changes, material, culprit, tmp_path,
     assert err.startswith("error: an input magnitude is out of floating-point range: "
                           f"{culprit} give section rigidities (A11 ~ E h, D11 ~ E h^3) "
                           "beyond float64: overflow encountered in ")
+
+
+# input outside the INI grammar, rules checked when the case is evaluated, and a section
+# whose element stiffness overflows: each ends in one error line, before numpy can warn
+ONE_LINE_ERRORS = [
+    (MINIMAL.replace("L = 5", "L = 5\nRoverL = 2"), "geometry.roverl: unknown key"),
+    (MINIMAL + "magnitud = 7\n", "load.magnitud: unknown key"),
+    (MINIMAL + "[mesh]\nnelem = 64\n", "mesh.nelem: unknown key"),
+    ("[DEFAULT]\nne = 64\n" + MINIMAL, "unknown section [DEFAULT]"),
+    (MINIMAL + "magnitude = 5%\n", "load.magnitude: expected a number, got '5%'"),
+    (MINIMAL.replace("L = 5", "L = 5\nR_over_L = %(L)s"),
+     "geometry.R_over_L: expected a number, got '%(L)s'"),
+    (MINIMAL.replace("p = 0", "p = 900"),
+     "layup.p: power-law index p = 900 exceeds the section quadrature cap (800); such a "
+     "section is pure metal to machine precision"),
+    (MINIMAL + "magnitude = 0\n",
+     "load.magnitude: nondimensionalization requires a positive load magnitude q"),
+    ("[material]\nE_m = 1e308\nE_c = 1.7e308\nnu = 0.3\n"
+     + MINIMAL.replace("p = 0", "p = 1").replace("SS", "CC").replace("udl", "point_mid"),
+     "an input magnitude is out of floating-point range: overflow encountered in multiply"),
+]
+
+
+@pytest.mark.parametrize("text,message", ONE_LINE_ERRORS, ids=[
+    "misspelled_key", "misspelled_optional_key", "unknown_mesh_key", "default_section",
+    "percent_sign", "interpolation", "p_above_cap", "zero_udl", "overflowing_element"])
+def test_rejected_input_is_one_error_line(text, message, tmp_path, capsys):
+    path = tmp_path / "case.ini"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_magnitude_out_of_float64_range_has_no_traceback(tmp_path):

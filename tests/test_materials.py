@@ -7,6 +7,7 @@ import pytest
 
 from fgcbeam import (
     DEFAULT_MATERIAL,
+    ConfigError,
     Layup,
     LayupKind,
     LoadCase,
@@ -98,8 +99,9 @@ NON_FINITE_INPUTS = [
 @pytest.mark.parametrize("cls,kwargs,field", NON_FINITE_INPUTS,
                          ids=[f"{c.__name__}-{k}" for c, _, k in NON_FINITE_INPUTS])
 def test_non_finite_library_input_rejected(cls, kwargs, field):
-    """A NaN or infinite field raises a ValueError naming it, not a NaN solve later."""
-    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+    """A NaN or infinite field raises a ConfigError naming it, not a NaN solve later; inv_R,
+    which no INI key sets, raises a plain ValueError."""
+    with pytest.raises(ValueError if field == "inv_R" else ConfigError, match=rf"\b{field}\b"):
         cls(**kwargs)
 
 
