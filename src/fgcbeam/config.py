@@ -47,6 +47,7 @@ from .solver import BoundaryCondition, LoadCase, Mesh, check_load
 
 DEFAULT_NE = 16
 
+
 @dataclass(frozen=True)
 class CaseConfig:
     """Fully validated single-case definition.
