@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .config import CaseConfig, parse_config
-from .postproc import table_scales, thickness_profile
+from .postproc import thickness_profile
 from .solver import SingularSystemError
 from .studies import PRINTED, CaseResults, convergence_study, evaluate_case, printed, sweep
 
@@ -86,9 +86,9 @@ def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
     """Through-thickness profile at x as CSV; nondimensional for the udl case."""
     cfg = res.config
     rows = thickness_profile(res.solution, cfg.material, cfg.layup, x, samples)
-    udl = cfg.load.kind == "udl"
+    udl = cfg.scales is not None
     # a product with 1.0 is exact: point-load rows keep the dimensional stresses
-    scale = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)[1] if udl else 1.0
+    scale = cfg.scales[1] if udl else 1.0
     lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
     lines += [_PROFILE_ROW % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
               for r in rows]

@@ -9,14 +9,15 @@ constructor that checks each value's range:
     [layup]     kind = A|B|C                (required)
                 scheme = a-b-c              (required for B/C; Layup: ratios
                                              >= 0 with a positive sum)
-                p                           (required; Layup: p >= 0)
+                p                           (required; Layup: 0 <= p <= 800)
     [geometry]  L, h                        (required; Mesh: L > 0, Layup: h > 0)
                 R_over_L = <number>|inf     (optional; default inf; CaseConfig:
                                              R = R_over_L * L must exceed
                                              h/2 and have a finite 1/R)
     [bc]        type = SS|CC|CF             (required)
     [load]      type = udl|point_end|point_mid   (required; LoadCase)
-                magnitude                   (optional; default 1.0)
+                magnitude                   (optional; default 1.0;
+                                             CaseConfig: q > 0 for udl)
     [mesh]      ne                          (optional; default 16; Mesh: ne >= 1;
                                              check_load: even for point_mid, and
                                              no point load that the supports hold)
@@ -43,6 +44,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .materials import DEFAULT_MATERIAL, ConfigError, Layup, LayupKind, MaterialPair
+from .postproc import table_scales
 from .solver import BoundaryCondition, LoadCase, Mesh, check_load
 
 DEFAULT_NE = 16
@@ -54,9 +56,11 @@ class CaseConfig:
 
     Construction checks the case as a whole: R = R_over_L * L must exceed
     h/2 and have a finite 1/R (a ``ConfigError`` naming geometry.R_over_L),
-    ``Mesh`` checks L and ne, and ``check_load`` rejects an odd ne under a
-    mid-span point load and a point load the supports would hold.  The
-    derived ``mesh`` is built once here.
+    ``Mesh`` checks L and ne, ``check_load`` rejects an odd ne under a
+    mid-span point load and a point load the supports would hold, and
+    ``table_scales`` rejects a uniform load with q <= 0.  The derived
+    ``mesh`` and, for a uniform load, the table ``scales`` (None for a point
+    load) are built once here.
     """
 
     material: MaterialPair
@@ -67,6 +71,7 @@ class CaseConfig:
     load: LoadCase
     ne: int = DEFAULT_NE
     mesh: Mesh = field(init=False, compare=False, repr=False)
+    scales: tuple[float, float] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         R = self.R_over_L * self.L
@@ -77,6 +82,9 @@ class CaseConfig:
         mesh = Mesh(L=self.L, ne=self.ne, inv_R=1.0 / R)
         check_load(mesh, self.bc, self.load)
         object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "scales", table_scales(self.material.E_m, self.L, self.h,
+                                                        self.load.magnitude)
+                           if self.load.kind == "udl" else None)
 
     @property
     def h(self) -> float:

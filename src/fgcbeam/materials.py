@@ -73,6 +73,11 @@ DEFAULT_MATERIAL = MaterialPair(E_m=70e9, E_c=380e9, nu=0.3)
 #: Fraction of h within which z counts as lying on an interface or a surface.
 _Z_SNAP = 1e-12
 
+# Highest power-law index: the section's Gauss-Jacobi weights carry scipy's 2**(p+1)
+# normalization, which overflows float64 near p ~ 1020; beyond this cap a graded layer is
+# numerically pure metal outside a skin of relative thickness 1/p.
+_P_MAX = 800.0
+
 
 @dataclass(frozen=True)
 class Layup:
@@ -81,10 +86,10 @@ class Layup:
     kind   : LayupKind (A, B or C)
     scheme : bottom-face : core : top-face thickness ratios, e.g. (1, 8, 1).
              Ignored for Type A, which is laid out as the scheme (0, 1, 0).
-    p      : power-law index controlling the gradation (p >= 0)
+    p      : power-law index controlling the gradation (0 <= p <= 800)
     h      : total thickness (m)
 
-    Construction checks h > 0, p >= 0 and the ratios (nonnegative with a
+    Construction checks h > 0, 0 <= p <= ``_P_MAX`` and the ratios (nonnegative with a
     positive sum), each error naming its INI key.  The derived ``layers``
     tuple lists, bottom to top, one (n, lo, hi, grade) entry per layer of
     positive ratio and positive thickness: n is 0, 1 or 2 (bottom face,
@@ -105,8 +110,8 @@ class Layup:
     def __post_init__(self):
         if not 0 < self.h < math.inf:
             raise ConfigError(f"geometry.h: thickness must be positive and finite, got {self.h}")
-        if not 0 <= self.p < math.inf:
-            raise ConfigError(f"layup.p: power-law index must be nonnegative and finite, "
+        if not 0 <= self.p <= _P_MAX:
+            raise ConfigError(f"layup.p: power-law index must satisfy 0 <= p <= {_P_MAX:g}, "
                               f"got {self.p}")
         a, b, c = ratios = (0.0, 1.0, 0.0) if self.kind is LayupKind.A else self.scheme
         if not (min(a, b, c) >= 0 and 0 < a + b + c < math.inf):

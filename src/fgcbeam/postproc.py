@@ -32,7 +32,8 @@ xs)`` the generalized strains.  Every product is ``np.vecdot`` (BLAS
 ``ddot`` per row), whose bits do not depend on the stack as a ``gemm``'s
 do, so the point functions below and the case engine share one kernel and
 agree bit for bit.  ``table_scales`` rejects a load magnitude q <= 0 with
-a ``ConfigError`` that names load.magnitude.
+a ``ConfigError`` that names load.magnitude; ``CaseConfig`` calls it once
+per uniform-load case, when the case is built.
 
 The factors C11(z), f(z) and C55(z) g(z) come from one array kernel,
 ``_stress_factors``: ``stress_at`` is its one-point call, the case

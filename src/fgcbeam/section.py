@@ -14,7 +14,7 @@ layer.  Within every layer the modulus is E_m + (E_c - E_m) * s**p with
 s an affine function of z running 0 -> 1, so the integral splits into a
 polynomial part (Gauss-Legendre) and a weighted part with weight s**p
 (Gauss-Jacobi).  Both rules are exact for the polynomial factors
-involved (degree <= 10), for every real p >= 0.
+involved (degree <= 10), for every p that ``Layup`` accepts (0 <= p <= 800).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .materials import ConfigError, Layup, MaterialPair, stiffness_coeffs
+from .materials import Layup, MaterialPair, stiffness_coeffs
 
 # Highest polynomial moment degree is 10 (f^2); n points integrate
 # degree 2n-1 exactly, 8 leaves margin.
@@ -34,11 +34,6 @@ _NPOINTS = 8
 # Gauss-Legendre nodes s in (0, 1) and weights for the integral of phi(s) ds.
 _GL_S, _GL_W = leggauss(_NPOINTS)
 _GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
-
-# scipy's Jacobi weight normalization carries a 2**(p+1) factor that
-# overflows float64 near p ~ 1020; beyond this cap a graded layer is
-# numerically pure metal outside a skin of relative thickness 1/p.
-_P_MAX = 800.0
 
 # float.hex of roots_jacobi(_NPOINTS, 0.0, p) for the paper's p: 8 nodes, then 8 weights.
 _JACOBI_HEX = {
@@ -120,10 +115,6 @@ def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndar
     the constant part of E uses Gauss-Legendre and the graded part
     Gauss-Jacobi with weight s**p.
     """
-    if layup.p > _P_MAX:
-        raise ConfigError(
-            f"layup.p: power-law index p = {layup.p:g} exceeds the section quadrature cap "
-            f"({_P_MAX:g}); such a section is pure metal to machine precision")
     dE = mat.E_c - mat.E_m
     zs, cs = [], []
     for _, lo, hi, grade in layup.layers:

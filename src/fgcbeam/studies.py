@@ -8,7 +8,9 @@ and reports, per case,
     tau_bar   at (0, 0)
 
 Nondimensional values are defined for the uniform load case; point-load
-cases report the dimensional deflection only.
+cases report the dimensional deflection only.  A ``CaseConfig`` checks
+every input rule when it is built and carries its table scales, so
+evaluation checks no input.
 
 Parametric studies repeat sections and meshes, so the work is shared in
 three layers, all within one call:
@@ -37,7 +39,6 @@ from .postproc import (
     _stress_factors,
     _stresses,
     deflection_point,
-    table_scales,
 )
 from .section import compute_rigidities
 from .solver import Solution, solve_batch
@@ -74,16 +75,13 @@ def evaluate_case(cfg: CaseConfig) -> CaseResults:
 def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     """Solve every case and report the table quantities, in input order.
 
-    Each ``CaseConfig`` checked its radius, mesh and load when it was built;
-    before any solve, the checks that remain (q > 0 and representable table
-    scales for a uniform load, then the p cap) run in input order.  Then
-    every group is solved and the earliest case's failed solve raises.  No
-    case is solved twice.
+    Each ``CaseConfig`` checked itself when it was built, so this only groups,
+    solves and recovers: the sections are computed in input order, every
+    group is solved, and the earliest case's failed solve raises.  No case
+    is solved twice.
     """
-    rigs, groups, jobs, scales = {}, {}, [], {}
+    rigs, groups, jobs = {}, {}, []
     for i, cfg in enumerate(configs):
-        if cfg.load.kind == "udl":
-            scales[i] = table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)
         section = cfg.material, cfg.layup
         rig = rigs.get(section)
         if rig is None:
@@ -101,26 +99,26 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     for mesh, members, d in stacks:
         x_w = [deflection_point(configs[i].bc, mesh.L) for i in members]
         w_at = {x: _deflections(d, mesh, x)[:, 0].tolist() for x in set(x_w)}
-        udl, strains = [m for m, i in enumerate(members) if i in scales], {}
+        udl, strains = [m for m, i in enumerate(members) if configs[i].scales is not None], {}
         if udl:                           # the udl cases' strains at x = L/2 and x = 0
             eps = (s.tolist() for s in _strains(d[udl], mesh, (mesh.L / 2.0, 0.0)))
             strains = dict(zip(udl, zip(*eps)))
         for m, (i, x) in enumerate(zip(members, x_w)):
             cfg, w = configs[i], w_at[x][m]
-            bars = (_uniform_load_bars(cfg, w, strains[m], scales[i], factors)
+            bars = (_uniform_load_bars(cfg, w, strains[m], factors)
                     if m in strains else (None, None, None))
             results[i] = CaseResults(cfg, Solution(d[m], mesh), x, w, *bars)
     return results
 
 
-def _uniform_load_bars(cfg, w, strains, scales, factors) -> tuple[float, float, float]:
+def _uniform_load_bars(cfg, w, strains, factors) -> tuple[float, float, float]:
     """w_bar, sigma_bar at (L/2, h/2) and tau_bar at (0, 0) from the generalized strains
     at x = L/2 and x = 0; ``factors`` caches each section's stress factors."""
     section = cfg.material, cfg.layup
     if section not in factors:        # (C11, f, C55 g) at z = h/2, then at z = 0
         cols = _stress_factors(*section, [cfg.h / 2.0, 0.0], (None, None))
         factors[section] = list(zip(*(c.tolist() for c in cols)))
-    (top, mid), (eps_mid, eps_end), (w_scale, stress_scale) = factors[section], strains, scales
+    (top, mid), (eps_mid, eps_end), (w_scale, stress_scale) = factors[section], strains, cfg.scales
     sigma = _stresses(eps_mid, top, cfg.h / 2.0)[0]
     tau = _stresses(eps_end, mid, 0.0)[1]
     return w_scale * w, stress_scale * sigma, stress_scale * tau

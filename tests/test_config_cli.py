@@ -219,12 +219,18 @@ RADIUS = re.escape("geometry.R_over_L: radius R = R_over_L * L = ")
      "mesh.ne: mid-span point load needs an even element count, got ne = 5$"),
     (dict(load=fgcbeam.LoadCase("point_end", 1.0)),
      "load.type: a point_end load on node 16, dof w0 is held by the SS supports"),
+    (dict(layup=dict(p=900.0)), re.escape("layup.p: power-law index must satisfy 0 <= p <= 800, "
+                                          "got 900.0") + "$"),
+    (dict(load=dict(magnitude=0.0)),
+     "load.magnitude: nondimensionalization requires a positive load magnitude q$"),
 ], ids=["R_underflows", "R_subnormal", "R_below_half_h", "R_negative", "ne_0",
-        "odd_ne_point_mid", "point_load_on_support"])
+        "odd_ne_point_mid", "point_load_on_support", "p_above_cap", "zero_udl"])
 def test_no_invalid_case_config_can_be_built(change, message):
+    # a dict changes fields of the case's own layup or load
     cfg = parse_config(MINIMAL)
     with pytest.raises(ConfigError, match="^" + message):
-        replace(cfg, **change)
+        replace(cfg, **{key: replace(getattr(cfg, key), **value) if isinstance(value, dict)
+                        else value for key, value in change.items()})
 
 
 # one bad value per range rule: (changed keys, the key the error must name)
@@ -233,6 +239,7 @@ ONE_KEY_PER_RULE = [
     ({"material.E_c": "0"}, "material.E_c"),
     ({"material.nu": "0.6"}, "material.nu"),
     ({"layup.p": "-1"}, "layup.p"),
+    ({"layup.p": "900"}, "layup.p"),
     ({"geometry.h": "0"}, "geometry.h"),
     ({"layup.scheme": "1--1-1"}, "layup.scheme"),
     ({"layup.scheme": "0-0-0"}, "layup.scheme"),
@@ -243,6 +250,7 @@ ONE_KEY_PER_RULE = [
     ({"load.type": "point_mid", "mesh.ne": "5"}, "mesh.ne"),
     ({"load.type": "point_end"}, "load.type"),
     ({"load.type": "wind"}, "load.type"),
+    ({"load.magnitude": "0"}, "load.magnitude"),
 ]
 
 
@@ -484,6 +492,16 @@ class TestCliSweep:
                      "--values", "1,-3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_p_above_cap_names_the_swept_value(self, capsys, monkeypatch):
+        # the cap is checked when the swept case is built, like every other rule
+        solves = count_solves(monkeypatch)
+        case = Path(__file__).parent / "golden" / "cases" / "a_ss_udl.ini"
+        assert main(["sweep", str(case), "--param", "p", "--values", "1,900"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: p = 900: layup.p: ")
+        assert solves == []
+
 
 class TestSchemeExponent:
     """A ratio written with a negative exponent: the dash after 'e' is its sign."""
@@ -559,8 +577,8 @@ def test_overflowing_section_names_its_key(changes, material, culprit, tmp_path,
                           "beyond float64: overflow encountered in ")
 
 
-# input outside the INI grammar, rules checked when the case is evaluated, and a section
-# whose element stiffness overflows: each ends in one error line, before numpy can warn
+# input outside the INI grammar, the p cap, a uniform load without a table form, and a
+# section whose element stiffness overflows: each ends in one error line, before numpy can warn
 ONE_LINE_ERRORS = [
     (MINIMAL.replace("L = 5", "L = 5\nRoverL = 2"), "geometry.roverl: unknown key"),
     (MINIMAL + "magnitud = 7\n", "load.magnitud: unknown key"),
@@ -570,8 +588,7 @@ ONE_LINE_ERRORS = [
     (MINIMAL.replace("L = 5", "L = 5\nR_over_L = %(L)s"),
      "geometry.R_over_L: expected a number, got '%(L)s'"),
     (MINIMAL.replace("p = 0", "p = 900"),
-     "layup.p: power-law index p = 900 exceeds the section quadrature cap (800); such a "
-     "section is pure metal to machine precision"),
+     "layup.p: power-law index must satisfy 0 <= p <= 800, got 900.0"),
     (MINIMAL + "magnitude = 0\n",
      "load.magnitude: nondimensionalization requires a positive load magnitude q"),
     ("[material]\nE_m = 1e308\nE_c = 1.7e308\nnu = 0.3\n"

@@ -17,6 +17,7 @@ from fgcbeam import (
     stiffness_coeffs,
     volume_fraction,
 )
+from fgcbeam.materials import _P_MAX
 
 from conftest import layer_edges
 
@@ -154,10 +155,12 @@ class TestVolumeFraction:
             assert volume_fraction(lay, z) == 1.0
 
     def test_large_p_limit_metal(self):
-        lay = Layup.single_layer(p=1e6, h=1.0)
-        assert volume_fraction(lay, 0.0) == pytest.approx(0.5**1e6, abs=1e-300)
+        lay = Layup.single_layer(p=_P_MAX, h=1.0)
+        assert volume_fraction(lay, 0.0) == pytest.approx(0.5**_P_MAX, abs=1e-300)
         for z in np.linspace(-0.5, -0.01, 9):
             assert volume_fraction(lay, z) < 1e-3
+        with pytest.raises(ConfigError, match="^layup.p: "):
+            Layup.single_layer(p=math.nextafter(_P_MAX, math.inf), h=1.0)
 
     @pytest.mark.parametrize("scheme", [(1, 1, 1), (1, 2, 1), (3, 4, 3)])
     def test_symmetric_fg_faces_mirror(self, scheme):

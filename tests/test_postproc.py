@@ -93,7 +93,7 @@ class TestDisplacementAt:
 
 class TestStrainsAt:
     def test_zero_load_zero_strains(self):
-        cfg = make_case("A", p=1.0, load=LoadCase("udl", 0.0))
+        cfg = make_case("A", p=1.0, load=LoadCase("point_mid", 0.0))
         sol, _ = solve_cfg(cfg)
         assert strains_at(sol, 1.7) == pytest.approx(np.zeros(4), abs=1e-20)
 
@@ -191,7 +191,7 @@ def resultants_at(sol, rig, x):
 
 class TestResultantsAt:
     def test_zero_load(self):
-        cfg = make_case("A", p=1.0, load=LoadCase("udl", 0.0))
+        cfg = make_case("A", p=1.0, load=LoadCase("point_mid", 0.0))
         sol, rig = solve_cfg(cfg)
         assert list(resultants_at(sol, rig, 2.0)) == [0.0, 0.0, 0.0, 0.0]
 

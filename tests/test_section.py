@@ -21,6 +21,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from fgcbeam import (
     DEFAULT_MATERIAL,
+    ConfigError,
     Layup,
     LayupKind,
     MaterialPair,
@@ -29,6 +30,7 @@ from fgcbeam import (
     shear_functions,
 )
 from fgcbeam.benchmarks import ALL_CELLS
+from fgcbeam.materials import _P_MAX
 from fgcbeam.section import SectionRigidities, _modulus_nodes
 
 from conftest import layer_edges
@@ -233,5 +235,9 @@ class TestGradedSection:
                                 mat, layup.h)
 
     def test_huge_p_rejected(self):
-        with pytest.raises(ValueError):
-            compute_rigidities(MAT, Layup.single_layer(p=1e6, h=1.0))
+        # Layup owns the cap; at the cap the Jacobi rule still integrates s**p exactly:
+        # a single layer's A11 is E_m h + (E_c - E_m) h / (p + 1)
+        with pytest.raises(ConfigError, match="^layup.p: "):
+            Layup.single_layer(p=1e6, h=1.0)
+        rig = compute_rigidities(MAT, Layup.single_layer(p=_P_MAX, h=1.0))
+        assert rig.A11 == pytest.approx(MAT.E_m + (MAT.E_c - MAT.E_m) / (_P_MAX + 1), rel=1e-13)

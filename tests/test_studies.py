@@ -88,24 +88,19 @@ def test_single_case_is_the_one_case_list():
     assert_bit_equal(evaluate_case(cfg), evaluate_cases([cfg])[0])
 
 
-BAD_SECTION = make_case("A", p=900.0)                        # fails in compute_rigidities
-BAD_LATER = {
-    "section": make_case("B", p=1000.0, ne=8),
-    "recovery": make_case("A", load=LoadCase("udl", 0.0)),        # no nondimensional form
-}
-
-
-@pytest.mark.parametrize("stage", sorted(BAD_LATER))
-def test_first_failing_case_in_input_order_is_raised(stage):
+def test_first_failing_case_in_input_order_is_raised():
+    # sections whose rigidities overflow (E h^3 beyond float64), under point loads, which
+    # have no table scales to overflow when the case is built
     good = make_case("A", p=2.0)
-    bad = BAD_LATER[stage]
-    configs = [good, bad, make_case("A", p=3.0), good, BAD_SECTION, good]
-    with pytest.raises(Exception) as alone:
+    bad = make_case("B", p=1.0, h=1e100, load=LoadCase("point_mid", 1.0))
+    later = make_case("A", p=1.0, h=1e120, load=LoadCase("point_mid", 1.0))
+    configs = [good, bad, make_case("A", p=3.0), good, later, good]
+    with pytest.raises(OverflowError) as alone:
         evaluate_case(bad)
-    with pytest.raises(Exception) as batched:
+    with pytest.raises(OverflowError) as batched:
         evaluate_cases(configs)
-    assert type(batched.value) is type(alone.value)
     assert str(batched.value) == str(alone.value)
+    assert "h = 1e+100 m" in str(alone.value)
 
 
 def test_shared_work_per_call(monkeypatch):
@@ -165,20 +160,6 @@ def test_convergence_study_checks_every_element_count_before_any_solve(
     with pytest.raises(ValueError) as err:
         studies.convergence_study(cfg, ne_list)
     assert str(err.value) == message
-    assert solves == []
-
-
-@pytest.mark.parametrize("run,message", [
-    (lambda: studies.sweep(make_case("B", p=1.0), "p", ["1", "2", "900"]),
-     "power-law index p = 900 exceeds the section quadrature cap"),
-    (lambda: evaluate_cases([make_case("A", p=2.0), make_case("B", p=1.0, bc="CF"),
-                             make_case("C", load=LoadCase("udl", 0.0))]),
-     "nondimensionalization requires a positive load magnitude q"),
-], ids=["sweep_p_cap", "zero_udl"])
-def test_invalid_case_raises_before_any_solve(run, message, monkeypatch):
-    solves = count_solves(monkeypatch)
-    with pytest.raises(ValueError, match=message):
-        run()
     assert solves == []
 
 
