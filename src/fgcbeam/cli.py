@@ -73,10 +73,9 @@ def _parse_station(text: str, cfg: CaseConfig, flag: str) -> float:
     if text == "support":
         return 0.0
     try:
-        x = float(text)
+        return float(text)          # the recovery checks the range, with its node snap
     except ValueError:
         raise ValueError(f"{flag} must be mid, end, support or a coordinate, got {text!r}")
-    return x          # the recovery checks the range, with its node snap
 
 
 _PROFILE_ROW = f"{PRINTED},{PRINTED},{PRINTED},%s"      # one formatting call per row

@@ -18,7 +18,8 @@ constructor that checks each value's range:
     [load]      type = udl|point_end|point_mid   (required; LoadCase)
                 magnitude                   (optional; default 1.0;
                                              CaseConfig: q > 0 for udl)
-    [mesh]      ne                          (optional; default 16; Mesh: ne >= 1;
+    [mesh]      ne                          (optional; default 16; Mesh: an
+                                             integer ne >= 1;
                                              check_load: even for point_mid, and
                                              no point load that the supports hold)
 
@@ -27,8 +28,9 @@ it (key names are read lowercased), and '%' is a plain character: no
 value is interpolated.
 
 This module only turns text into values: a number, finite unless the key
-accepts ``inf`` (only R_over_L does), an integer, an enum name and the
-scheme's a-b-c shape.  Each range rule is checked once, by the constructor
+accepts ``inf`` (only R_over_L does), an integer where the text is one
+(``Mesh`` names an ne that is not), an enum name and the scheme's a-b-c
+shape.  Each range rule is checked once, by the constructor
 that owns it, so every case built in the library passes it too; the
 constructor raises a ``ConfigError`` (a ValueError, defined in
 ``materials``) that names the INI key.  An error in a value starts with its
@@ -39,6 +41,7 @@ value as given before it.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -186,11 +189,9 @@ def parse_config(text: str) -> CaseConfig:
     bc = _member(BoundaryCondition, "bc.type", _get(cp, "bc", "type").upper())
     load = LoadCase(_get(cp, "load", "type").lower(), _get_float(cp, "load", "magnitude", "1.0"))
 
-    ne_raw = _get(cp, "mesh", "ne", str(DEFAULT_NE))
-    try:
-        ne = int(ne_raw)
-    except ValueError as err:
-        raise ConfigError(f"mesh.ne: expected an integer, got {ne_raw!r}") from err
+    ne = _get(cp, "mesh", "ne", str(DEFAULT_NE))
+    with contextlib.suppress(ValueError):    # text that is no integer stays text: Mesh names it
+        ne = int(ne)
     return CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L, bc=bc, load=load, ne=ne)
 
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import enum
 import importlib.util
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -117,7 +118,8 @@ class Mesh:
     ne    : number of elements
     inv_R : curvature 1/R shared by all elements (0 = straight)
 
-    Construction checks L > 0 and ne >= 1; each ``ConfigError`` names its INI
+    Construction checks L > 0 and that ne is an integer (any type with
+    ``__index__``, such as numpy's) >= 1; each ``ConfigError`` names its INI
     key, geometry.L or mesh.ne.
     """
 
@@ -128,8 +130,11 @@ class Mesh:
     def __post_init__(self):
         if not 0 < self.L < np.inf:
             raise ConfigError(f"geometry.L: beam length must be positive and finite, got {self.L}")
-        if self.ne < 1:
-            raise ConfigError(f"mesh.ne: need at least one element, got ne = {self.ne}")
+        try:
+            if operator.index(self.ne) < 1:
+                raise ConfigError(f"mesh.ne: need at least one element, got ne = {self.ne}")
+        except TypeError:
+            raise ConfigError(f"mesh.ne: expected an integer, got {self.ne!r}") from None
         if not 0 <= self.inv_R < np.inf:
             raise ValueError("curvature inv_R = 1/R must be nonnegative and finite")
 

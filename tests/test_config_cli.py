@@ -215,6 +215,7 @@ RADIUS = re.escape("geometry.R_over_L: radius R = R_over_L * L = ")
     (dict(R_over_L=0.05), RADIUS + "0.25 m must exceed h/2 = 0.5 m"),
     (dict(R_over_L=-1.0), RADIUS + "-5 m"),
     (dict(ne=0), "mesh.ne: need at least one element, got ne = 0$"),
+    (dict(ne=16.0), "mesh.ne: expected an integer, got 16.0$"),
     (dict(ne=5, load=fgcbeam.LoadCase("point_mid", 1.0)),
      "mesh.ne: mid-span point load needs an even element count, got ne = 5$"),
     (dict(load=fgcbeam.LoadCase("point_end", 1.0)),
@@ -224,7 +225,7 @@ RADIUS = re.escape("geometry.R_over_L: radius R = R_over_L * L = ")
     (dict(load=dict(magnitude=0.0)),
      "load.magnitude: nondimensionalization requires a positive load magnitude q$"),
 ], ids=["R_underflows", "R_subnormal", "R_below_half_h", "R_negative", "ne_0",
-        "odd_ne_point_mid", "point_load_on_support", "p_above_cap", "zero_udl"])
+        "ne_float", "odd_ne_point_mid", "point_load_on_support", "p_above_cap", "zero_udl"])
 def test_no_invalid_case_config_can_be_built(change, message):
     # a dict changes fields of the case's own layup or load
     cfg = parse_config(MINIMAL)
@@ -247,6 +248,7 @@ ONE_KEY_PER_RULE = [
     ({"geometry.R_over_L": "0"}, "geometry.R_over_L"),
     ({"geometry.R_over_L": "-1"}, "geometry.R_over_L"),
     ({"mesh.ne": "0"}, "mesh.ne"),
+    ({"mesh.ne": "16.5"}, "mesh.ne"),
     ({"load.type": "point_mid", "mesh.ne": "5"}, "mesh.ne"),
     ({"load.type": "point_end"}, "load.type"),
     ({"load.type": "wind"}, "load.type"),
