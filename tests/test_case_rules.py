@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fgcbeam import ConfigError, evaluate_case, parse_config
 
 
-def text(*values):
+def written(*values):
     """The values as INI text, each written so that it reads back as the same float."""
     return [v if isinstance(v, str) else repr(float(v)) for v in values]
 
@@ -18,18 +18,18 @@ def text(*values):
 # and the load type also meet check_load's rules (an even ne under a mid-span load, no load
 # that the supports hold), and the magnitude the rule q > 0 for a uniform load
 RULES = {
-    "E_m": (text(70e9, 380e9), text(0.0, -70e9)),
-    "E_c": (text(380e9, 70e9), text(0.0)),
-    "nu": (text(-0.0, 0.0, 0.3, math.nextafter(0.5, 0.0)), text(-1e-9, 0.5, 0.5000001)),
+    "E_m": (written(70e9, 380e9), written(0.0, -70e9)),
+    "E_c": (written(380e9, 70e9), written(0.0)),
+    "nu": (written(-0.0, 0.0, 0.3, math.nextafter(0.5, 0.0)), written(-1e-9, 0.5, 0.5000001)),
     "kind": (["A", "B", "C"], []),
     "scheme": (["1-1-1", "1-8-1", "0-1-0", "1-0-1", "1-0-0", "0-0-1"], ["0-0-0"]),
-    "p": (text(-0.0, 0.0, 1e-9, 2.0, math.nextafter(800.0, 0.0), 800.0),
-          text(-1e-9, math.nextafter(800.0, math.inf), 801.0, "inf", "nan")),
+    "p": (written(-0.0, 0.0, 1e-9, 2.0, math.nextafter(800.0, 0.0), 800.0),
+          written(-1e-9, math.nextafter(800.0, math.inf), 801.0, "inf", "nan")),
     "L_h": ([(5.0, 1.0), (1.0, 0.05), (20.0, 1.0)], []),
     "R_factor": ([1 + 1e-9, 3.0, math.inf], [0.5, 1 - 1e-9, 1.0]),
     "bc": (["SS", "CC", "CF"], []),
     "load": (["udl", "point_mid", "point_end"], []),
-    "q": (text(0.5, 1.0), text(-2.0, -0.0, 0.0)),
+    "q": (written(0.5, 1.0), written(-2.0, -0.0, 0.0)),
     "ne": (["1", "2", "3", "4", "15", "16"], ["-1", "0", "16.0"]),
 }
 

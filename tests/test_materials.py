@@ -110,13 +110,6 @@ def test_straight_beam_curvature_stays_valid():
     assert Mesh(L=1.0, ne=4, inv_R=0.0).inv_R == 0.0
 
 
-def test_element_count_of_any_integer_type():
-    # numpy's integers have __index__; a float, even a whole one, is no element count
-    assert Mesh(L=1.0, ne=np.int64(16)).ne == 16
-    with pytest.raises(ConfigError, match=r"^mesh.ne: expected an integer, got 16.0$"):
-        Mesh(L=1.0, ne=16.0)
-
-
 class TestVolumeFraction:
     def test_linear_law_midplane(self):
         lay = Layup.single_layer(p=1.0, h=1.0)
