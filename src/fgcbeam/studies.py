@@ -76,17 +76,22 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     """Solve every case and report the table quantities, in input order.
 
     Each ``CaseConfig`` checked itself when it was built, so this only groups,
-    solves and recovers: the sections are computed in input order, every
+    solves and recovers.  The sections are computed in input order, and the
+    first one that overflows ends the list there: the cases before it are
+    solved and recovered, so an earlier case's failure comes first.  Every
     group is solved, and the earliest case's failed solve raises.  No case
     is solved twice.
     """
-    rigs, groups, jobs = {}, {}, []
+    rigs, groups, jobs, last = {}, {}, [], None
     for i, cfg in enumerate(configs):
         section = cfg.material, cfg.layup
-        rig = rigs.get(section)
-        if rig is None:
-            rig = rigs[section] = compute_rigidities(*section)
-        jobs.append((rig, cfg.bc, cfg.load))
+        if section not in rigs:
+            try:
+                rigs[section] = compute_rigidities(*section)
+            except ArithmeticError as err:   # raised once the cases before it pass
+                configs, last = configs[:i], err
+                break
+        jobs.append((rigs[section], cfg.bc, cfg.load))
         groups.setdefault(cfg.mesh, []).append(i)
     stacks, failures = [], []
     for mesh, members in groups.items():
@@ -108,6 +113,8 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
             bars = (_uniform_load_bars(cfg, w, strains[m], factors)
                     if m in strains else (None, None, None))
             results[i] = CaseResults(cfg, Solution(d[m], mesh), x, w, *bars)
+    if last is not None:
+        raise last
     return results
 
 
