@@ -24,9 +24,10 @@ import sys
 from pathlib import Path
 
 from .config import CaseConfig, parse_config
-from .postproc import thickness_profile
-from .solver import SingularSystemError
-from .studies import PRINTED, CaseResults, convergence_study, evaluate_case, printed, sweep
+from .postproc import _profile_columns
+from .section import compute_rigidities
+from .solver import SingularSystemError, Solution, solve_static
+from .studies import PRINTED, convergence_study, evaluate_case, printed, sweep
 
 
 def _load_config(path: str) -> CaseConfig:
@@ -81,16 +82,16 @@ def _parse_station(text: str, cfg: CaseConfig, flag: str) -> float:
 _PROFILE_ROW = f"{PRINTED},{PRINTED},{PRINTED},%s"      # one formatting call per row
 
 
-def _profile_csv(res: CaseResults, x: float, samples: int) -> str:
-    """Through-thickness profile at x as CSV; nondimensional for the udl case."""
-    cfg = res.config
-    rows = thickness_profile(res.solution, cfg.material, cfg.layup, x, samples)
+def _profile_csv(cfg: CaseConfig, sol: Solution, x: float, samples: int) -> str:
+    """Through-thickness profile at x as CSV, formatted from the profile's columns;
+    nondimensional for the udl case."""
+    _, z_over_h, sigma, tau, sides = _profile_columns(sol, cfg.material, cfg.layup, x, samples)
     udl = cfg.scales is not None
     # a product with 1.0 is exact: point-load rows keep the dimensional stresses
     scale = cfg.scales[1] if udl else 1.0
     lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
-    lines += [_PROFILE_ROW % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
-              for r in rows]
+    lines += map(_PROFILE_ROW.__mod__, zip(z_over_h.tolist(), (sigma * scale).tolist(),
+                                           (tau * scale).tolist(), sides))
     return "\n".join(lines) + "\n"
 
 
@@ -104,7 +105,9 @@ def _cmd_profile(args) -> int:
     cfg = _load_config(args.config)
     x = _parse_station(args.x, cfg, "--x")
     with _output(args.out) as out:
-        (out or sys.stdout).write(_profile_csv(evaluate_case(cfg), x, args.samples))
+        # the solve alone: the profile prints none of evaluate_case's table values
+        sol = solve_static(cfg.mesh, compute_rigidities(cfg.material, cfg.layup), cfg.bc, cfg.load)
+        (out or sys.stdout).write(_profile_csv(cfg, sol, x, args.samples))
     if args.out:
         sys.stdout.write(f"profile written to {args.out}\n")
     return 0

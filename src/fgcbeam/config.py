@@ -61,9 +61,9 @@ class CaseConfig:
     h/2 and have a finite 1/R (a ``ConfigError`` naming geometry.R_over_L),
     ``Mesh`` checks L and ne, ``check_load`` rejects an odd ne under a
     mid-span point load and a point load the supports would hold, and
-    ``table_scales`` rejects a uniform load with q <= 0.  The derived
-    ``mesh`` and, for a uniform load, the table ``scales`` (None for a point
-    load) are built once here.
+    ``table_scales`` rejects a uniform load with q <= 0 or with a table
+    scale beyond float64.  The derived ``mesh`` and, for a uniform load,
+    the table ``scales`` (None for a point load) are built once here.
     """
 
     material: MaterialPair

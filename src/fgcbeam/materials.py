@@ -12,7 +12,12 @@ Three through-thickness layouts are supported:
 
 Effective properties follow the rule of mixtures
 P(z) = P_m + (P_c - P_m) * V(z), with Poisson's ratio held constant.
-All functions here are pure and safe to call concurrently.
+The layer rule and the grade are one kernel, ``Layup._fractions``, which
+takes a whole list of heights in one pass, each V = s**p a Python float
+power: ``layer_index``, ``volume_fraction`` and ``effective_modulus`` are
+its one-point calls, and ``effective_moduli`` its list form, which a
+stress profile calls once per station.  All functions here are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -141,28 +146,44 @@ class Layup:
         an interface (used when sampling a stress jump from both sides):
         the lowest layer that ends, or starts, within 1e-12 h of z.
         """
-        return self._layer(z, side)[0]
+        return self._fractions([z], [side])[0][0]
 
-    def _layer(self, z: float, side: str | None) -> tuple[int, float, float, float | str]:
-        """The ``layers`` entry that ``layer_index`` picks."""
-        top, eps = self.h / 2, _Z_SNAP * self.h
-        if z < -top - eps or z > top + eps:
-            raise ValueError(f"z = {z} outside the section [{-top}, {top}]")
-        if side is not None and side not in ("below", "above"):
-            raise ValueError(f"side must be 'below', 'above' or None, got {side!r}")
-        if z <= -top + eps:
-            return self.layers[0]
-        if z >= top - eps:
-            return self.layers[-1]
-        if side is not None:
-            end = 2 if side == "below" else 1      # the layer's top, or its bottom, meets z
-            for layer in self.layers:
-                if abs(z - layer[end]) <= eps:
-                    return layer
-        for layer in self.layers:
-            if z < layer[2]:
-                return layer
-        return self.layers[-1]
+    def _fractions(self, zs, sides) -> tuple[list[int], list[float]]:
+        """The layer rule of ``layer_index`` and the grade of ``volume_fraction`` for each
+        height z of zs with its side of sides, in one pass: the picked layer's n and V(z)
+        per height.  The first z outside the section, or a side other than None,
+        'below' or 'above', raises a ValueError."""
+        top, eps, p, layers = self.h / 2, _Z_SNAP * self.h, self.p, self.layers
+        outside, bottom, surface = top + eps, -top + eps, top - eps
+        ns, vs = [], []
+        for z, side in zip(zs, sides):
+            if z < -outside or z > outside:
+                raise ValueError(f"z = {z} outside the section [{-top}, {top}]")
+            if side is not None and side not in ("below", "above"):
+                raise ValueError(f"side must be 'below', 'above' or None, got {side!r}")
+            if z <= bottom:
+                layer = layers[0]
+            elif z >= surface:
+                layer = layers[-1]
+            else:
+                layer = None
+                if side is not None:
+                    end = 2 if side == "below" else 1      # the layer's top, or its bottom, meets z
+                    for entry in layers:
+                        if abs(z - entry[end]) <= eps:
+                            layer = entry
+                            break
+                if layer is None:
+                    for layer in layers:        # a z above every layer's top ends on the last
+                        if z < layer[2]:
+                            break
+            n, lo, hi, grade = layer
+            # z may lie up to 1e-12 h outside the picked layer: clamp it in (a NaN stays NaN)
+            z = lo if z < lo else hi if z > hi else z
+            ns.append(n)
+            vs.append(((z - lo) / (hi - lo)) ** p if grade == "up" else
+                      ((hi - z) / (hi - lo)) ** p if grade == "down" else grade)
+        return ns, vs
 
 
 def volume_fraction(layup: Layup, z: float, side: str | None = None) -> float:
@@ -171,19 +192,20 @@ def volume_fraction(layup: Layup, z: float, side: str | None = None) -> float:
     The layer is picked by ``layup.layer_index`` (optionally forced with
     ``side`` at an interface) and graded by its ``layers`` entry.
     """
-    _, lo, hi, grade = layup._layer(z, side)      # rejects z outside the section
-    z = min(max(z, lo), hi)           # z may lie up to 1e-12 h outside the picked layer
-    if grade == "up":
-        return ((z - lo) / (hi - lo)) ** layup.p
-    if grade == "down":
-        return ((hi - z) / (hi - lo)) ** layup.p
-    return grade
+    return layup._fractions([z], [side])[1][0]
+
+
+def effective_moduli(mat: MaterialPair, layup: Layup, zs, sides) -> list[float]:
+    """Young's modulus E(z) by the rule of mixtures (Pa) at each height z of zs, with its
+    side of sides: one ``Layup._fractions`` pass over all of them."""
+    E_m, dE = mat.E_m, mat.E_c - mat.E_m
+    return [E_m + dE * v for v in layup._fractions(zs, sides)[1]]
 
 
 def effective_modulus(mat: MaterialPair, layup: Layup, z: float,
                       side: str | None = None) -> float:
     """Young's modulus E(z) by the rule of mixtures (Pa)."""
-    return mat.E_m + (mat.E_c - mat.E_m) * volume_fraction(layup, z, side=side)
+    return effective_moduli(mat, layup, [z], [side])[0]
 
 
 def stiffness_coeffs(E: float, nu: float) -> tuple[float, float]:

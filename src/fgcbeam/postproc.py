@@ -31,26 +31,32 @@ DOFs of one solution or of an (M, ndof) stack on one mesh:
 xs)`` the generalized strains.  Every product is ``np.vecdot`` (BLAS
 ``ddot`` per row), whose bits do not depend on the stack as a ``gemm``'s
 do, so the point functions below and the case engine share one kernel and
-agree bit for bit.  ``table_scales`` rejects a load magnitude q <= 0 with
-a ``ConfigError`` that names load.magnitude; ``CaseConfig`` calls it once
-per uniform-load case, when the case is built.
+agree bit for bit.  ``table_scales`` rejects a load magnitude q <= 0, or
+one that leaves a scale infinite, with a ``ConfigError`` that names
+load.magnitude; ``CaseConfig`` calls it once per uniform-load case, when
+the case is built.
 
-The factors C11(z), f(z) and C55(z) g(z) come from one array kernel,
+The factors C11(z), f(z) and C55(z) g(z) come from one kernel,
 ``_stress_factors``: ``stress_at`` is its one-point call, the case
 engine makes one two-point call (z = h/2 and z = 0) per section, and a
-profile makes one call per station.  Its powers (V = s**p, and (z/h)**4
-in ``section.shear_functions``) are Python float powers, so every z gets
-the bits of a scalar call on every host.
+profile makes one call per station.  It takes E(z) at all its heights
+from one ``materials.effective_moduli`` pass over the layers.  Its powers
+(V = s**p, and (z/h)**4 in ``section.shear_functions``) are Python float
+powers, so every z gets the bits of a scalar call on every host.
+A profile is built as columns (``_profile_columns``), which
+``thickness_profile`` wraps in ``ProfileRow``s and the CLI formats as
+they are.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .element import _hermite, _lagrange, strain_rows
-from .materials import (_Z_SNAP, ConfigError, Layup, MaterialPair, effective_modulus,
+from .materials import (_Z_SNAP, ConfigError, Layup, MaterialPair, effective_moduli,
                         stiffness_coeffs)
 from .section import shear_functions
 from .solver import BoundaryCondition, Mesh, Solution
@@ -125,11 +131,10 @@ def strains_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
 def _stress_factors(mat: MaterialPair, layup: Layup, z,
                     sides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C11, f, C55 g) at the heights z, each with its side (None, '', 'below' or 'above'):
-    the factors that turn a station's strains into stresses there.  E(z) is
-    ``effective_modulus`` point by point; f and g are ``section.shear_functions``."""
+    the factors that turn a station's strains into stresses there.  E(z) is one
+    ``effective_moduli`` pass; f and g are ``section.shear_functions``."""
     z = np.asarray(z, dtype=float)
-    E = np.array([effective_modulus(mat, layup, zi, side or None)
-                  for zi, side in zip(z.tolist(), sides)])
+    E = np.array(effective_moduli(mat, layup, z.tolist(), [side or None for side in sides]))
     C11, C55 = stiffness_coeffs(E, mat.nu)
     f, g = shear_functions(z, layup.h)
     return C11, f, C55 * g
@@ -156,23 +161,23 @@ def deflection_point(bc: BoundaryCondition, L: float) -> float:
 
 def table_scales(E_m: float, L: float, h: float, q: float) -> tuple[float, float]:
     """Factors (100 E_m h^3 / (q L^4), h / (q L)) that turn a deflection and a
-    stress into their table form; defined for a uniform load magnitude q > 0, and
-    a ConfigError naming load.magnitude otherwise."""
+    stress into their table form; defined for a uniform load magnitude q > 0 that
+    leaves both finite, and a ConfigError naming load.magnitude otherwise."""
     if q <= 0:
         raise ConfigError("load.magnitude: nondimensionalization requires a positive load "
                           "magnitude q")
-    return 100.0 * E_m * h**3 / (q * L**4), h / (q * L)
+    scales = 100.0 * E_m * h**3 / (q * L**4), h / (q * L)
+    if not all(map(math.isfinite, scales)):   # a float quotient overflows to inf, unraised
+        raise ConfigError(f"load.magnitude: q = {q:g} puts a table scale beyond float64: "
+                          f"100 E_m h^3 / (q L^4) = {scales[0]:g}, h / (q L) = {scales[1]:g}")
+    return scales
 
 
-def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
-                      n_samples: int) -> list[ProfileRow]:
-    """Stress profile over z in [-h/2, h/2] at station x.
-
-    The grid is uniform with both surfaces included; every interior
-    layer interface is sampled twice (once per adjacent layer) since
-    sigma_x jumps wherever E(z) does.  Rows are ordered bottom to top,
-    'below' before 'above' at an interface.
-    """
+def _profile_columns(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
+                     n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                              list[str]]:
+    """The rows of ``thickness_profile`` as columns: z, z/h, sigma_x and tau_xz (arrays) and
+    side (a list), from one ``_stress_factors`` call."""
     if n_samples < 2:
         raise ValueError("need at least two samples across the thickness")
     h = layup.h
@@ -186,7 +191,21 @@ def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
     grid = grid[np.all(np.abs(grid[:, None] - np.array(inner)) > eps, axis=1)]
     at = np.repeat(np.searchsorted(grid, inner), 2)     # each pair goes in z order
     z = np.insert(grid, at, np.repeat(inner, 2))
-    sides = np.insert(np.full(len(grid), "", object), at, ["below", "above"] * len(inner))
+    sides = np.insert(np.full(len(grid), "", object), at,
+                      ["below", "above"] * len(inner)).tolist()
     sigma, tau = _stresses(strains_at(sol, x), _stress_factors(mat, layup, z, sides), z)
-    return [ProfileRow(*row) for row in zip(z.tolist(), (z / h).tolist(), sigma.tolist(),
-                                            tau.tolist(), sides.tolist())]
+    return z, z / h, sigma, tau, sides
+
+
+def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
+                      n_samples: int) -> list[ProfileRow]:
+    """Stress profile over z in [-h/2, h/2] at station x.
+
+    The grid is uniform with both surfaces included; every interior
+    layer interface is sampled twice (once per adjacent layer) since
+    sigma_x jumps wherever E(z) does.  Rows are ordered bottom to top,
+    'below' before 'above' at an interface.
+    """
+    z, zh, sigma, tau, sides = _profile_columns(sol, mat, layup, x, n_samples)
+    return [ProfileRow(*row) for row in zip(z.tolist(), zh.tolist(), sigma.tolist(),
+                                            tau.tolist(), sides)]

@@ -16,7 +16,9 @@ def written(*values):
 # per key: values inside its rule, up to the boundary, and values just across it.  L and h
 # stay at catalogue scale; R_over_L is a factor of h/(2L), where R = h/2; the element count
 # and the load type also meet check_load's rules (an even ne under a mid-span load, no load
-# that the supports hold), and the magnitude the rule q > 0 for a uniform load
+# that the supports hold), and the magnitude the uniform load's rules: q > 0, and table
+# scales 100 E_m h^3 / (q L^4) and h / (q L) that are finite.  At catalogue scale the first
+# scale is finite for q >= 3.5e-298 and infinite for q <= 2.4e-301
 RULES = {
     "E_m": (written(70e9, 380e9), written(0.0, -70e9)),
     "E_c": (written(380e9, 70e9), written(0.0)),
@@ -29,7 +31,7 @@ RULES = {
     "R_factor": ([1 + 1e-9, 3.0, math.inf], [0.5, 1 - 1e-9, 1.0]),
     "bc": (["SS", "CC", "CF"], []),
     "load": (["udl", "point_mid", "point_end"], []),
-    "q": (written(0.5, 1.0), written(-2.0, -0.0, 0.0)),
+    "q": (written(0.5, 1.0), written(-2.0, -0.0, 0.0, 1e-302)),
     "ne": (["1", "2", "3", "4", "15", "16"], ["-1", "0", "16.0"]),
 }
 
@@ -42,6 +44,8 @@ def ini_texts(draw):
     d = {key: draw(st.sampled_from(out if key == across else inside))
          for key, (inside, out) in RULES.items()}
     L, h = d["L_h"]
+    if float(d["q"]) == 1e-302:   # across the scale rule as a uniform load; as a point load,
+        d["load"] = "udl"           # a magnitude this small is ROADMAP item 4's
     return (f"[material]\nE_m = {d['E_m']}\nE_c = {d['E_c']}\nnu = {d['nu']}\n"
             f"[layup]\nkind = {d['kind']}\nscheme = {d['scheme']}\np = {d['p']}\n"
             f"[geometry]\nL = {L!r}\nh = {h!r}\nR_over_L = {h / (2 * L) * d['R_factor']!r}\n"

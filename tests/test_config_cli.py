@@ -11,22 +11,30 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fgcbeam
 from fgcbeam import (
     BoundaryCondition,
     ConfigError,
     LayupKind,
+    LoadCase,
     SingularSystemError,
+    compute_rigidities,
     parse_config,
+    solve_static,
     solver,
     studies,
+    thickness_profile,
 )
-from fgcbeam.cli import build_parser, main
+from fgcbeam.cli import _profile_csv, build_parser, main
 from fgcbeam.config import with_parameter
 from fgcbeam.studies import printed
 
+from conftest import random_case
 from test_studies import count_solves
 
 MINIMAL = """\
@@ -224,8 +232,12 @@ RADIUS = re.escape("geometry.R_over_L: radius R = R_over_L * L = ")
                                           "got 900.0") + "$"),
     (dict(load=dict(magnitude=0.0)),
      "load.magnitude: nondimensionalization requires a positive load magnitude q$"),
+    (dict(load=dict(magnitude=1e-300)),
+     re.escape("load.magnitude: q = 1e-300 puts a table scale beyond float64: "
+               "100 E_m h^3 / (q L^4) = inf, h / (q L) = 2e+299") + "$"),
 ], ids=["R_underflows", "R_subnormal", "R_below_half_h", "R_negative", "ne_0",
-        "ne_float", "odd_ne_point_mid", "point_load_on_support", "p_above_cap", "zero_udl"])
+        "ne_float", "odd_ne_point_mid", "point_load_on_support", "p_above_cap", "zero_udl",
+        "udl_scale_overflows"])
 def test_no_invalid_case_config_can_be_built(change, message):
     # a dict changes fields of the case's own layup or load
     cfg = parse_config(MINIMAL)
@@ -593,6 +605,9 @@ ONE_LINE_ERRORS = [
      "layup.p: power-law index must satisfy 0 <= p <= 800, got 900.0"),
     (MINIMAL + "magnitude = 0\n",
      "load.magnitude: nondimensionalization requires a positive load magnitude q"),
+    (MINIMAL + "magnitude = 1e-300\n",
+     "load.magnitude: q = 1e-300 puts a table scale beyond float64: "
+     "100 E_m h^3 / (q L^4) = inf, h / (q L) = 2e+299"),
     ("[material]\nE_m = 1e308\nE_c = 1.7e308\nnu = 0.3\n"
      + MINIMAL.replace("p = 0", "p = 1").replace("SS", "CC").replace("udl", "point_mid"),
      "an input magnitude is out of floating-point range: overflow encountered in multiply"),
@@ -601,7 +616,8 @@ ONE_LINE_ERRORS = [
 
 @pytest.mark.parametrize("text,message", ONE_LINE_ERRORS, ids=[
     "misspelled_key", "misspelled_optional_key", "unknown_mesh_key", "default_section",
-    "percent_sign", "interpolation", "p_above_cap", "zero_udl", "overflowing_element"])
+    "percent_sign", "interpolation", "p_above_cap", "zero_udl", "tiny_udl",
+    "overflowing_element"])
 def test_rejected_input_is_one_error_line(text, message, tmp_path, capsys):
     path = tmp_path / "case.ini"
     path.write_text(text, encoding="utf-8")
@@ -619,6 +635,34 @@ def test_magnitude_out_of_float64_range_has_no_traceback(tmp_path):
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr.startswith("error: an input magnitude is out of floating-point range: ")
     assert "Traceback" not in res.stderr and res.stderr.count("\n") == 1
+
+
+def reference_profile_csv(cfg, sol, x, samples):
+    """The profile CSV as it was formatted before the column form: one ``ProfileRow`` of
+    ``thickness_profile`` at a time, its stresses times the stress scale (1.0 under a point
+    load) in Python floats."""
+    rows = thickness_profile(sol, cfg.material, cfg.layup, x, samples)
+    udl = cfg.scales is not None
+    scale = cfg.scales[1] if udl else 1.0
+    lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
+    lines += ["%.9e,%.9e,%.9e,%s" % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
+              for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), load=st.sampled_from(["udl", "point_mid", "point_end"]),
+       samples=st.sampled_from([2, 3, 5, 11, 201]) | st.integers(2, 301),
+       station=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+def test_profile_csv_equals_the_row_by_row_format(seed, load, samples, station):
+    # point loads print the dimensional header and stresses; odd sample counts put a grid
+    # point at z = 0 and, in some schemes, on an interface
+    cfg = random_case(np.random.default_rng(seed))
+    kind = load if load != "point_end" or cfg.bc is BoundaryCondition.CF else "point_mid"
+    cfg = replace(cfg, load=LoadCase(kind, cfg.load.magnitude))
+    sol = solve_static(cfg.mesh, compute_rigidities(cfg.material, cfg.layup), cfg.bc, cfg.load)
+    x = station * cfg.L
+    assert _profile_csv(cfg, sol, x, samples) == reference_profile_csv(cfg, sol, x, samples)
 
 
 class TestCliProfile:

@@ -166,14 +166,16 @@ def test_one_mesh_group_with_mixed_sections_supports_and_loads():
 
 
 def count_solves(monkeypatch):
-    """The element counts of every job that studies hands to solve_batch."""
+    """The element counts of every job handed to solve_batch, by studies or by
+    solve_static."""
     solves = []
-    real = studies.solve_batch
+    real = solver.solve_batch
 
     def counting(mesh, jobs):
         solves.extend([mesh.ne] * len(jobs))
         return real(mesh, jobs)
 
+    monkeypatch.setattr(solver, "solve_batch", counting)
     monkeypatch.setattr(studies, "solve_batch", counting)
     return solves
 
