@@ -3,9 +3,9 @@
 ``Layup._fractions`` applies the layer rule and the grade to a list of heights in one
 pass, and ``layer_index``, ``volume_fraction``, ``effective_modulus`` and
 ``effective_moduli`` are its calls.  The reference below is the earlier per-point chain,
-kept verbatim: ``_layer`` picks a ``layers`` entry, ``volume_fraction`` clamps z into it
-and grades it, and ``effective_modulus`` mixes.  Every draw must give the same bits, or
-the same exception type and message.
+kept verbatim: ``reference_layer`` picks a ``layers`` entry, ``reference_volume_fraction``
+clamps z into it and grades it, and ``reference_effective_modulus`` mixes.  Every draw must
+give the same bits, or the same exception type and message.
 """
 
 import math
