@@ -256,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as err:       # a length or modulus whose powers leave float64
         sys.stderr.write(f"error: an input magnitude is out of floating-point range: {err}\n")
         return 2
+    except MemoryError as err:           # e.g. a sample count or mesh beyond the host's memory
+        sys.stderr.write(f"error: out of memory: {err}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Case configuration: INI-style text in, validated CaseConfig out.
 
-Grammar (sections and keys; '#'/';' comments allowed), with the
-constructor that checks each value's range:
+Grammar (sections and keys), with the constructor that checks each
+value's range:
 
     [material]  E_m, E_c, nu                (optional; defaults to the
                                              70/380 GPa, nu = 0.3 pair;
@@ -27,6 +27,27 @@ Any other section or key, and a [DEFAULT] section, is an error that names
 it (key names are read lowercased), and '%' is a plain character: no
 value is interpolated.
 
+The text is read in one pass over its lines, by the rules of configparser
+with inline '#'/';' comments, no interpolation and no default section:
+
+- a line ends at '\n' only; '\r', '\x0c' and the like inside a line are
+  whitespace to strip, not line ends;
+- a comment starts at a '#' or ';' at column 0 or after whitespace and runs
+  to the line's end (``_comment_start`` says which mark wins when both
+  appear); a line that is blank once its comment is cut is skipped;
+- a line that starts with '[' and has a later ']' is a header: the name is
+  the text between the '[' and the last ']', case kept, and [DEFAULT] is an
+  ordinary section;
+- any other line is 'key = value' or 'key: value': the key ends at the
+  first '=' or ':' and is right-stripped and lowercased; the value is
+  stripped;
+- a non-blank line indented deeper than the last header or key line, while
+  a key is current, would continue that key's value, across blank and
+  comment lines too; no key takes a multi-line value, so it is an error;
+- so are a repeated section, a repeated key, a line before any header, an
+  empty key and a line with no '=' or ':'.  Each of these errors is one
+  line, 'malformed configuration: line N: ...'.
+
 This module only turns text into values: a number, finite unless the key
 accepts ``inf`` (only R_over_L does), an integer where the text is one
 (``Mesh`` names an ne that is not), an enum name and the scheme's a-b-c
@@ -40,7 +61,6 @@ value as given before it.
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import math
 import re
@@ -98,13 +118,71 @@ class CaseConfig:
         return self.mesh.inv_R
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str,
+_KEY_LINE = re.compile(r"([^=:]+)[=:](.*)")
+
+
+def _comment_start(line: str) -> int:
+    """Where line's comment starts; len(line) if it has none.
+
+    A '#' or ';' at column 0 or after whitespace starts a comment.  Where both
+    marks appear, configparser's scan decides: it looks at the n-th '#' and the
+    n-th ';' together, n = 1, 2, ..., so a mark of lower rank among its own kind
+    wins over an earlier one: 'x#y #z ;w' is cut at the ';', the first ';' and
+    the second '#'.
+    """
+    best = (math.inf, len(line))
+    for mark in "#;":
+        rank, i = 0, line.find(mark)
+        while i > 0 and not line[i - 1].isspace():
+            rank, i = rank + 1, line.find(mark, i + 1)
+        if i >= 0:
+            best = min(best, (rank, i))
+    return best[1]
+
+
+def _malformed(lineno: int, what: str) -> ConfigError:
+    return ConfigError(f"malformed configuration: line {lineno}: {what}")
+
+
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} from INI text, by the line rules of the module docstring."""
+    ini: dict[str, dict[str, str]] = {}
+    section = key = None
+    indent = 0                                  # of the last header or key line
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line or ";" in line:
+            line = line[:_comment_start(line)]
+        body = line.strip()
+        if not body:
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            raise _malformed(lineno, f"{section}.{key}: an indented line continues the value, "
+                                     "which must fit on one line")
+        indent = depth
+        if body[0] == "[" and (close := body.rfind("]")) > 1:
+            section, key = body[1:close], None
+            if section in ini:
+                raise _malformed(lineno, f"repeated section [{section}]")
+            ini[section] = {}
+        elif section is None:
+            raise _malformed(lineno, f"{body!r} comes before any [section] header")
+        elif match := _KEY_LINE.match(body):
+            key = match[1].rstrip().lower()
+            if key in ini[section]:
+                raise _malformed(lineno, f"{section}.{key}: repeated key")
+            ini[section][key] = match[2].strip()
+        else:
+            raise _malformed(lineno, f"expected a [section] header or key = value, got {body!r}")
+    return ini
+
+
+def _get(ini: dict[str, dict[str, str]], section: str, key: str,
          default: str | None = None) -> str:
-    if cp.has_option(section, key):
-        return cp.get(section, key).strip()
-    if default is None:
+    value = ini.get(section, {}).get(key.lower(), default)
+    if value is None:
         raise ConfigError(f"{section}.{key}: missing required key")
-    return default
+    return value
 
 
 def _number(name: str, raw) -> float:
@@ -142,11 +220,11 @@ def _member(enum_type, name: str, raw: str):
         raise ConfigError(f"{name}: must be {', '.join(head)} or {last}, got {raw!r}") from err
 
 
-def _get_float(cp, section, key, default=None):
-    return _number(f"{section}.{key}", _get(cp, section, key, default))
+def _get_float(ini, section, key, default=None):
+    return _number(f"{section}.{key}", _get(ini, section, key, default))
 
 
-#: Each section's keys, lowercased as configparser stores them.
+#: Each section's keys, lowercased as the reader stores them.
 _KEYS = {"material": ("e_m", "e_c", "nu"), "layup": ("kind", "scheme", "p"),
          "geometry": ("l", "h", "r_over_l"), "bc": ("type",), "load": ("type", "magnitude"),
          "mesh": ("ne",)}
@@ -154,42 +232,34 @@ _KEYS = {"material": ("e_m", "e_c", "nu"), "layup": ("kind", "scheme", "p"),
 
 def parse_config(text: str) -> CaseConfig:
     """Parse a case configuration from INI text; the constructors check the values."""
-    # '%' is a plain character; no header can name the empty default section, so a
-    # [DEFAULT] header starts an ordinary section, which the grammar does not know
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
-                                   default_section="")
-    try:
-        cp.read_string(text)
-    except configparser.Error as err:
-        raise ConfigError(f"malformed configuration: {err}") from err
-
-    for section in cp.sections():
+    ini = _read_ini(text)
+    for section, keys in ini.items():
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp.options(section):
+        for key in keys:
             if key not in _KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
     for section in ("layup", "geometry", "bc", "load"):
-        if not cp.has_section(section):
+        if section not in ini:
             raise ConfigError(f"missing required section [{section}]")
 
-    mat = (MaterialPair(*(_get_float(cp, "material", key) for key in ("E_m", "E_c", "nu")))
-           if cp.has_section("material") else DEFAULT_MATERIAL)
+    mat = (MaterialPair(*(_get_float(ini, "material", key) for key in ("E_m", "E_c", "nu")))
+           if "material" in ini else DEFAULT_MATERIAL)
 
-    kind = _member(LayupKind, "layup.kind", _get(cp, "layup", "kind").upper())
-    p = _get_float(cp, "layup", "p")
-    h = _get_float(cp, "geometry", "h")
+    kind = _member(LayupKind, "layup.kind", _get(ini, "layup", "kind").upper())
+    p = _get_float(ini, "layup", "p")
+    h = _get_float(ini, "geometry", "h")
     if kind is LayupKind.A:
         layup = Layup.single_layer(p=p, h=h)
     else:
-        layup = Layup(kind, _scheme("layup.scheme", _get(cp, "layup", "scheme")), p, h)
+        layup = Layup(kind, _scheme("layup.scheme", _get(ini, "layup", "scheme")), p, h)
 
-    L = _get_float(cp, "geometry", "L")
-    R_over_L = _radius_ratio("geometry.R_over_L", _get(cp, "geometry", "R_over_L", "inf"))
-    bc = _member(BoundaryCondition, "bc.type", _get(cp, "bc", "type").upper())
-    load = LoadCase(_get(cp, "load", "type").lower(), _get_float(cp, "load", "magnitude", "1.0"))
+    L = _get_float(ini, "geometry", "L")
+    R_over_L = _radius_ratio("geometry.R_over_L", _get(ini, "geometry", "R_over_L", "inf"))
+    bc = _member(BoundaryCondition, "bc.type", _get(ini, "bc", "type").upper())
+    load = LoadCase(_get(ini, "load", "type").lower(), _get_float(ini, "load", "magnitude", "1.0"))
 
-    ne = _get(cp, "mesh", "ne", str(DEFAULT_NE))
+    ne = _get(ini, "mesh", "ne", str(DEFAULT_NE))
     with contextlib.suppress(ValueError):    # text that is no integer stays text: Mesh names it
         ne = int(ne)
     return CaseConfig(material=mat, layup=layup, L=L, R_over_L=R_over_L, bc=bc, load=load, ne=ne)

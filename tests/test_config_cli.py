@@ -611,13 +611,26 @@ ONE_LINE_ERRORS = [
     ("[material]\nE_m = 1e308\nE_c = 1.7e308\nnu = 0.3\n"
      + MINIMAL.replace("p = 0", "p = 1").replace("SS", "CC").replace("udl", "point_mid"),
      "an input magnitude is out of floating-point range: overflow encountered in multiply"),
+    ("kind = A\n" + MINIMAL,
+     "malformed configuration: line 1: 'kind = A' comes before any [section] header"),
+    (MINIMAL + "[bc]\ntype = CC\n", "malformed configuration: line 11: repeated section [bc]"),
+    (MINIMAL + "TYPE = point_mid\n", "malformed configuration: line 11: load.type: repeated key"),
+    (MINIMAL + "  magnitude = 2\n", "malformed configuration: line 11: load.type: an indented "
+                                    "line continues the value, which must fit on one line"),
+    (MINIMAL + "\n  magnitude = 2\n", "malformed configuration: line 12: load.type: an indented "
+                                      "line continues the value, which must fit on one line"),
+    (MINIMAL + "magnitude 2\n", "malformed configuration: line 11: expected a [section] header "
+                                "or key = value, got 'magnitude 2'"),
+    (MINIMAL + "= 2\n", "malformed configuration: line 11: expected a [section] header "
+                        "or key = value, got '= 2'"),
 ]
 
 
 @pytest.mark.parametrize("text,message", ONE_LINE_ERRORS, ids=[
     "misspelled_key", "misspelled_optional_key", "unknown_mesh_key", "default_section",
     "percent_sign", "interpolation", "p_above_cap", "zero_udl", "tiny_udl",
-    "overflowing_element"])
+    "overflowing_element", "no_header", "repeated_section", "repeated_key_other_case",
+    "indented_key", "indented_key_after_blank", "no_delimiter", "empty_key"])
 def test_rejected_input_is_one_error_line(text, message, tmp_path, capsys):
     path = tmp_path / "case.ini"
     path.write_text(text, encoding="utf-8")
@@ -635,6 +648,16 @@ def test_magnitude_out_of_float64_range_has_no_traceback(tmp_path):
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr.startswith("error: an input magnitude is out of floating-point range: ")
     assert "Traceback" not in res.stderr and res.stderr.count("\n") == 1
+
+
+def test_sample_count_beyond_memory_is_one_error_line(capsys):
+    # 10**15 float64 samples (7.1 PiB) exceed any 64-bit address space, so the allocation
+    # fails at once, without touching memory
+    case = Path(__file__).parent / "golden" / "cases" / "a_ss_udl.ini"
+    assert main(["profile", str(case), "--samples", str(10**15)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: out of memory: ")
 
 
 def reference_profile_csv(cfg, sol, x, samples):

@@ -5,7 +5,8 @@ compiled extensions alone, and reads the paper's five Gauss-Jacobi rules
 from a table, so a run on the paper's p imports neither ``scipy.linalg``
 nor ``scipy.special``.  Each subprocess below runs ``bench --table T6``,
 ``run a_ss_udl.ini`` and one ``evaluate_cases`` on a paper p and a
-non-paper p, in one of three import orders.
+non-paper p, in one of three import orders.  A cold ``run`` imports no
+``configparser`` either: ``config`` reads the INI text itself.
 """
 
 import json
@@ -103,6 +104,17 @@ def test_run_leaves_the_benchmark_fixtures_unbuilt():
     proc = subprocess.run([sys.executable, "-c", script, str(CASE)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
+
+
+def test_run_imports_no_configparser():
+    """``config`` reads INI text itself; ``run`` under ``-X importtime``, as in CI."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "fgcbeam.cli", "run",
+                           str(CASE)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "fgcbeam.config" in imported and "configparser" not in imported
 
 
 def test_loader_returns_none_for_a_missing_extension():
