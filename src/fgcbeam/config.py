@@ -8,7 +8,9 @@ value's range:
                                              MaterialPair: E > 0, 0 <= nu < 0.5)
     [layup]     kind = A|B|C                (required)
                 scheme = a-b-c              (required for B/C; Layup: ratios
-                                             >= 0 with a positive sum)
+                                             >= 0 with a positive sum; for A,
+                                             optional, its a-b-c shape checked
+                                             and its value ignored)
                 p                           (required; Layup: 0 <= p <= 800)
     [geometry]  L, h                        (required; Mesh: L > 0, Layup: h > 0)
                 R_over_L = <number>|inf     (optional; default inf; CaseConfig:
@@ -250,6 +252,8 @@ def parse_config(text: str) -> CaseConfig:
     p = _get_float(ini, "layup", "p")
     h = _get_float(ini, "geometry", "h")
     if kind is LayupKind.A:
+        if "scheme" in ini["layup"]:          # its a-b-c shape is checked, its value ignored
+            _scheme("layup.scheme", ini["layup"]["scheme"])
         layup = Layup.single_layer(p=p, h=h)
     else:
         layup = Layup(kind, _scheme("layup.scheme", _get(ini, "layup", "scheme")), p, h)

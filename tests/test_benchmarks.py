@@ -1,15 +1,26 @@
-"""Fixture hygiene and the benchmark comparison machinery."""
+"""Fixture hygiene, the fixture file, its packaging and the benchmark comparison machinery."""
 
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fgcbeam
 from fgcbeam import CaseConfig, Layup
 from fgcbeam.benchmarks import (
     ALL_CELLS,
+    SUSPECT_REASONS,
     TABLE_IDS,
     benchmark_compare,
 )
+
+FIXTURES = Path(fgcbeam.__file__).with_name("fixtures.csv")
+COLUMNS = ["table", "row", "column", "quantity", "kind", "scheme", "p", "L_over_h", "R_over_L",
+           "bc", "expected", "tol", "suspect"]
 
 EXPECTED_COUNTS = {"T6": 30, "T7": 60, "T8": 120, "T9": 40, "T10": 40,
                    "T11": 40, "T12": 60, "T15": 120, "T16": 180, "T17": 30,
@@ -172,3 +183,55 @@ class TestBenchmarkCompare:
         monkeypatch.setattr(CaseConfig, "__post_init__", post_init)
         report = benchmark_compare(tables=["T7", "T17"])
         assert len(report.results) == 90 and calls == []
+
+
+class TestFixtureFile:
+    """``fixtures.csv`` itself: one row per cell, in the order of ``ALL_CELLS``."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        with open(FIXTURES, newline="", encoding="utf-8") as file:
+            reader = csv.DictReader(file)
+            assert reader.fieldnames == COLUMNS
+            return list(reader)
+
+    def test_one_row_per_cell_and_one_case_per_key(self, rows):
+        assert len(rows) == len(ALL_CELLS) == 920
+        keys = {tuple(r[c] for c in COLUMNS[4:10]) for r in rows}      # kind ... bc
+        assert len(keys) == len({id(c.config) for c in ALL_CELLS}) == 420
+
+    def test_suspect_entries_are_known_keys(self, rows):
+        suspects = [r["suspect"] for r in rows if r["suspect"]]
+        assert len(suspects) == 47
+        assert set(suspects) <= set(SUSPECT_REASONS)
+
+    def test_two_tolerance_classes(self, rows):
+        assert {r["tol"] for r in rows} == {"1e-3", "2e-3"}
+
+    def test_rows_are_the_cells(self, rows):
+        for r, cell in zip(rows, ALL_CELLS):
+            assert (r["table"], r["row"], r["column"], r["quantity"]) == (
+                cell.table, cell.row, cell.col, cell.quantity)
+            assert float(r["expected"]) == cell.expected
+            assert float(r["tol"]) == cell.tol
+            assert SUSPECT_REASONS.get(r["suspect"]) == cell.suspect
+
+
+def test_installed_layout_ships_the_fixtures(tmp_path):
+    """setuptools' build_py lays the package out as an install does; the cells build from it."""
+    pytest.importorskip("setuptools")
+    root = Path(__file__).resolve().parents[1]
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    # egg_info writes its metadata under lib, not into the checkout
+    build = ("import setuptools; setuptools.setup(script_args=["
+             f"'egg_info', '--egg-base', {str(lib)!r}, 'build_py', '--build-lib', {str(lib)!r}])")
+    subprocess.run([sys.executable, "-c", build], cwd=root, capture_output=True, check=True,
+                   timeout=120)
+    assert (lib / "fgcbeam" / "fixtures.csv").read_bytes() == FIXTURES.read_bytes()
+    probe = ("import fgcbeam.benchmarks as b; "
+             "print(b.__file__); print(len(b.ALL_CELLS), len(b.TABLE_IDS))")
+    env = dict(os.environ, PYTHONPATH=str(lib))
+    res = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert res.stdout.splitlines() == [str(lib / "fgcbeam" / "benchmarks.py"), "920 12"]

@@ -125,6 +125,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="layup.scheme"):
             parse_config(bad)
 
+    def test_kind_a_accepts_and_ignores_a_well_formed_scheme(self):
+        for scheme in ("1-8-1", "0-0-0", "1-1-1e-13"):
+            text = MINIMAL.replace("p = 0", f"p = 0\nscheme = {scheme}")
+            assert parse_config(text).layup == parse_config(MINIMAL).layup
+
     def test_bad_kind(self):
         with pytest.raises(ConfigError, match="layup.kind"):
             parse_config(MINIMAL.replace("kind = A", "kind = D"))
@@ -623,6 +628,8 @@ ONE_LINE_ERRORS = [
                                 "or key = value, got 'magnitude 2'"),
     (MINIMAL + "= 2\n", "malformed configuration: line 11: expected a [section] header "
                         "or key = value, got '= 2'"),
+    (MINIMAL.replace("p = 0", "p = 0\nscheme = banana"),
+     "layup.scheme: must be three dash-separated numbers, got 'banana'"),
 ]
 
 
@@ -630,7 +637,8 @@ ONE_LINE_ERRORS = [
     "misspelled_key", "misspelled_optional_key", "unknown_mesh_key", "default_section",
     "percent_sign", "interpolation", "p_above_cap", "zero_udl", "tiny_udl",
     "overflowing_element", "no_header", "repeated_section", "repeated_key_other_case",
-    "indented_key", "indented_key_after_blank", "no_delimiter", "empty_key"])
+    "indented_key", "indented_key_after_blank", "no_delimiter", "empty_key",
+    "kind_a_malformed_scheme"])
 def test_rejected_input_is_one_error_line(text, message, tmp_path, capsys):
     path = tmp_path / "case.ini"
     path.write_text(text, encoding="utf-8")

@@ -3,11 +3,12 @@
 ``tests/golden/cases`` holds INI cases covering layup kinds A/B/C,
 SS/CC/CF supports, straight and curved beams, and udl, ``point_mid``
 and ``point_end`` loads.  Next to them are the stored outputs of
-``bench --csv``, ``run`` and ``converge`` on every case, two sweeps,
-the mid-span and support profiles of four cases (one with p = 2.5 and
-its own material), the mid-span profile of a sandwich whose top face
-has zero thickness, and a 21-sample profile at an interior node whose
-grid has a point on a 1-8-1 interface.  The test reruns each command
+``bench`` (the text report) and ``bench --csv``, ``run`` and
+``converge`` on every case, two sweeps, the mid-span and support
+profiles of four cases (one with p = 2.5 and its own material), the
+mid-span profile of a sandwich whose top face has zero thickness, and a
+21-sample profile at an interior node whose grid has a point on a 1-8-1
+interface.  The test reruns each command
 in-process and compares bytes.
 
 After an intended output change, rewrite the corpus with
@@ -35,7 +36,7 @@ PROFILED = ("b_cc_udl_curved", "b_cf_point_mid", "b_ss_udl_curved_material",
 
 def _corpus() -> dict[str, list[str]]:
     """Stored file name -> CLI arguments (a case name stands for its INI path)."""
-    out = {"bench.csv": ["bench", "--csv"]}
+    out = {"bench.csv": ["bench", "--csv"], "bench.txt": ["bench"]}
     for case in CASES:
         out[f"{case}.run.txt"] = ["run", case]
         out[f"{case}.converge.txt"] = ["converge", case]
@@ -56,18 +57,18 @@ def _corpus() -> dict[str, list[str]]:
 
 
 def generate(name: str) -> bytes:
-    """Output of the command stored as ``name``: stdout, or the CSV for bench."""
+    """Output of the command stored as ``name``: stdout, or the file that --csv names."""
     argv = list(_corpus()[name])
     if argv[0] != "bench":
         argv[1] = str(GOLDEN / "cases" / f"{argv[1]}.ini")
     with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] == "bench":
+        if "--csv" in argv:
             argv.append(str(Path(tmp) / name))
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = cli.main(argv)
         assert code == 0, f"fgcbeam {' '.join(argv)} exited {code}"
-        if argv[0] == "bench":
+        if "--csv" in argv:
             return (Path(tmp) / name).read_bytes()
     return buf.getvalue().encode("utf-8")
 
