@@ -78,9 +78,10 @@ DEFAULT_MATERIAL = MaterialPair(E_m=70e9, E_c=380e9, nu=0.3)
 #: Fraction of h within which z counts as lying on an interface or a surface.
 _Z_SNAP = 1e-12
 
-# Highest power-law index: the section's Gauss-Jacobi weights carry scipy's 2**(p+1)
-# normalization, which overflows float64 near p ~ 1020; beyond this cap a graded layer is
-# numerically pure metal outside a skin of relative thickness 1/p.
+# Highest power-law index: the range over which the tests hold the section's Gauss-Jacobi
+# rules to scipy's nodes and to an mpmath rule.  The computed rules carry no 2**(p+1) factor,
+# which overflowed float64 near p ~ 1020; beyond this cap a graded layer is numerically pure
+# metal outside a skin of relative thickness 1/p.
 _P_MAX = 800.0
 
 

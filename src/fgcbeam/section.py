@@ -15,10 +15,16 @@ s an affine function of z running 0 -> 1, so the integral splits into a
 polynomial part (Gauss-Legendre) and a weighted part with weight s**p
 (Gauss-Jacobi).  Both rules are exact for the polynomial factors
 involved (degree <= 10), for every p that ``Layup`` accepts (0 <= p <= 800).
+
+The Gauss-Jacobi rules of the paper's p are stored bit for bit; any other
+p takes scipy's ``roots_jacobi`` algorithm, run without ``scipy.special``
+on the LAPACK that the solver loads (``_gauss_jacobi``), so its nodes are
+scipy's to the bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,14 +100,68 @@ class SectionRigidities:
     A55s: float
 
 
+def _jacobi_values(n: int, a: float, b: float, xs: list[float]) -> list[float]:
+    """P_n^(a,b)(x) / binom(n + a, n) at each x, for n >= 2.
+
+    The forward recurrence of scipy's ``eval_jacobi`` for an integer degree, term for
+    term and in its order, in Python floats.
+    """
+    steps = []
+    for k in range(1, n):
+        k = float(k)
+        t = 2 * k + a + b
+        steps.append((t * (t + 1) * (t + 2), 2 * k * (k + b) * (t + 2),
+                      2 * (k + a + 1) * (k + a + b + 1) * t))
+    values = []
+    for x in xs:
+        d = (a + b + 2) * (x - 1) / (2 * (a + 1))
+        v = d + 1
+        for c_v, c_d, c in steps:
+            d = (c_v * (x - 1) * v + c_d * d) / c
+            v = d + v
+        values.append(v)
+    return values
+
+
+def _gauss_jacobi(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s in (0,1) and weights for integral of s**p * phi(s) ds, for p > 0.
+
+    This is scipy's ``roots_jacobi(_NPOINTS, 0, p)`` without ``scipy.special``: the
+    eigenvalues of the Jacobi band (Golub and Welsch) from LAPACK ``dsbevd``, then one
+    Newton step on P_n^(0,p).  With alpha = 0 scipy's band terms simplify exactly, and
+    the band and the Newton step take scipy's operations in scipy's order, so the nodes
+    are scipy's to the bit.  The weights are 1 / (P_(n-1)(x) P_n'(x)), scaled to sum to
+    1/(p+1): no log rescaling, beta function or 2**(p+1) factor, which would overflow
+    float64 near p ~ 1020.
+    """
+    from .solver import dsbevd  # solver imports this module
+    n = _NPOINTS
+    band = np.zeros((2, n))
+    band[1, 0] = p / (2 + p)
+    for k in range(1, n):
+        t = 2.0 * k + p
+        band[0, k] = 2.0 / t * math.sqrt(k * (k + p) / (t + 1)) * (
+            1.0 if k == 1 else math.sqrt(k * (k + p) / (t - 1)))
+        band[1, k] = p * p / (t * (t + 2))
+    x, _, info = dsbevd(band, compute_v=0, lower=0, overwrite_ab=1)
+    if info:
+        raise ArithmeticError(f"layup.p: LAPACK dsbevd returned info = {info} on the "
+                              f"Gauss-Jacobi band of p = {p!r}")
+    x = x.tolist()
+    # P_n' = (n + p + 1)/2 * P_(n-1)^(1,p+1), whose binomial factor binom(n, n-1) is n
+    dp = [0.5 * (n + p + 1) * (n * v) for v in _jacobi_values(n - 1, 1.0, p + 1, x)]
+    x = [xi - v / d for xi, v, d in zip(x, _jacobi_values(n, 0.0, p, x), dp)]
+    w = [1.0 / (v * d) for v, d in zip(_jacobi_values(n - 1, 0.0, p, x), dp)]
+    scale = 1.0 / ((p + 1) * math.fsum(w))
+    return np.array([0.5 * (xi + 1.0) for xi in x]), np.array([wi * scale for wi in w])
+
+
 @lru_cache(maxsize=128)
 def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s in (0,1) and weights for integral of s**p * phi(s) ds."""
-    if p in _JACOBI_HEX:
-        x, w = np.array([float.fromhex(t) for t in _JACOBI_HEX[p].split()]).reshape(2, _NPOINTS)
-    else:
-        from scipy.special import roots_jacobi  # with scipy.linalg, about 0.45 s to import
-        x, w = roots_jacobi(_NPOINTS, 0.0, p)
+    if p not in _JACOBI_HEX:
+        return _gauss_jacobi(p)
+    x, w = np.array([float.fromhex(t) for t in _JACOBI_HEX[p].split()]).reshape(2, _NPOINTS)
     return 0.5 * (x + 1.0), w * 0.5 ** (p + 1.0)
 
 

@@ -92,6 +92,7 @@ _lapack, _blas = _linalg_extension("_flapack"), _linalg_extension("_fblas")
 if _lapack is None or _blas is None:  # e.g. Windows, whose DLL path scipy/_distributor_init sets
     from scipy.linalg import blas as _blas, lapack as _lapack
 dpbtrf, dpbtrs, dsbmv = _lapack.dpbtrf, _lapack.dpbtrs, _blas.dsbmv
+dsbevd = _lapack.dsbevd  # section's Gauss-Jacobi rules
 
 #: Names of the four nodal DOFs, in interleaved storage order.
 DOF_NAMES = ("u0", "w0", "w0_x", "phi_x")

@@ -1,12 +1,13 @@
 """Cold start: the stored Gauss-Jacobi rules and the standalone LAPACK/BLAS load.
 
-The program reaches ``dpbtrf``, ``dpbtrs`` and ``dsbmv`` through scipy's
-compiled extensions alone, and reads the paper's five Gauss-Jacobi rules
-from a table, so a run on the paper's p imports neither ``scipy.linalg``
-nor ``scipy.special``.  Each subprocess below runs ``bench --table T6``,
-``run a_ss_udl.ini`` and one ``evaluate_cases`` on a paper p and a
-non-paper p, in one of three import orders.  A cold ``run`` imports no
-``configparser`` either: ``config`` reads the INI text itself.
+The program reaches ``dpbtrf``, ``dpbtrs``, ``dsbmv`` and ``dsbevd`` through
+scipy's compiled extensions alone, reads the paper's five Gauss-Jacobi rules
+from a table and computes any other p's rule on that LAPACK, so a run at any
+p imports neither ``scipy.linalg`` nor ``scipy.special``.  Each subprocess
+below runs ``bench --table T6``, ``run a_ss_udl.ini`` and one
+``evaluate_cases`` on a paper p and a non-paper p, in one of three import
+orders, and then records which scipy subpackages are loaded.  A cold ``run``
+imports no ``configparser`` either: ``config`` reads the INI text itself.
 """
 
 import json
@@ -35,9 +36,9 @@ from fgcbeam.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes = [main(["bench", "--table", "T6"]), main(["run", case])]
-loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
 text = open(case).read()
 results = evaluate_cases([parse_config(text.replace("p = 1", f"p = {p}")) for p in ("5", "3.7")])
+loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
 import scipy.linalg.lapack
 print(json.dumps(dict(
     codes=codes, stdout=out.getvalue(), loaded=loaded, results=repr(results),
@@ -78,6 +79,7 @@ def test_table_holds_the_papers_indices():
 
 
 def test_paper_cases_import_neither_scipy_subpackage(runs):
+    """Nor does the non-paper p = 3.7 that follows them."""
     late = runs["late"]
     assert late["codes"] == [0, 0]
     assert "total: 30 pass, 0 fail, 0 suspect cells skipped" in late["stdout"]
