@@ -11,18 +11,9 @@ from .materials import (
     Layup,
     LayupKind,
     MaterialPair,
-    effective_modulus,
     stiffness_coeffs,
-    volume_fraction,
 )
-from .postproc import (
-    deflection_point,
-    displacement_at,
-    strains_at,
-    stress_at,
-    table_scales,
-    thickness_profile,
-)
+from .postproc import deflection_point, table_scales
 from .section import SectionRigidities, compute_rigidities, shear_functions
 from .solver import (
     BoundaryCondition,
@@ -38,9 +29,8 @@ from .studies import CaseResults, convergence_study, evaluate_case, evaluate_cas
 __all__ = [
     "CaseConfig", "ConfigError", "parse_config",
     "DEFAULT_MATERIAL", "Layup", "LayupKind", "MaterialPair",
-    "effective_modulus", "stiffness_coeffs", "volume_fraction",
-    "deflection_point", "displacement_at", "strains_at", "stress_at",
-    "table_scales", "thickness_profile",
+    "stiffness_coeffs",
+    "deflection_point", "table_scales",
     "SectionRigidities", "compute_rigidities", "shear_functions",
     "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError", "Solution",
     "assemble_load", "solve_static",

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import math
 import sys
 from pathlib import Path
@@ -67,12 +68,9 @@ def _cmd_run(args) -> int:
 
 
 def _parse_station(text: str, cfg: CaseConfig, flag: str) -> float:
-    if text == "mid":
-        return cfg.L / 2.0
-    if text == "end":
-        return cfg.L
-    if text == "support":
-        return 0.0
+    named = {"mid": cfg.L / 2.0, "end": cfg.L, "support": 0.0}
+    if text in named:
+        return named[text]
     try:
         return float(text)          # the recovery checks the range, with its node snap
     except ValueError:
@@ -95,10 +93,17 @@ def _profile_csv(cfg: CaseConfig, sol: Solution, x: float, samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
-    """The FILE of ``--out`` or ``--csv``, opened before any solve so that a bad path costs
-    none; a context of None without one."""
-    return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext()
+    """A buffer for the FILE of ``--out`` or ``--csv``, or None without one.  The path is
+    opened before any solve, so that a bad one costs none, in append mode, so that the file
+    keeps its bytes; the file takes the buffer's text only if the command raises nothing."""
+    if not path:
+        yield None
+        return
+    open(path, "a", encoding="utf-8").close()
+    yield (buffer := io.StringIO())
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
 def _cmd_profile(args) -> int:
@@ -136,13 +141,11 @@ def _cmd_converge(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     rows = sweep(cfg, args.param, _items(args.values))
-    sys.stdout.write(f"{args.param},w_bar,sigma_bar,tau_bar\n")
+    w = "w_bar" if cfg.load.kind == "udl" else "w"       # a point load reports w in m
+    sys.stdout.write(f"{args.param},{w},sigma_bar,tau_bar\n")
     for value, r in rows:
-        if r.w_bar is None:
-            sys.stdout.write(f"{value},{printed(r.w)},,\n")
-        else:
-            sys.stdout.write(f"{value},{printed(r.w_bar)},{printed(r.sigma_bar)},"
-                             f"{printed(r.tau_bar)}\n")
+        cols = (r.w if r.w_bar is None else r.w_bar, r.sigma_bar, r.tau_bar)
+        sys.stdout.write(",".join([value, *("" if c is None else printed(c) for c in cols)]) + "\n")
     return 0
 
 

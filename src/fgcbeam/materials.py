@@ -14,10 +14,9 @@ Effective properties follow the rule of mixtures
 P(z) = P_m + (P_c - P_m) * V(z), with Poisson's ratio held constant.
 The layer rule and the grade are one kernel, ``Layup._fractions``, which
 takes a whole list of heights in one pass, each V = s**p a Python float
-power: ``layer_index``, ``volume_fraction`` and ``effective_modulus`` are
-its one-point calls, and ``effective_moduli`` its list form, which a
-stress profile calls once per station.  All functions here are pure and
-safe to call concurrently.
+power; ``effective_moduli`` mixes its fractions, and the stress recovery
+calls it once per station.  All functions here are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class Layup:
     core, top face), lo and hi are the layer's bounds, the bottom face
     starting at -h/2 and the top face ending at +h/2, and grade is
     ``LAYER_GRADES[kind][n]``.  A zero ratio leaves no layer, even where
-    rounding leaves a sliver below +h/2.  ``layer_index`` picks the entry
+    rounding leaves a sliver below +h/2.  ``_fractions`` picks the entry
     that holds a given z.
     """
 
@@ -136,24 +135,17 @@ class Layup:
         """Type A layup (scheme is irrelevant and stored as zeros)."""
         return Layup(LayupKind.A, (0.0, 0.0, 0.0), p, h)
 
-    def layer_index(self, z: float, side: str | None = None) -> int:
-        """Index (0, 1 or 2) of the layer containing z, an entry of ``layers``.
-
-        A z within 1e-12 h of a surface belongs to that surface's layer,
-        the first or the last entry, whatever the side.  Elsewhere layers
-        are the half-open intervals [lo, hi), so a coordinate landing
-        exactly on an interface deterministically belongs to the layer
-        above it.  ``side="below"`` / ``side="above"`` force the choice at
-        an interface (used when sampling a stress jump from both sides):
-        the lowest layer that ends, or starts, within 1e-12 h of z.
-        """
-        return self._fractions([z], [side])[0][0]
-
     def _fractions(self, zs, sides) -> tuple[list[int], list[float]]:
-        """The layer rule of ``layer_index`` and the grade of ``volume_fraction`` for each
-        height z of zs with its side of sides, in one pass: the picked layer's n and V(z)
-        per height.  The first z outside the section, or a side other than None,
-        'below' or 'above', raises a ValueError."""
+        """The picked layer's n and the ceramic volume fraction V(z) in [0, 1] for each
+        height z of zs with its side of sides, in one pass.
+
+        A z within 1e-12 h of a surface belongs to that surface's layer, the first or the
+        last entry of ``layers``, whatever the side.  Elsewhere layers are the half-open
+        intervals [lo, hi), so a z exactly on an interface belongs to the layer above it.
+        A side of 'below' or 'above' forces the choice at an interface (a stress jump is
+        sampled from both sides): the lowest layer that ends, or starts, within 1e-12 h
+        of z.  The picked layer's ``layers`` entry grades V.  The first z outside the
+        section, or a side other than None, 'below' or 'above', raises a ValueError."""
         top, eps, p, layers = self.h / 2, _Z_SNAP * self.h, self.p, self.layers
         outside, bottom, surface = top + eps, -top + eps, top - eps
         ns, vs = [], []
@@ -187,26 +179,11 @@ class Layup:
         return ns, vs
 
 
-def volume_fraction(layup: Layup, z: float, side: str | None = None) -> float:
-    """Ceramic volume fraction V(z) in [0, 1].
-
-    The layer is picked by ``layup.layer_index`` (optionally forced with
-    ``side`` at an interface) and graded by its ``layers`` entry.
-    """
-    return layup._fractions([z], [side])[1][0]
-
-
 def effective_moduli(mat: MaterialPair, layup: Layup, zs, sides) -> list[float]:
     """Young's modulus E(z) by the rule of mixtures (Pa) at each height z of zs, with its
     side of sides: one ``Layup._fractions`` pass over all of them."""
     E_m, dE = mat.E_m, mat.E_c - mat.E_m
     return [E_m + dE * v for v in layup._fractions(zs, sides)[1]]
-
-
-def effective_modulus(mat: MaterialPair, layup: Layup, z: float,
-                      side: str | None = None) -> float:
-    """Young's modulus E(z) by the rule of mixtures (Pa)."""
-    return effective_moduli(mat, layup, [z], [side])[0]
 
 
 def stiffness_coeffs(E: float, nu: float) -> tuple[float, float]:

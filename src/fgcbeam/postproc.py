@@ -1,8 +1,8 @@
 """Field recovery and nondimensional reporting.
 
-Displacements, generalized strains, point stresses and
-through-thickness stress profiles are recovered from a solved
-displacement vector.  Axial stress follows
+The deflection, the generalized strains, the stresses at any heights and
+through-thickness stress profiles are recovered from solved DOF vectors.
+Axial stress follows
 
     sigma_x(x, z) = C11(z) (eps0 + z eps1 + f(z) eps2)
 
@@ -27,55 +27,39 @@ available).
 
 Recovery multiplies the Hermite or strain rows at a station x by the
 DOFs of one solution or of an (M, ndof) stack on one mesh:
-``_deflections(d, mesh, x)`` gives (w0, dw0/dx) and ``_strains(d, mesh,
-xs)`` the generalized strains.  Every product is ``np.vecdot`` (BLAS
-``ddot`` per row), whose bits do not depend on the stack as a ``gemm``'s
-do, so the point functions below and the case engine share one kernel and
-agree bit for bit.  ``table_scales`` rejects a load magnitude q <= 0, or
-one that leaves a scale infinite, with a ``ConfigError`` that names
-load.magnitude; ``CaseConfig`` calls it once per uniform-load case, when
-the case is built.
+``_deflections(d, mesh, x)`` gives w0 and ``_strains(d, mesh, xs)`` the
+generalized strains.  Every product is ``np.vecdot`` (a dot product per
+row), whose bits, unlike a ``gemm``'s, do not depend on how many
+solutions a stack holds; the case engine always passes a stack.  Inside
+an element, w0 of a single 1-D ``d`` can differ in its last bit from the
+same row of a stack, whose gathered DOFs are strided.  ``table_scales``
+rejects a load magnitude q <= 0, or one that leaves a scale infinite,
+with a ``ConfigError`` that names load.magnitude; ``CaseConfig`` calls it
+once per uniform-load case, when the case is built.
 
 The factors C11(z), f(z) and C55(z) g(z) come from one kernel,
-``_stress_factors``: ``stress_at`` is its one-point call, the case
-engine makes one two-point call (z = h/2 and z = 0) per section, and a
-profile makes one call per station.  It takes E(z) at all its heights
-from one ``materials.effective_moduli`` pass over the layers.  Its powers
-(V = s**p, and (z/h)**4 in ``section.shear_functions``) are Python float
-powers, so every z gets the bits of a scalar call on every host.
-A profile is built as columns (``_profile_columns``), which
-``thickness_profile`` wraps in ``ProfileRow``s and the CLI formats as
-they are.
+``_stress_factors``: the case engine makes one two-point call (z = h/2
+and z = 0) per section, and a profile makes one call per station.  It
+takes E(z) at all its heights from one ``materials.effective_moduli``
+pass over the layers.  Its powers (V = s**p, and (z/h)**4 in
+``section.shear_functions``) are Python float powers, so every z gets the
+bits of a scalar call on every host.  A profile is built as columns
+(``_profile_columns``), which the CLI formats as they are.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .element import _hermite, _lagrange, strain_rows
+from .element import _hermite, strain_rows
 from .materials import (_Z_SNAP, ConfigError, Layup, MaterialPair, effective_moduli,
                         stiffness_coeffs)
 from .section import shear_functions
 from .solver import BoundaryCondition, Mesh, Solution
 
 _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
-
-
-class ProfileRow(NamedTuple):
-    """One row of a through-thickness profile.
-
-    side is '' for ordinary grid points, 'below'/'above' for the pair
-    of one-sided samples straddling a layer interface.
-    """
-
-    z: float
-    z_over_h: float
-    sigma_x: float
-    tau_xz: float
-    side: str = ""
 
 
 def _locate(mesh: Mesh, x: float) -> tuple[int, float]:
@@ -89,20 +73,11 @@ def _locate(mesh: Mesh, x: float) -> tuple[int, float]:
 
 
 def _deflections(d: np.ndarray, mesh: Mesh, x: float) -> np.ndarray:
-    """(w0, dw0/dx) at x from DOFs (..., ndof): the Hermite rows (Nb, dNb/dx) times the
-    element's w0 DOFs, shape (..., 2)."""
+    """w0 at x from DOFs (..., ndof): the Hermite row Nb times the element's w0 DOFs,
+    shape (...)."""
     e, xi = _locate(mesh, x)
-    Nb, dNb, _ = _hermite(float(xi), float(mesh.Le))
-    return np.vecdot(np.array((Nb, dNb)), d[..., mesh.element_dofs(e)][..., None, [1, 2, 5, 6]])
-
-
-def displacement_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
-    """Interpolated (u0, w0, dw0/dx, phi_x) at x."""
-    e, xi = _locate(sol.mesh, x)
-    (N0, N1), _ = _lagrange(float(xi), float(sol.mesh.Le))
-    de = sol.d[sol.mesh.element_dofs(e)]
-    w, dw = _deflections(sol.d, sol.mesh, x).tolist()
-    return float(N0 * de[0] + N1 * de[4]), w, dw, float(N0 * de[3] + N1 * de[7])
+    Nb = _hermite(float(xi), float(mesh.Le))[0]
+    return np.vecdot(Nb, d[..., mesh.element_dofs(e)][..., [1, 2, 5, 6]])
 
 
 def _strains(d: np.ndarray, mesh: Mesh, xs) -> list[np.ndarray]:
@@ -122,12 +97,6 @@ def _strains(d: np.ndarray, mesh: Mesh, xs) -> list[np.ndarray]:
     return [ep[0] if len(ep) == 1 else 0.5 * (ep[0] + ep[1]) for ep in eps]
 
 
-def strains_at(sol: Solution, x: float) -> tuple[float, float, float, float]:
-    """Generalized strains (eps0 (-), eps1 (1/m), eps2 (1/m), gamma0 (rad)) at x,
-    averaging both elements at interior nodes."""
-    return tuple(map(float, _strains(sol.d, sol.mesh, [x])[0]))
-
-
 def _stress_factors(mat: MaterialPair, layup: Layup, z,
                     sides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C11, f, C55 g) at the heights z, each with its side (None, '', 'below' or 'above'):
@@ -145,13 +114,6 @@ def _stresses(eps, factors, z):
     eps0, eps1, eps2, gamma0 = eps
     C11, f, C55g = factors
     return C11 * (eps0 + z * eps1 + f * eps2), C55g * gamma0
-
-
-def stress_at(sol: Solution, mat: MaterialPair, layup: Layup, x: float, z: float,
-              side: str | None = None) -> tuple[float, float]:
-    """Dimensional (sigma_x, tau_xz) in Pa at a point; ``side`` resolves interface z."""
-    sigma, tau = _stresses(strains_at(sol, x), _stress_factors(mat, layup, [z], [side]), z)
-    return float(sigma[0]), float(tau[0])
 
 
 def deflection_point(bc: BoundaryCondition, L: float) -> float:
@@ -176,8 +138,13 @@ def table_scales(E_m: float, L: float, h: float, q: float) -> tuple[float, float
 def _profile_columns(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
                      n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                                               list[str]]:
-    """The rows of ``thickness_profile`` as columns: z, z/h, sigma_x and tau_xz (arrays) and
-    side (a list), from one ``_stress_factors`` call."""
+    """Stress profile over z in [-h/2, h/2] at station x, as columns: z, z/h, sigma_x and
+    tau_xz (arrays) and side (a list), from one ``_stress_factors`` call.
+
+    The grid is uniform with both surfaces included; every interior layer interface is
+    sampled twice, once per adjacent layer, since sigma_x jumps wherever E(z) does.  Rows
+    run bottom to top, 'below' before 'above' at an interface, and side is '' elsewhere.
+    """
     if n_samples < 2:
         raise ValueError("need at least two samples across the thickness")
     h = layup.h
@@ -193,19 +160,6 @@ def _profile_columns(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
     z = np.insert(grid, at, np.repeat(inner, 2))
     sides = np.insert(np.full(len(grid), "", object), at,
                       ["below", "above"] * len(inner)).tolist()
-    sigma, tau = _stresses(strains_at(sol, x), _stress_factors(mat, layup, z, sides), z)
+    sigma, tau = _stresses(_strains(sol.d, sol.mesh, [x])[0],
+                           _stress_factors(mat, layup, z, sides), z)
     return z, z / h, sigma, tau, sides
-
-
-def thickness_profile(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
-                      n_samples: int) -> list[ProfileRow]:
-    """Stress profile over z in [-h/2, h/2] at station x.
-
-    The grid is uniform with both surfaces included; every interior
-    layer interface is sampled twice (once per adjacent layer) since
-    sigma_x jumps wherever E(z) does.  Rows are ordered bottom to top,
-    'below' before 'above' at an interface.
-    """
-    z, zh, sigma, tau, sides = _profile_columns(sol, mat, layup, x, n_samples)
-    return [ProfileRow(*row) for row in zip(z.tolist(), zh.tolist(), sigma.tolist(),
-                                            tau.tolist(), sides)]

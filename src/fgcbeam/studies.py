@@ -20,7 +20,7 @@ three layers, all within one call:
     solver   the cases are grouped by ``Mesh``, and ``solve_batch`` solves
              each group as one stack (one ``Ke`` stack, one band stack);
     postproc w and the strains at (L/2, h/2) and (0, 0) of a whole group
-             at once, with the ``np.vecdot`` kernel of the point functions.
+             at once, with the ``np.vecdot`` kernels of ``postproc``.
 
 Each case's arithmetic is that of evaluating it alone, so results are
 bit-identical to ``evaluate_case``, which is the one-case list.  No
@@ -103,7 +103,7 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     results, factors = [None] * len(configs), {}
     for mesh, members, d in stacks:
         x_w = [deflection_point(configs[i].bc, mesh.L) for i in members]
-        w_at = {x: _deflections(d, mesh, x)[:, 0].tolist() for x in set(x_w)}
+        w_at = {x: _deflections(d, mesh, x).tolist() for x in set(x_w)}
         udl, strains = [m for m, i in enumerate(members) if configs[i].scales is not None], {}
         if udl:                           # the udl cases' strains at x = L/2 and x = 0
             eps = (s.tolist() for s in _strains(d[udl], mesh, (mesh.L / 2.0, 0.0)))

@@ -21,11 +21,10 @@ from fgcbeam import (
     MaterialPair,
     compute_rigidities,
     solve_static,
-    strains_at,
-    stress_at,
 )
 from fgcbeam.benchmarks import ALL_CELLS, benchmark_compare
 from fgcbeam.element import element_stiffness
+from fgcbeam.postproc import _strains, _stress_factors, _stresses
 from fgcbeam.section import shear_functions
 from fgcbeam.solver import _fill_band
 from fgcbeam.studies import convergence_study, evaluate_case
@@ -128,8 +127,9 @@ def test_criterion_7a_surface_traction(rng):
         rig = compute_rigidities(cfg.material, cfg.layup)
         sol = solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
         x = float(rng.uniform(0.0, cfg.L))
-        top = stress_at(sol, cfg.material, cfg.layup, x, +cfg.h / 2)[1]
-        bot = stress_at(sol, cfg.material, cfg.layup, x, -cfg.h / 2)[1]
+        z = np.array([cfg.h / 2, -cfg.h / 2])
+        factors = _stress_factors(cfg.material, cfg.layup, z, [None, None])
+        top, bot = _stresses(_strains(sol.d, sol.mesh, [x])[0], factors, z)[1]
         assert top == 0.0 and bot == 0.0
         checked += 1
     verdict("7a (surface shear exactly zero)", checked == 100,
@@ -233,6 +233,7 @@ def test_criterion_8_resultant_cross_check(rng):
         rig = compute_rigidities(cfg.material, cfg.layup)
         sol = solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
         x = float(rng.uniform(0.0, cfg.L))
+        eps = _strains(sol.d, sol.mesh, [x])[0]
         h = cfg.h
         n = m = s = 0.0
         edges = layer_edges(cfg.layup)
@@ -241,12 +242,12 @@ def test_criterion_8_resultant_cross_check(rng):
                 continue
             z = 0.5 * (b - a) * xg + 0.5 * (a + b)
             w = 0.5 * (b - a) * wg
-            sig = np.array([stress_at(sol, cfg.material, cfg.layup, x, zi)[0]
-                            for zi in z])
+            sig = _stresses(eps, _stress_factors(cfg.material, cfg.layup, z, [None] * len(z)),
+                            z)[0]
             n += np.sum(w * sig)
             m += np.sum(w * sig * z)
             s += np.sum(w * sig * shear_functions(z, h)[0])
-        N_x, M_x, S_x, _ = rigidity_matrix(rig) @ np.array(strains_at(sol, x))
+        N_x, M_x, S_x, _ = rigidity_matrix(rig) @ eps
         scale = cfg.load.magnitude * cfg.L
         for got, ref, sc in ((N_x, n, scale), (M_x, m, scale * h),
                              (S_x, s, scale * h)):

@@ -28,10 +28,10 @@ from fgcbeam import (
     solve_static,
     solver,
     studies,
-    thickness_profile,
 )
 from fgcbeam.cli import _profile_csv, build_parser, main
 from fgcbeam.config import with_parameter
+from fgcbeam.postproc import _profile_columns
 from fgcbeam.studies import printed
 
 from conftest import random_case
@@ -521,6 +521,15 @@ class TestCliSweep:
         assert err.startswith("error: p = 900: layup.p: ")
         assert solves == []
 
+    def test_point_load_sweep_heads_its_column_w(self, capsys):
+        # a point load has no table scale: the column holds the dimensional w, as converge's
+        case = Path(__file__).parent / "golden" / "cases" / "c_ss_point_mid_curved.ini"
+        assert main(["sweep", str(case), "--param", "p", "--values", "1,2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["p,w,sigma_bar,tau_bar", "1,1.944242616e-10,,"]
+        cfg = with_parameter(parse_config(case.read_text(encoding="utf-8")), "p", "2")
+        assert lines[2] == f"2,{printed(studies.evaluate_case(cfg).w)},,"
+
 
 class TestSchemeExponent:
     """A ratio written with a negative exponent: the dash after 'e' is its sign."""
@@ -669,15 +678,15 @@ def test_sample_count_beyond_memory_is_one_error_line(capsys):
 
 
 def reference_profile_csv(cfg, sol, x, samples):
-    """The profile CSV as it was formatted before the column form: one ``ProfileRow`` of
-    ``thickness_profile`` at a time, its stresses times the stress scale (1.0 under a point
+    """The profile CSV as it was formatted before the column form: one row of
+    ``_profile_columns`` at a time, its stresses times the stress scale (1.0 under a point
     load) in Python floats."""
-    rows = thickness_profile(sol, cfg.material, cfg.layup, x, samples)
+    _, z_over_h, sigma, tau, sides = _profile_columns(sol, cfg.material, cfg.layup, x, samples)
     udl = cfg.scales is not None
     scale = cfg.scales[1] if udl else 1.0
     lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
-    lines += ["%.9e,%.9e,%.9e,%s" % (r.z_over_h, r.sigma_x * scale, r.tau_xz * scale, r.side)
-              for r in rows]
+    lines += ["%.9e,%.9e,%.9e,%s" % (zh, s * scale, t * scale, side)
+              for zh, s, t, side in zip(z_over_h.tolist(), sigma.tolist(), tau.tolist(), sides)]
     return "\n".join(lines) + "\n"
 
 
@@ -737,6 +746,15 @@ class TestCliProfile:
         assert main(["profile", str(sandwich_file), "--x", "end", "--samples", "5"]) == 0
         assert capsys.readouterr().out == snapped
 
+    @pytest.mark.parametrize("argv", [["--x", "99"], ["--samples", "1"]],
+                             ids=["station_outside_the_beam", "one_sample"])
+    def test_failed_profile_keeps_the_out_file(self, argv, sandwich_file, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"old,bytes\n")
+        assert main(["profile", str(sandwich_file), *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"old,bytes\n"
+
     def test_unwritable_output_is_a_clean_error(self, sandwich_file, tmp_path, capsys,
                                                 monkeypatch):
         # the file is opened before any solve, so a bad path costs none
@@ -775,6 +793,13 @@ class TestCliBench:
         assert lines[0].startswith("table,row,column,quantity")
         assert len(lines) == 31
         assert all(row.endswith("pass") for row in lines[1:])
+
+    def test_failed_bench_keeps_the_csv_file(self, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"old,bytes\n")
+        assert main(["bench", "--table", "T99", "--csv", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"old,bytes\n"
 
     def test_unwritable_csv_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
         # the file is opened before any solve, so a bad path prints no report
@@ -868,10 +893,9 @@ def test_public_api_is_pinned():
         "BoundaryCondition", "CaseConfig", "CaseResults", "ConfigError", "DEFAULT_MATERIAL",
         "Layup", "LayupKind", "LoadCase", "MaterialPair", "Mesh", "SectionRigidities",
         "SingularSystemError", "Solution", "assemble_load", "compute_rigidities",
-        "convergence_study", "deflection_point", "displacement_at", "effective_modulus",
-        "evaluate_case", "evaluate_cases", "parse_config", "shear_functions",
-        "solve_static", "stiffness_coeffs", "strains_at", "stress_at", "sweep",
-        "table_scales", "thickness_profile", "volume_fraction",
+        "convergence_study", "deflection_point", "evaluate_case", "evaluate_cases",
+        "parse_config", "shear_functions", "solve_static", "stiffness_coeffs", "sweep",
+        "table_scales",
     ]
     for name in fgcbeam.__all__:
         assert getattr(fgcbeam, name) is not None, name

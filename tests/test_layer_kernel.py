@@ -1,11 +1,11 @@
 """The one-pass layer kernel against the per-point chain it replaced, bit for bit.
 
 ``Layup._fractions`` applies the layer rule and the grade to a list of heights in one
-pass, and ``layer_index``, ``volume_fraction``, ``effective_modulus`` and
-``effective_moduli`` are its calls.  The reference below is the earlier per-point chain,
-kept verbatim: ``reference_layer`` picks a ``layers`` entry, ``reference_volume_fraction``
-clamps z into it and grades it, and ``reference_effective_modulus`` mixes.  Every draw must
-give the same bits, or the same exception type and message.
+pass, and ``effective_moduli`` mixes its fractions.  The reference below is the earlier
+per-point chain, kept verbatim: ``reference_layer`` picks a ``layers`` entry,
+``reference_volume_fraction`` clamps z into it and grades it, and
+``reference_effective_modulus`` mixes.  Every draw must give the same bits, or the same
+exception type and message, from a one-height call of the kernel and from the list form.
 """
 
 import math
@@ -13,12 +13,12 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgcbeam import Layup, LayupKind, MaterialPair, effective_modulus, volume_fraction
+from fgcbeam import Layup, LayupKind, MaterialPair
 from fgcbeam.materials import _P_MAX, _Z_SNAP, effective_moduli
 
 
 def reference_layer(layup, z, side):
-    """The ``layers`` entry that ``layer_index`` picks, one point at a time."""
+    """The ``layers`` entry that the layer rule picks, one point at a time."""
     top, eps = layup.h / 2, _Z_SNAP * layup.h
     if z < -top - eps or z > top + eps:
         raise ValueError(f"z = {z} outside the section [{-top}, {top}]")
@@ -131,11 +131,11 @@ def test_kernel_is_bit_equal_to_the_per_point_chain(case):
     mat, layup, points = case
     zs, sides = [z for z, _ in points], [side for _, side in points]
     for z, side in points:
-        assert outcome(layup.layer_index, z, side) == outcome(
+        assert outcome(lambda: layup._fractions([z], [side])[0][0]) == outcome(
             lambda: reference_layer(layup, z, side)[0])
-        assert outcome(volume_fraction, layup, z, side) == outcome(
+        assert outcome(lambda: layup._fractions([z], [side])[1][0]) == outcome(
             reference_volume_fraction, layup, z, side)
-        assert outcome(effective_modulus, mat, layup, z, side) == outcome(
+        assert outcome(lambda: effective_moduli(mat, layup, [z], [side])[0]) == outcome(
             reference_effective_modulus, mat, layup, z, side)
     # the list form raises the first failing height's error, as the chain point by point
     want = outcome(lambda: [reference_effective_modulus(mat, layup, z, side)
@@ -143,3 +143,6 @@ def test_kernel_is_bit_equal_to_the_per_point_chain(case):
     assert outcome(effective_moduli, mat, layup, zs, sides) == want
     ns = outcome(lambda: layup._fractions(zs, sides)[0])
     assert ns == outcome(lambda: [reference_layer(layup, z, side)[0] for z, side in points])
+    vs = outcome(lambda: layup._fractions(zs, sides)[1])
+    assert vs == outcome(lambda: [reference_volume_fraction(layup, z, side)
+                                  for z, side in points])

@@ -1,4 +1,8 @@
-"""Material gradation laws: volume fraction, rule of mixtures, stiffness."""
+"""Material gradation laws: volume fraction, rule of mixtures, stiffness.
+
+The volume fraction V(z) and the layer that holds z come from ``Layup._fractions``, and
+E(z) from ``effective_moduli``: both take a list of heights with a side for each.
+"""
 
 import math
 
@@ -13,11 +17,9 @@ from fgcbeam import (
     LoadCase,
     MaterialPair,
     Mesh,
-    effective_modulus,
     stiffness_coeffs,
-    volume_fraction,
 )
-from fgcbeam.materials import _P_MAX
+from fgcbeam.materials import _P_MAX, effective_moduli
 
 from conftest import layer_edges
 
@@ -113,29 +115,28 @@ def test_straight_beam_curvature_stays_valid():
 class TestVolumeFraction:
     def test_linear_law_midplane(self):
         lay = Layup.single_layer(p=1.0, h=1.0)
-        assert volume_fraction(lay, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert lay._fractions([0.0], [None])[1] == [pytest.approx(0.5, abs=1e-15)]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_top_surface_fully_ceramic(self, p):
         lay = Layup.single_layer(p=p, h=0.3)
-        assert volume_fraction(lay, 0.15) == pytest.approx(1.0, abs=1e-15)
+        assert lay._fractions([0.15], [None])[1] == [pytest.approx(1.0, abs=1e-15)]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_fg_core_top_face_fully_ceramic(self, p):
         lay = Layup(LayupKind.C, (1, 8, 1), p=p, h=1.0)
-        for z in np.linspace(0.4, 0.5, 7):
-            assert volume_fraction(lay, z) == 1.0
+        assert lay._fractions(np.linspace(0.4, 0.5, 7).tolist(), [None] * 7)[1] == [1.0] * 7
 
     def test_fg_faces_interface_value(self):
         lay = Layup(LayupKind.B, (1, 1, 1), p=2.0, h=1.0)
         h2 = lay.layers[1][1]
-        assert volume_fraction(lay, h2) == pytest.approx(1.0, abs=1e-15)
+        assert lay._fractions([h2], [None])[1] == [pytest.approx(1.0, abs=1e-15)]
 
     def test_out_of_range_rejected(self):
         lay = Layup.single_layer(p=1.0, h=1.0)
         for z in (-0.5001, 0.5001, 2.0):
             with pytest.raises(ValueError):
-                volume_fraction(lay, z)
+                lay._fractions([z], [None])
 
     @pytest.mark.parametrize("kind,scheme", [
         ("A", None), ("B", (1, 1, 1)), ("B", (2, 2, 1)), ("C", (1, 8, 1))])
@@ -143,31 +144,30 @@ class TestVolumeFraction:
     def test_bounds(self, kind, scheme, p):
         lay = (Layup.single_layer(p, 1.0) if kind == "A"
                else Layup(LayupKind(kind), scheme, p, 1.0))
-        z = np.linspace(-0.5, 0.5, 201)
-        v = np.array([volume_fraction(lay, zi) for zi in z])
+        z = np.linspace(-0.5, 0.5, 201).tolist()
+        v = np.array(lay._fractions(z, [None] * len(z))[1])
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
-        E = np.array([effective_modulus(MAT, lay, zi) for zi in z])
+        E = np.array(effective_moduli(MAT, lay, z, [None] * len(z)))
         assert np.all(E >= MAT.E_m - 1e-6) and np.all(E <= MAT.E_c + 1e-6)
 
     def test_p_zero_fully_ceramic(self):
         lay = Layup.single_layer(p=0.0, h=1.0)
-        for z in np.linspace(-0.5, 0.5, 11):
-            assert volume_fraction(lay, z) == 1.0
+        assert lay._fractions(np.linspace(-0.5, 0.5, 11).tolist(), [None] * 11)[1] == [1.0] * 11
 
     def test_large_p_limit_metal(self):
         lay = Layup.single_layer(p=_P_MAX, h=1.0)
-        assert volume_fraction(lay, 0.0) == pytest.approx(0.5**_P_MAX, abs=1e-300)
-        for z in np.linspace(-0.5, -0.01, 9):
-            assert volume_fraction(lay, z) < 1e-3
+        assert lay._fractions([0.0], [None])[1] == [pytest.approx(0.5**_P_MAX, abs=1e-300)]
+        assert max(lay._fractions(np.linspace(-0.5, -0.01, 9).tolist(), [None] * 9)[1]) < 1e-3
         with pytest.raises(ConfigError, match="^layup.p: "):
             Layup.single_layer(p=math.nextafter(_P_MAX, math.inf), h=1.0)
 
     @pytest.mark.parametrize("scheme", [(1, 1, 1), (1, 2, 1), (3, 4, 3)])
     def test_symmetric_fg_faces_mirror(self, scheme):
         lay = Layup(LayupKind.B, scheme, p=3.0, h=1.0)
-        for z in np.linspace(0.0, 0.5, 23):
-            assert volume_fraction(lay, z) == pytest.approx(
-                volume_fraction(lay, -z), abs=1e-14)
+        z = np.linspace(0.0, 0.5, 23)
+        upper = lay._fractions(z.tolist(), [None] * 23)[1]
+        lower = lay._fractions((-z).tolist(), [None] * 23)[1]
+        assert upper == pytest.approx(lower, abs=1e-14)
 
     @pytest.mark.parametrize("kind,scheme", [("B", (1, 1, 1)), ("B", (2, 2, 1)),
                                              ("C", (1, 8, 1)), ("C", (2, 2, 1))])
@@ -175,23 +175,22 @@ class TestVolumeFraction:
     def test_interface_continuity(self, kind, scheme, p):
         lay = Layup(LayupKind(kind), scheme, p, 1.0)
         for _, z, _, _ in lay.layers[1:]:
-            below = volume_fraction(lay, z, side="below")
-            above = volume_fraction(lay, z, side="above")
-            assert below == pytest.approx(above, abs=1e-14)
             # approach limits agree too (V has slope ~ (d/t)^p near an
             # interface for p < 1, so the tolerance must track it)
             d = 1e-9
+            below, above, before, after = lay._fractions([z, z, z - d, z + d],
+                                                         ["below", "above", None, None])[1]
+            assert below == pytest.approx(above, abs=1e-14)
             t_min = min(hi - lo for _, lo, hi, _ in lay.layers)
             tol = 2.0 * max(p, 1.0) * (d / t_min) ** min(p, 1.0) + 1e-12
-            assert volume_fraction(lay, z - d) == pytest.approx(below, abs=tol)
-            assert volume_fraction(lay, z + d) == pytest.approx(above, abs=tol)
+            assert before == pytest.approx(below, abs=tol)
+            assert after == pytest.approx(above, abs=tol)
 
     def test_fg_core_p0_jump_is_two_sided(self):
         # the one genuinely discontinuous case: FG core at p = 0
         lay = Layup(LayupKind.C, (1, 8, 1), p=0.0, h=1.0)
         h2 = lay.layers[1][1]
-        assert volume_fraction(lay, h2, side="below") == 0.0
-        assert volume_fraction(lay, h2, side="above") == 1.0
+        assert lay._fractions([h2, h2], ["below", "above"])[1] == [0.0, 1.0]
 
     @pytest.mark.parametrize("kind", [LayupKind.B, LayupKind.C])
     @pytest.mark.parametrize("scheme", [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -203,65 +202,65 @@ class TestVolumeFraction:
         thickness = {n: hi - lo for n, lo, hi, _ in lay.layers}
         for z in layer_edges(lay):
             for side in (None, "below", "above"):
-                n = lay.layer_index(z, side=side)
+                (n,), (v,) = lay._fractions([z], [side])
                 assert scheme[n] > 0 and thickness[n] > 0, (z, side)
-                assert 0.0 <= volume_fraction(lay, z, side=side) <= 1.0
+                assert 0.0 <= v <= 1.0
 
     @pytest.mark.parametrize("kind,scheme", [(LayupKind.B, (1, 1, 1)),
                                              (LayupKind.C, (1, 8, 1))])
     def test_snap_window_stays_inside_the_picked_layer(self, kind, scheme):
-        # layer_index snaps z within 1e-12 h of an interface to the forced side, so z can
+        # the layer rule snaps z within 1e-12 h of an interface to the forced side, so z can
         # lie just outside the picked layer; V must still be a real number in [0, 1]
         lay = Layup(kind, scheme, p=0.5, h=1.0)
         for _, zi, _, _ in lay.layers[1:]:
             for z in (zi - 1e-14, zi + 1e-14):
                 for side in ("below", "above"):
-                    v = volume_fraction(lay, z, side=side)
+                    (v,) = lay._fractions([z], [side])[1]
                     assert isinstance(v, float) and 0.0 <= v <= 1.0, (zi, z, side, v)
-                    assert effective_modulus(MAT, lay, z, side=side) <= MAT.E_c
+                    assert effective_moduli(MAT, lay, [z], [side])[0] <= MAT.E_c
 
     def test_top_surface_of_a_section_without_top_face(self):
         core = Layup(LayupKind.C, (1, 0, 0), p=2.0, h=1.0)       # all metal
+        sides = [None, "above", "below"]
         for scheme in ((1, 1, 0), (1, 2, 0), (2, 1, 0)):
             faces = Layup(LayupKind.B, scheme, p=2.0, h=1.0)    # ceramic core on top
-            for side in (None, "above", "below"):
-                assert volume_fraction(faces, 0.5, side=side) == 1.0, (scheme, side)
-                assert volume_fraction(core, 0.5, side=side) == 0.0
+            assert faces._fractions([0.5] * 3, sides)[1] == [1.0] * 3, scheme
+            assert core._fractions([0.5] * 3, sides)[1] == [0.0] * 3
 
     def test_layer_thinner_than_the_snap_window(self):
         # inside, a side picks the lowest layer ending (below) or starting (above) within
         # 1e-12 h of z; at a surface every side picks that surface's layer
-        sides = (None, "below", "above")
+        sides = [None, "below", "above"]
         bottom = Layup(LayupKind.C, (1e-13, 1, 1), p=2.0, h=1.0)
-        assert [bottom.layer_index(-0.5, side) for side in sides] == [0, 0, 0]
+        assert bottom._fractions([-0.5] * 3, sides)[0] == [0, 0, 0]
         core = Layup(LayupKind.C, (1, 1e-13, 1), p=2.0, h=1.0)
         for _, z, _, _ in core.layers[1:]:
-            assert [core.layer_index(z, side) for side in sides[1:]] == [0, 1], z
+            assert core._fractions([z] * 2, sides[1:])[0] == [0, 1], z
         top = Layup(LayupKind.C, (1, 1, 1e-13), p=2.0, h=1.0)
-        assert [top.layer_index(0.5, side) for side in sides] == [2, 2, 2]
+        assert top._fractions([0.5] * 3, sides)[0] == [2, 2, 2]
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_layer_monotone(self, p):
         lay = Layup.single_layer(p, 1.0)
-        z = np.linspace(-0.5, 0.5, 101)
-        v = np.array([volume_fraction(lay, zi) for zi in z])
+        v = np.array(lay._fractions(np.linspace(-0.5, 0.5, 101).tolist(), [None] * 101)[1])
         assert np.all(np.diff(v) >= -1e-15)
 
 
 class TestEffectiveModulus:
     def test_fully_ceramic_at_p0(self):
         lay = Layup.single_layer(p=0.0, h=1.0)
-        for z in np.linspace(-0.5, 0.5, 7):
-            assert effective_modulus(MAT, lay, z) == pytest.approx(380e9)
+        E = effective_moduli(MAT, lay, np.linspace(-0.5, 0.5, 7).tolist(), [None] * 7)
+        assert E == [pytest.approx(380e9)] * 7
 
     def test_arithmetic_mean_at_midplane(self):
         lay = Layup.single_layer(p=1.0, h=1.0)
-        assert effective_modulus(MAT, lay, 0.0) == pytest.approx(225e9)
+        assert effective_moduli(MAT, lay, [0.0], [None]) == [pytest.approx(225e9)]
 
     def test_ceramic_core(self):
         lay = Layup(LayupKind.B, (1, 1, 1), p=5.0, h=1.0)
-        for z in np.linspace(-1 / 6 + 1e-9, 1 / 6 - 1e-9, 5):
-            assert effective_modulus(MAT, lay, z) == pytest.approx(380e9)
+        E = effective_moduli(MAT, lay, np.linspace(-1 / 6 + 1e-9, 1 / 6 - 1e-9, 5).tolist(),
+                             [None] * 5)
+        assert E == [pytest.approx(380e9)] * 5
 
 
 class TestStiffnessCoeffs:

@@ -15,16 +15,13 @@ from fgcbeam import (
     LoadCase,
     MaterialPair,
     compute_rigidities,
-    displacement_at,
-    effective_modulus,
     solve_static,
     stiffness_coeffs,
-    strains_at,
-    stress_at,
     table_scales,
-    thickness_profile,
 )
-from fgcbeam.postproc import _locate, _strains
+from fgcbeam.materials import effective_moduli
+from fgcbeam.postproc import (_deflections, _locate, _profile_columns, _strains,
+                              _stress_factors, _stresses)
 from fgcbeam.section import shear_functions
 from fgcbeam.studies import evaluate_case
 
@@ -47,38 +44,41 @@ def reference_strains(sol, e, xi):
 
 
 class TestDisplacementAt:
+    """Deflection recovery, ``_deflections``: w0 from the Hermite row at a station."""
+
     def test_symmetric_case_zero_midspan_slope(self):
         cfg = make_case("B", scheme=(1, 1, 1), p=2.0, bc="SS")
         sol, _ = solve_cfg(cfg)
-        slopes = [abs(displacement_at(sol, x)[2])
-                  for x in np.linspace(0, cfg.L, 33)]
-        assert abs(displacement_at(sol, cfg.L / 2)[2]) <= 1e-10 * max(slopes)
+        slopes = np.abs(sol.d[2::4])          # the dw0/dx DOF of every node
+        assert slopes[cfg.ne // 2] <= 1e-10 * slopes.max()
+        w = [float(_deflections(sol.d, sol.mesh, x)) for x in np.linspace(0, cfg.L, 33)]
+        assert w == pytest.approx(w[::-1], rel=1e-10, abs=0)
 
     def test_cantilever_max_deflection_at_tip(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=1.0, bc="CF")
         sol, _ = solve_cfg(cfg)
-        w = [abs(displacement_at(sol, x)[1]) for x in np.linspace(0, cfg.L, 101)]
+        w = [abs(_deflections(sol.d, sol.mesh, x)) for x in np.linspace(0, cfg.L, 101)]
         assert np.argmax(w) == 100
 
     def test_clamped_ends_zero(self):
         cfg = make_case("A", p=1.0, bc="CC")
         sol, _ = solve_cfg(cfg)
-        assert displacement_at(sol, 0.0)[1] == 0.0
-        assert displacement_at(sol, cfg.L)[1] == 0.0
+        assert _deflections(sol.d, sol.mesh, 0.0) == 0.0
+        assert _deflections(sol.d, sol.mesh, cfg.L) == 0.0
 
     def test_out_of_range(self):
         sol, _ = solve_cfg(make_case("A", p=1.0))
         with pytest.raises(ValueError):
-            displacement_at(sol, -0.1)
+            _deflections(sol.d, sol.mesh, -0.1)
         with pytest.raises(ValueError):
-            displacement_at(sol, 5.1)
+            _deflections(sol.d, sol.mesh, 5.1)
 
     def test_nan_station_rejected(self):
         cfg = make_case("A", p=1.0)
         sol, _ = solve_cfg(cfg)
-        for recover in (lambda x: displacement_at(sol, x),
-                        lambda x: stress_at(sol, MAT, cfg.layup, x, 0.0),
-                        lambda x: thickness_profile(sol, MAT, cfg.layup, x, 5)):
+        for recover in (lambda x: _deflections(sol.d, sol.mesh, x),
+                        lambda x: _strains(sol.d, sol.mesh, [x]),
+                        lambda x: _profile_columns(sol, MAT, cfg.layup, x, 5)):
             with pytest.raises(ValueError, match="outside the beam"):
                 recover(math.nan)
 
@@ -86,22 +86,21 @@ class TestDisplacementAt:
         cfg = make_case("A", p=2.0, bc="CF", ne=8)
         sol, _ = solve_cfg(cfg)
         for node in (0, 3, 8):
-            x = node * cfg.mesh.Le
-            u, w, dw, phi = displacement_at(sol, x)
-            assert np.allclose([u, w, dw, phi], sol.d[4 * node: 4 * node + 4], rtol=1e-12)
+            w = _deflections(sol.d, sol.mesh, node * cfg.mesh.Le)
+            assert w == pytest.approx(sol.d[4 * node + 1], rel=1e-12, abs=0)
 
 
 class TestStrainsAt:
     def test_zero_load_zero_strains(self):
         cfg = make_case("A", p=1.0, load=LoadCase("point_mid", 0.0))
         sol, _ = solve_cfg(cfg)
-        assert strains_at(sol, 1.7) == pytest.approx(np.zeros(4), abs=1e-20)
+        assert _strains(sol.d, sol.mesh, [1.7])[0] == pytest.approx(np.zeros(4), abs=1e-20)
 
     def test_no_membrane_strain_without_coupling(self):
         # homogeneous straight SS beam: B11 = 0 and 1/R = 0
         cfg = make_case("A", p=0.0, bc="SS")
         sol, _ = solve_cfg(cfg)
-        eps0, eps1, _, _ = strains_at(sol, cfg.L / 2)
+        eps0, eps1, _, _ = _strains(sol.d, sol.mesh, [cfg.L / 2])[0]
         assert abs(eps0) <= 1e-12 * abs(eps1) * cfg.h
 
     def test_bending_strain_is_minus_w_second_derivative(self):
@@ -109,9 +108,9 @@ class TestStrainsAt:
         sol, _ = solve_cfg(cfg)
         x = 0.9 * cfg.mesh.Le  # inside the first element
         d = 1e-4
-        w = [displacement_at(sol, x + k * d)[1] for k in (-1, 0, 1)]
+        w = [_deflections(sol.d, sol.mesh, x + k * d) for k in (-1, 0, 1)]
         w_xx = (w[0] - 2 * w[1] + w[2]) / d**2
-        assert strains_at(sol, x)[1] == pytest.approx(-w_xx, rel=1e-5)
+        assert _strains(sol.d, sol.mesh, [x])[0][1] == pytest.approx(-w_xx, rel=1e-5)
 
     def test_interior_node_average(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=2.0, bc="CF", ne=4)
@@ -120,7 +119,7 @@ class TestStrainsAt:
         x = 2 * mesh.Le
         left = reference_strains(sol, 1, mesh.Le)
         right = reference_strains(sol, 2, 0.0)
-        assert strains_at(sol, x) == pytest.approx(0.5 * (left + right))
+        assert _strains(sol.d, mesh, [x])[0] == pytest.approx(0.5 * (left + right))
 
     def test_element_strains_bit_equal_to_reference_rows(self, rng):
         # inside an element, and at both ends, the strains are the reference rows
@@ -141,19 +140,23 @@ class TestStrainsAt:
 
 
 class TestStressAt:
+    """Point stresses: a station's ``_strains`` through ``_stress_factors`` and ``_stresses``."""
+
     def test_shear_vanishes_on_surfaces_exactly(self):
         cfg = make_case("B", scheme=(2, 2, 1), p=5.0, R_over_L=10.0)
         sol, _ = solve_cfg(cfg)
-        for x in (0.0, 1.3, cfg.L / 2, cfg.L):
-            assert stress_at(sol, MAT, cfg.layup, x, +cfg.h / 2)[1] == 0.0
-            assert stress_at(sol, MAT, cfg.layup, x, -cfg.h / 2)[1] == 0.0
+        z = np.array([cfg.h / 2, -cfg.h / 2])
+        factors = _stress_factors(MAT, cfg.layup, z, [None, None])
+        for eps in _strains(sol.d, sol.mesh, [0.0, 1.3, cfg.L / 2, cfg.L]):
+            assert _stresses(eps, factors, z)[1].tolist() == [0.0, 0.0]
 
     def test_reference_stresses_ceramic(self):
         cfg = make_case("A", p=0.0, L_over_h=5)
         sol, _ = solve_cfg(cfg)
         q, L, h = 1.0, cfg.L, cfg.h
-        sig = stress_at(sol, MAT, cfg.layup, L / 2, h / 2)[0]
-        tau = stress_at(sol, MAT, cfg.layup, 0.0, 0.0)[1]
+        eps_mid, eps_end = _strains(sol.d, sol.mesh, [L / 2, 0.0])
+        sig = _stresses(eps_mid, _stress_factors(MAT, cfg.layup, [h / 2], [None]), h / 2)[0][0]
+        tau = _stresses(eps_end, _stress_factors(MAT, cfg.layup, [0.0], [None]), 0.0)[1][0]
         stress_scale = table_scales(MAT.E_m, L, h, q)[1]
         assert stress_scale * sig == pytest.approx(3.8136, rel=1e-3)
         assert stress_scale * tau == pytest.approx(0.7534, rel=1e-3)
@@ -161,32 +164,31 @@ class TestStressAt:
     def test_reference_shear_sandwich(self):
         cfg = make_case("B", scheme=(1, 1, 1), p=5.0, L_over_h=5)
         sol, _ = solve_cfg(cfg)
-        tau = stress_at(sol, MAT, cfg.layup, 0.0, 0.0)[1]
+        eps = _strains(sol.d, sol.mesh, [0.0])[0]
+        tau = _stresses(eps, _stress_factors(MAT, cfg.layup, [0.0], [None]), 0.0)[1][0]
         assert table_scales(MAT.E_m, cfg.L, cfg.h, 1.0)[1] * tau == pytest.approx(
             1.0280, rel=1e-3)
 
     def test_constitutive_shear_profile_shape(self, rng):
         cfg = make_case("C", scheme=(1, 8, 1), p=3.0)
         sol, _ = solve_cfg(cfg)
-        x = 1.0
-        t0 = stress_at(sol, MAT, cfg.layup, x, 0.0)[1]
-        C0 = effective_modulus(MAT, cfg.layup, 0.0) / (2 * (1 + MAT.nu))
-        for z in rng.uniform(-0.49, 0.49, 12):
-            tz = stress_at(sol, MAT, cfg.layup, x, z)[1]
-            Cz = effective_modulus(MAT, cfg.layup, z) / (2 * (1 + MAT.nu))
-            expected = Cz * shear_functions(z, cfg.h)[1] / C0
-            assert tz / t0 == pytest.approx(expected, rel=1e-12)
+        z = np.concatenate(([0.0], rng.uniform(-0.49, 0.49, 12)))
+        sides = [None] * len(z)
+        eps = _strains(sol.d, sol.mesh, [1.0])[0]
+        tau = _stresses(eps, _stress_factors(MAT, cfg.layup, z, sides), z)[1]
+        C = np.array(effective_moduli(MAT, cfg.layup, z.tolist(), sides)) / (2 * (1 + MAT.nu))
+        expected = C * shear_functions(z, cfg.h)[1] / C[0]
+        assert tau / tau[0] == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_section_rejected(self):
         cfg = make_case("A", p=1.0)
-        sol, _ = solve_cfg(cfg)
         with pytest.raises(ValueError):
-            stress_at(sol, MAT, cfg.layup, 1.0, 0.51)
+            _stress_factors(MAT, cfg.layup, [0.51], [None])
 
 
 def resultants_at(sol, rig, x):
     """(N_x, M_x, S_x, Q_xz): the rigidity matrix times the recovered strains."""
-    return rigidity_matrix(rig) @ np.array(strains_at(sol, x))
+    return rigidity_matrix(rig) @ _strains(sol.d, sol.mesh, [x])[0]
 
 
 class TestResultantsAt:
@@ -200,7 +202,7 @@ class TestResultantsAt:
         sol, rig = solve_cfg(cfg)
         for x in (0.0, 1.1, 4.0):
             Q_xz = resultants_at(sol, rig, x)[3]
-            phi = strains_at(sol, x)[3]
+            phi = _strains(sol.d, sol.mesh, [x])[0][3]
             assert Q_xz == pytest.approx(rig.A55s * phi, rel=1e-13)
 
     @pytest.mark.parametrize("kind,scheme,p", [
@@ -213,12 +215,12 @@ class TestResultantsAt:
         h = cfg.h
         edges = layer_edges(cfg.layup)
         xg, wg = leggauss(50)
+        eps = _strains(sol.d, sol.mesh, [x])[0]
         n = m = s = 0.0
         for a, b in zip(edges, edges[1:]):
             z = 0.5 * (b - a) * xg + 0.5 * (a + b)
             w = 0.5 * (b - a) * wg
-            sig = np.array([stress_at(sol, MAT, cfg.layup, x, zi)[0]
-                            for zi in z])
+            sig = _stresses(eps, _stress_factors(MAT, cfg.layup, z, [None] * len(z)), z)[0]
             n += np.sum(w * sig)
             m += np.sum(w * sig * z)
             s += np.sum(w * sig * shear_functions(z, h)[0])
@@ -262,24 +264,23 @@ class TestNondimensionalize:
 
 
 class TestThicknessProfile:
+    """Profile columns, ``_profile_columns``: z, z/h, sigma_x, tau_xz and side."""
+
     def test_surface_rows_have_zero_shear(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=2.0)
         sol, _ = solve_cfg(cfg)
-        rows = thickness_profile(sol, MAT, cfg.layup, cfg.L / 2, 21)
-        assert rows[0].z_over_h == -0.5 and rows[-1].z_over_h == 0.5
-        assert rows[0].tau_xz == 0.0 and rows[-1].tau_xz == 0.0
+        _, zh, _, tau, _ = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 21)
+        assert zh[0] == -0.5 and zh[-1] == 0.5
+        assert tau[0] == 0.0 and tau[-1] == 0.0
 
     def test_homogeneous_profiles(self):
         cfg = make_case("A", p=0.0)
         sol, _ = solve_cfg(cfg)
         x = cfg.L / 4  # station where both bending and shear are active
-        rows = thickness_profile(sol, MAT, cfg.layup, x, 41)
-        z = np.array([r.z for r in rows])
-        sig = np.array([r.sigma_x for r in rows])
-        tau = np.array([r.tau_xz for r in rows])
+        z, _, sig, tau, _ = _profile_columns(sol, MAT, cfg.layup, x, 41)
         # with constant C the profile is exactly eps0 + z eps1 + f(z) eps2,
         # affine in z up to the small shear-warp term
-        eps0, eps1, eps2, _ = strains_at(sol, x)
+        eps0, eps1, eps2, _ = _strains(sol.d, sol.mesh, [x])[0]
         C11 = MAT.E_c
         model = C11 * (eps0 + z * eps1 + shear_functions(z, cfg.h)[0] * eps2)
         assert np.allclose(sig, model, rtol=0, atol=1e-12 * np.max(np.abs(sig)))
@@ -296,10 +297,9 @@ class TestThicknessProfile:
     def test_symmetric_sandwich_antisymmetric_sigma(self):
         cfg = make_case("B", scheme=(1, 1, 1), p=2.0)
         sol, _ = solve_cfg(cfg)
-        n = 41
-        rows = [r for r in thickness_profile(sol, MAT, cfg.layup, cfg.L / 2, n)
-                if r.side == ""]
-        sig = {round(r.z_over_h, 9): r.sigma_x for r in rows}
+        _, zh, sigma, _, sides = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 41)
+        sig = {round(v, 9): s for v, s, side in zip(zh.tolist(), sigma.tolist(), sides)
+               if side == ""}
         smax = max(abs(v) for v in sig.values())
         for zh, v in sig.items():
             assert v == pytest.approx(-sig[round(-zh, 9)], abs=1e-9 * smax)
@@ -307,58 +307,57 @@ class TestThicknessProfile:
     def test_interface_rows_are_two_sided(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=0.0)  # E jumps at z = -0.4 h
         sol, _ = solve_cfg(cfg)
-        rows = thickness_profile(sol, MAT, cfg.layup, cfg.L / 2, 15)
-        marked = [r for r in rows if r.side]
-        assert [r.side for r in marked] == ["below", "above", "below", "above"]
-        lo = [r for r in marked if abs(r.z + 0.4 * cfg.h) < 1e-12]
+        z, _, sigma, _, sides = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 15)
+        assert [side for side in sides if side] == ["below", "above", "below", "above"]
+        lo = [s for zi, s, side in zip(z, sigma, sides) if side and abs(zi + 0.4 * cfg.h) < 1e-12]
         assert len(lo) == 2
-        ratio = lo[1].sigma_x / lo[0].sigma_x
-        assert ratio == pytest.approx(MAT.E_c / MAT.E_m, rel=1e-12)
+        assert lo[1] / lo[0] == pytest.approx(MAT.E_c / MAT.E_m, rel=1e-12)
 
     def test_shear_continuous_in_fg_faces(self):
         cfg = make_case("B", scheme=(2, 2, 1), p=3.0)
         sol, _ = solve_cfg(cfg)
-        rows = thickness_profile(sol, MAT, cfg.layup, 1.0, 11)
+        z, _, _, tau, sides = _profile_columns(sol, MAT, cfg.layup, 1.0, 11)
         marked = {}
-        for r in rows:
-            if r.side:
-                marked.setdefault(round(r.z, 12), []).append(r.tau_xz)
+        for zi, t, side in zip(z.tolist(), tau.tolist(), sides):
+            if side:
+                marked.setdefault(round(zi, 12), []).append(t)
         assert marked
-        for z, pair in marked.items():
+        for pair in marked.values():
             assert pair[0] == pytest.approx(pair[1], rel=1e-12)
 
     def test_grid_collision_with_interface(self):
         # n = 11 puts a grid point exactly on the -0.4 h interface
         cfg = make_case("C", scheme=(1, 8, 1), p=1.0)
         sol, _ = solve_cfg(cfg)
-        rows = thickness_profile(sol, MAT, cfg.layup, cfg.L / 2, 11)
-        at_iface = [r for r in rows if abs(r.z + 0.4) < 1e-12]
-        assert [r.side for r in at_iface] == ["below", "above"]
+        z, _, _, _, sides = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 11)
+        assert [side for zi, side in zip(z, sides) if abs(zi + 0.4) < 1e-12] == ["below", "above"]
 
     def test_minimum_samples(self):
         cfg = make_case("A", p=1.0)
         sol, _ = solve_cfg(cfg)
         with pytest.raises(ValueError):
-            thickness_profile(sol, MAT, cfg.layup, 1.0, 1)
+            _profile_columns(sol, MAT, cfg.layup, 1.0, 1)
 
     @pytest.mark.parametrize("kind,scheme", [("A", None), ("B", (2, 2, 1)),
                                              ("C", (1, 8, 1))])
     def test_rows_equal_pointwise_stress_at(self, kind, scheme):
-        # the profile evaluates the station's strains once; every row must
-        # still be bit-identical to a per-sample stress_at call
+        # the profile makes one stress-factor call for all its rows; every row must still be
+        # bit-identical to a one-height call at its z and side
         for p in (2.0, 2.7):
             cfg = make_case(kind, scheme, p=p, R_over_L=10.0, ne=8)
             sol, _ = solve_cfg(cfg)
             for x in (0.0, cfg.L / 2, cfg.L / 8, 0.3 * cfg.L, cfg.L):
-                rows = thickness_profile(sol, MAT, cfg.layup, x, 201)
-                for r in rows:
-                    s = stress_at(sol, MAT, cfg.layup, x, r.z, side=r.side or None)
-                    assert (r.sigma_x, r.tau_xz) == s
+                z, _, sigma, tau, sides = _profile_columns(sol, MAT, cfg.layup, x, 201)
+                eps = _strains(sol.d, sol.mesh, [x])[0]
+                for row in zip(z.tolist(), sigma.tolist(), tau.tolist(), sides):
+                    zi, side = row[0], row[3]
+                    point = _stresses(eps, _stress_factors(MAT, cfg.layup, [zi], [side]), zi)
+                    assert row[1:3] == (point[0][0], point[1][0])
 
 
 def reference_thickness_profile(sol, mat, layup, x, n_samples):
-    """The profile as it was computed before the array kernel: each row's
-    factors from scalar effective_modulus, stiffness_coeffs and shear_functions."""
+    """The profile as it was computed before the array kernel: each row's factors from a
+    one-height effective_moduli call, stiffness_coeffs and shear_functions."""
     h = layup.h
     h1, h4 = -h / 2, h / 2
     eps = 1e-12 * h
@@ -373,10 +372,10 @@ def reference_thickness_profile(sol, mat, layup, x, n_samples):
         pts.append((zi, "below"))
         pts.append((zi, "above"))
     pts.sort(key=lambda t: (t[0], 0 if t[1] in ("", "below") else 1))
-    eps0, eps1, eps2, gamma0 = strains_at(sol, x)
+    eps0, eps1, eps2, gamma0 = _strains(sol.d, sol.mesh, [x])[0].tolist()
     rows = []
     for z, side in pts:
-        C11, C55 = stiffness_coeffs(effective_modulus(mat, layup, z, side=side or None), mat.nu)
+        C11, C55 = stiffness_coeffs(effective_moduli(mat, layup, [z], [side or None])[0], mat.nu)
         f, g = map(float, shear_functions(z, h))
         C55g = C55 * g
         rows.append((z, z / h, C11 * (eps0 + z * eps1 + f * eps2), C55g * gamma0, side))
@@ -388,11 +387,12 @@ def profile_bits(rows):
 
 
 class TestProfileBitIdentity:
-    """``thickness_profile`` against the per-sample computation it replaced, bit for bit."""
+    """``_profile_columns`` against the per-sample computation it replaced, bit for bit."""
 
     def assert_same(self, cfg, x, n_samples):
         sol, _ = solve_cfg(cfg)
-        got = thickness_profile(sol, cfg.material, cfg.layup, x, n_samples)
+        z, zh, sigma, tau, sides = _profile_columns(sol, cfg.material, cfg.layup, x, n_samples)
+        got = list(zip(z.tolist(), zh.tolist(), sigma.tolist(), tau.tolist(), sides))
         want = reference_thickness_profile(sol, cfg.material, cfg.layup, x, n_samples)
         assert profile_bits(got) == profile_bits(want)
         return got
@@ -423,7 +423,7 @@ class TestProfileBitIdentity:
         cfg = make_case("C", (1, 8, 1), p=0.0, ne=8)
         rows = self.assert_same(cfg, cfg.L / 4, 21)
         assert len(rows) == 23
-        assert [r.side for r in rows if abs(abs(r.z) - 0.4) < 1e-12] == ["below", "above"] * 2
+        assert [side for z, *_, side in rows if abs(abs(z) - 0.4) < 1e-12] == ["below", "above"] * 2
 
 
 class TestRandomizedSurfaceCondition:
@@ -432,5 +432,7 @@ class TestRandomizedSurfaceCondition:
             cfg = random_case(rng)
             sol, _ = solve_cfg(cfg)
             x = float(rng.uniform(0, cfg.L))
-            assert stress_at(sol, cfg.material, cfg.layup, x, cfg.h / 2)[1] == 0.0
-            assert stress_at(sol, cfg.material, cfg.layup, x, -cfg.h / 2)[1] == 0.0
+            z = np.array([cfg.h / 2, -cfg.h / 2])
+            factors = _stress_factors(cfg.material, cfg.layup, z, [None, None])
+            tau = _stresses(_strains(sol.d, sol.mesh, [x])[0], factors, z)[1]
+            assert tau.tolist() == [0.0, 0.0]

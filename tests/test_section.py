@@ -26,11 +26,10 @@ from fgcbeam import (
     LayupKind,
     MaterialPair,
     compute_rigidities,
-    effective_modulus,
     shear_functions,
 )
 from fgcbeam.benchmarks import ALL_CELLS
-from fgcbeam.materials import _P_MAX
+from fgcbeam.materials import _P_MAX, effective_moduli
 from fgcbeam.section import SectionRigidities, _modulus_nodes
 
 from conftest import layer_edges
@@ -59,10 +58,10 @@ def oracle_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
             if b - a <= 0:
                 continue
             for i, m in enumerate(moments):
-                vals[i] += quad(lambda z: effective_modulus(mat, layup, z) * m(z),
+                vals[i] += quad(lambda z: effective_moduli(mat, layup, [z], [None])[0] * m(z),
                                 a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
             vals[6] += quad(
-                lambda z: effective_modulus(mat, layup, z)
+                lambda z: effective_moduli(mat, layup, [z], [None])[0]
                 / (2 * (1 + mat.nu)) * shear_functions(z, h)[1] ** 2,
                 a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
     return SectionRigidities(*vals)

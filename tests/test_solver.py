@@ -19,13 +19,13 @@ from fgcbeam import (
     SingularSystemError,
     assemble_load,
     compute_rigidities,
-    displacement_at,
     solve_static,
     table_scales,
 )
 from fgcbeam import solver as solver_module
 from fgcbeam.benchmarks import ALL_CELLS
 from fgcbeam.element import element_stiffness
+from fgcbeam.postproc import _deflections
 from fgcbeam.solver import (
     HALF_BAND,
     _constrain,
@@ -74,7 +74,7 @@ def dense_by_element_loop(mesh, rig):
 def w_bar_of(cfg):
     sol = solve_case(cfg)
     x = cfg.L if cfg.bc is BoundaryCondition.CF else cfg.L / 2
-    w = displacement_at(sol, x)[1]
+    w = _deflections(sol.d, sol.mesh, x)
     return table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)[0] * w
 
 

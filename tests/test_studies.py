@@ -6,31 +6,34 @@ from fgcbeam import (
     LoadCase,
     compute_rigidities,
     deflection_point,
-    displacement_at,
     element,
     section,
     solve_static,
     solver,
-    stress_at,
     studies,
 )
 from fgcbeam.benchmarks import ALL_CELLS, benchmark_compare
+from fgcbeam.postproc import _deflections, _strains, _stress_factors, _stresses
 from fgcbeam.studies import CaseResults, evaluate_case, evaluate_cases
 
 from conftest import make_case, random_case
 
 
 def reference_evaluate_case(cfg):
-    """One case through solve_static, displacement_at and stress_at, as before batching."""
+    """One case through solve_static and the recovery kernels, one solution and one point
+    at a time, as before batching."""
     rig = compute_rigidities(cfg.material, cfg.layup)
     sol = solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
     L, h = cfg.L, cfg.h
     x_w = deflection_point(cfg.bc, L)
-    w = displacement_at(sol, x_w)[1]
+    w = float(_deflections(sol.d, sol.mesh, x_w))
     if cfg.load.kind == "udl":
         q = cfg.load.magnitude
-        sigma = stress_at(sol, cfg.material, cfg.layup, L / 2.0, h / 2.0)[0]
-        tau = stress_at(sol, cfg.material, cfg.layup, 0.0, 0.0)[1]
+        eps = _strains(sol.d, sol.mesh, [L / 2.0])[0]
+        sigma = _stresses(eps, _stress_factors(cfg.material, cfg.layup, [h / 2.0], [None]),
+                          h / 2.0)[0][0]
+        eps = _strains(sol.d, sol.mesh, [0.0])[0]
+        tau = _stresses(eps, _stress_factors(cfg.material, cfg.layup, [0.0], [None]), 0.0)[1][0]
         return CaseResults(
             config=cfg, solution=sol, x_deflection=x_w, w=w,
             w_bar=100.0 * cfg.material.E_m * h**3 / (q * L**4) * w,
