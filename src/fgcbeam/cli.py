@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -97,12 +98,19 @@ def _profile_csv(cfg: CaseConfig, sol: Solution, x: float, samples: int) -> str:
 def _output(path: str | None):
     """A buffer for the FILE of ``--out`` or ``--csv``, or None without one.  The path is
     opened before any solve, so that a bad one costs none, in append mode, so that the file
-    keeps its bytes; the file takes the buffer's text only if the command raises nothing."""
+    keeps its bytes; the file takes the buffer's text only if the command raises nothing,
+    and a file that this opening created is removed if it raises."""
     if not path:
         yield None
         return
+    created = not os.path.lexists(path)
     open(path, "a", encoding="utf-8").close()
-    yield (buffer := io.StringIO())
+    try:
+        yield (buffer := io.StringIO())
+    except BaseException:
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
     Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 

@@ -143,7 +143,7 @@ def _gauss_jacobi(p: float) -> tuple[np.ndarray, np.ndarray]:
         band[0, k] = 2.0 / t * math.sqrt(k * (k + p) / (t + 1)) * (
             1.0 if k == 1 else math.sqrt(k * (k + p) / (t - 1)))
         band[1, k] = p * p / (t * (t + 2))
-    x, _, info = dsbevd(band, compute_v=0, lower=0, overwrite_ab=1)
+    x, info = dsbevd(band)
     if info:
         raise ArithmeticError(f"layup.p: LAPACK dsbevd returned info = {info} on the "
                               f"Gauss-Jacobi band of p = {p!r}")

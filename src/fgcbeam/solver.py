@@ -3,17 +3,26 @@
 Element e of a uniform mesh couples the eight global DOFs 4e .. 4e+7,
 so the global stiffness has half-bandwidth 7.  The solver builds it
 straight into LAPACK upper band storage, an (8, ndof) array, and
-factors it with banded Cholesky (``dpbtrf``/``dpbtrs``): time and
+factors and solves it with banded Cholesky (``dpbsv``): time and
 memory are O(ne), and no ndof x ndof matrix is ever formed.
 
 ``solve_batch`` solves the M jobs (rigidities, supports, load) of one
 mesh as a stack (batched small-matrix linear algebra; Dongarra et al.,
 Procedia Comput. Sci. 2017): one ``Ke`` stack, one (M, 8, ndof) band
-stack, one constraint store per support type and one norm computation
-for the backward-error gate, with LAPACK per job; memory is O(M ndof).
-At ne = 16 LAPACK is about 14 us of a job's cost and numpy call overhead
-most of the rest, so stacking is what pays; one batched dense Cholesky
-would round differently.  ``solve_static`` is the one-job stack.
+stack, one constraint store per support type, and one LAPACK call per
+mesh group.  The stack's Fortran-ordered bands are, as they lie in
+memory, the (8, M ndof) band of the block-diagonal matrix of the M
+systems, so one ``dpbsv`` factors and solves them all and one ``dsbmv``
+gives every residual of the backward-error gate; memory is O(M ndof).
+Each job still gets the bits of its lone solve (see ``_solve_bands``);
+one batched dense Cholesky would round differently.  ``solve_static``
+is the one-job stack.
+
+LAPACK and BLAS come from the OpenBLAS that numpy's wheel ships and has
+already loaded, called through ``ctypes``, so a process holds one
+OpenBLAS and imports no scipy.  Where numpy ships none (a conda or
+distro numpy), scipy's public ``scipy.linalg`` wrappers stand in,
+behind the same three functions.
 
 All elements of a ``Mesh`` share its ``Le`` and ``inv_R``, hence one
 ``Ke``.  In band storage it is an (8, 8) slab whose first four columns
@@ -55,14 +64,15 @@ number of threads concurrently.
 
 from __future__ import annotations
 
+import ctypes
 import enum
-import importlib.util
+import glob
 import operator
 import os
-import sys
+import struct
+from ctypes import byref, c_double, c_int64
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -70,37 +80,101 @@ from .element import element_load_udl, element_stiffness
 from .materials import ConfigError
 from .section import SectionRigidities
 
-
-def _linalg_extension(name: str):
-    """Compiled ``scipy.linalg.<name>``, loaded from its file without the 0.4 s of
-    ``scipy.linalg`` imports; None if that fails.  CPython keeps this single-phase-init
-    extension in ``sys.modules``, so a later ``import scipy.linalg`` reuses it."""
-    full_name = "scipy.linalg." + name
-    scipy_dirs = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", ())
-    paths = [os.path.join(d, "linalg", name + s) for d in scipy_dirs for s in EXTENSION_SUFFIXES]
-    path = next(filter(os.path.isfile, paths), None)
-    if path is not None and full_name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(full_name, path)
-        try:
-            spec.loader.exec_module(importlib.util.module_from_spec(spec))
-        except (ImportError, OSError):
-            return None
-    return sys.modules.get(full_name)
+#: Half-bandwidth of the global stiffness: an element spans DOFs 4e .. 4e+7.
+HALF_BAND = 7
 
 
-_lapack, _blas = _linalg_extension("_flapack"), _linalg_extension("_fblas")
-if _lapack is None or _blas is None:  # e.g. Windows, whose DLL path scipy/_distributor_init sets
-    from scipy.linalg import blas as _blas, lapack as _lapack
-dpbtrf, dpbtrs, dsbmv = _lapack.dpbtrf, _lapack.dpbtrs, _blas.dsbmv
-dsbevd = _lapack.dsbevd  # section's Gauss-Jacobi rules
+def _numpy_openblas():
+    """The OpenBLAS that numpy's PyPI wheels ship and load (``numpy.libs`` or
+    ``numpy/.dylibs``), or None, e.g. for a conda or distro numpy linked to another BLAS."""
+    root = os.path.dirname(np.__file__)
+    for folder in (root + ".libs", os.path.join(root, ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(folder, "libscipy_openblas64_*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            if all(hasattr(lib, f"scipy_{name}_64_") for name in ("dpbsv", "dsbmv", "dsbevd")):
+                return lib
+    return None
+
+
+def _ctypes_lapack(lib):
+    """``dpbsv``, ``residual`` and ``dsbevd`` on ``lib``'s ILP64 Fortran symbols.
+
+    Each argument is a pointer: a constant is an immutable ``bytes`` of the int64 or
+    double, anything else a ``byref`` into a numpy array owned by the call or given to it
+    (which must be writable); the length of each one-character string argument trails as a
+    ``size_t``.  Without ``argtypes``, ctypes passes these objects as they are, so a call
+    costs about what an f2py wrapper's does.
+    """
+    pbsv, sbmv, sbevd = lib.scipy_dpbsv_64_, lib.scipy_dsbmv_64_, lib.scipy_dsbevd_64_
+    pbsv.restype = sbmv.restype = sbevd.restype = None
+    kd, ldab, one = (struct.pack("q", v) for v in (HALF_BAND, HALF_BAND + 1, 1))
+    alpha, beta, char = struct.pack("d", 1.0), struct.pack("d", -1.0), ctypes.c_size_t(1)
+
+    def pointer(a):
+        return byref(c_double.from_buffer(a))
+
+    def dpbsv(ab, F):
+        x, info = F.copy(), (c_int64 * 1)()
+        n = struct.pack("q", x.size)
+        pbsv(b"U", n, kd, one, pointer(ab.swapaxes(-1, -2).copy()), ldab, pointer(x), n, info,
+             char)
+        return x, info[0]
+
+    def residual(ab, d, F):
+        r = F.copy()
+        sbmv(b"U", struct.pack("q", r.size), kd, alpha,
+             pointer(np.ascontiguousarray(ab.swapaxes(-1, -2))), ldab,
+             pointer(np.ascontiguousarray(d)), one, beta, pointer(r), one, char)
+        return r
+
+    def dsbevd(band):
+        (rows, n), iwork_info = band.shape, (c_int64 * 2)()
+        ab = np.array(band.T, order="C")     # the band in Fortran order
+        w, z, work = np.empty(n), np.empty(1), np.empty(2 * n + 1)
+        sbevd(b"N", b"U", struct.pack("q", n), struct.pack("q", rows - 1), pointer(ab),
+              struct.pack("q", rows), pointer(w), pointer(z), one, pointer(work),
+              struct.pack("q", 2 * n + 1), iwork_info, one, byref(iwork_info, 8), char, char)
+        return w, iwork_info[1]
+
+    return dpbsv, residual, dsbevd
+
+
+def _scipy_lapack():
+    """The three functions of ``_ctypes_lapack`` on ``scipy.linalg``'s public wrappers."""
+    from scipy.linalg import blas, lapack
+
+    def block_diagonal(ab):
+        return ab.swapaxes(-1, -2).reshape(-1, HALF_BAND + 1).T
+
+    def dpbsv(ab, F):
+        _, x, info = lapack.dpbsv(block_diagonal(ab), F.reshape(-1))
+        return x.reshape(F.shape), info
+
+    def residual(ab, d, F):
+        return blas.dsbmv(HALF_BAND, 1.0, block_diagonal(ab), d.reshape(-1), beta=-1.0,
+                          y=F.reshape(-1)).reshape(F.shape)
+
+    def dsbevd(band):
+        w, _, info = lapack.dsbevd(band, compute_v=0, lower=0)
+        return w, info
+
+    return dpbsv, residual, dsbevd
+
+
+_openblas = _numpy_openblas()
+#: ``dpbsv(ab, F) -> (x, info)`` factors and solves the block-diagonal band of an (M, 8, n)
+#: stack of Fortran-ordered bands, an (8, M n) band, for F (M, n); ``residual(ab, d, F)``
+#: is K d - F by ``dsbmv`` on that band; ``dsbevd(band) -> (w, info)`` gives the
+#: eigenvalues of a (kd + 1, n) upper band (section's Gauss-Jacobi rules).
+dpbsv, residual, dsbevd = (_scipy_lapack() if _openblas is None else _ctypes_lapack(_openblas))
 
 #: Names of the four nodal DOFs, in interleaved storage order.
 DOF_NAMES = ("u0", "w0", "w0_x", "phi_x")
 
 _EPS = np.finfo(float).eps
-
-#: Half-bandwidth of the global stiffness: an element spans DOFs 4e .. 4e+7.
-HALF_BAND = 7
 
 #: Upper-triangle entries (i, j) of Ke and their places (HALF_BAND + i - j, j) in band storage.
 _KE_UPPER = np.triu_indices(8)
@@ -297,10 +371,11 @@ def backward_error(ab: np.ndarray, d: np.ndarray, F: np.ndarray) -> list[float]:
     """Normwise backward error of d for K d = F, K in upper band storage.
 
     ``||K d - F||_inf / (||K||_inf ||d||_inf + ||F||_inf)`` of each system of an
-    (M, 8, n) stack, d and F (M, n); NaN where d is not finite.  The norms
-    are taken for the whole stack, the quotients in floats.
+    (M, 8, n) stack, d and F (M, n); NaN where d is not finite.  The residuals come
+    from one ``dsbmv`` on the stack's block-diagonal band, the norms are taken for
+    the whole stack, the quotients in floats.
     """
-    r = [dsbmv(HALF_BAND, 1.0, a, x, beta=-1.0, y=f) for a, x, f in zip(ab, d, F)]
+    r = residual(ab, d, F)
     a = np.abs(ab, order="C")             # band rows outermost: summed in order, and faster
     row_sums = a.sum(axis=1)              # each column's upper part, diagonal included
     for k in range(1, HALF_BAND + 1):
@@ -309,14 +384,45 @@ def backward_error(ab: np.ndarray, d: np.ndarray, F: np.ndarray) -> list[float]:
     return [res / scale if (scale := k * x + f) > 0 else res for k, x, f, res in zip(*norms)]
 
 
-def _solve_banded(ab: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve of one system; name a failed pivot's DOF."""
-    c, info = dpbtrf(ab)
-    if info > 0:
-        raise SingularSystemError(
-            f"stiffness is not positive definite at {_dof_label(info - 1)}; "
+def _solve_bands(ab: np.ndarray, F: np.ndarray
+                 ) -> tuple[np.ndarray, list[SingularSystemError | None]]:
+    """Solve the M systems of an (M, 8, n) band stack, loads F (M, n), as one band.
+
+    Returns the (M, n) solutions and each system's ``SingularSystemError`` or None.
+    The stack is the (8, M n) band of its block-diagonal matrix, whose coupling
+    entries are zeros, so one ``dpbsv`` and one gate ``dsbmv`` serve all M.  A zero
+    coupling entry adds exact zeros while every value is finite, so each block gets
+    the bits of its lone solve.  A failed pivot at column ``info`` of a call is its
+    system ``(info - 1) // n``'s: the systems before it are solved again and the call
+    restarts after it.  A NaN or inf would cross the couplings, both ways, and make
+    NaN of every system it reaches; a NaN pivot passes LAPACK's test, so no system
+    fails a pivot for another, but the gate rejects them all, so each system that the
+    gate rejects is judged alone.
+    """
+    M, n = F.shape
+    errors = [None] * M
+    lo, (D, info) = 0, dpbsv(ab, F)
+    while info:
+        f = lo + (info - 1) // n
+        errors[f] = SingularSystemError(
+            f"stiffness is not positive definite at {_dof_label((info - 1) % n)}; "
             "check boundary conditions and mesh")
-    return dpbtrs(c, F)[0]
+        D[f] = 0.0
+        if f > lo:
+            D[lo:f] = dpbsv(ab[lo:f], F[lo:f])[0]
+        lo = f + 1
+        if lo == M:
+            break
+        D[lo:], info = dpbsv(ab[lo:], F[lo:])
+    bound = n * _EPS
+    for m, eta in enumerate(backward_error(ab, D, F)):
+        if errors[m] is None and not eta <= bound:
+            if M > 1:
+                (D[m],), (errors[m],) = _solve_bands(ab[m:m + 1], F[m:m + 1])
+            else:
+                errors[m] = SingularSystemError(
+                    f"solve rejected: backward error {eta:.3e} exceeds n * eps = {bound:.3e}")
+    return D, errors
 
 
 def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryCondition, LoadCase]]
@@ -325,8 +431,8 @@ def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryConditio
 
     Returns the (M, ndof) solutions and each job's ``SingularSystemError``
     (failed pivot or gate) or None; a failure does not stop the others.
-    Every step is elementwise over the stack or per job, so each solution
-    is bit-identical to a lone ``solve_static``.  Jobs must pass ``check_load``.
+    Each solution is bit-identical to a lone ``solve_static`` (see
+    ``_solve_bands``).  Jobs must pass ``check_load``.
     """
     ab = _fill_band(mesh, element_stiffness([rig for rig, _, _ in jobs], mesh))
     loads = {load: assemble_load(mesh, load) for load in dict.fromkeys(load for _, _, load in jobs)}
@@ -335,18 +441,7 @@ def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryConditio
     for bc in dict.fromkeys(bcs):
         members = [m for m, other in enumerate(bcs) if other is bc]
         _constrain(ab, F, bc.constrained_dofs(mesh), members if len(members) < len(bcs) else None)
-    D, errors = np.zeros(F.shape), [None] * len(jobs)
-    for m in range(len(jobs)):
-        try:
-            D[m] = _solve_banded(ab[m], F[m])
-        except SingularSystemError as err:
-            errors[m] = err
-    bound = mesh.ndof * _EPS
-    for m, eta in enumerate(backward_error(ab, D, F)):
-        if errors[m] is None and not eta <= bound:
-            errors[m] = SingularSystemError(
-                f"solve rejected: backward error {eta:.3e} exceeds n * eps = {bound:.3e}")
-    return D, errors
+    return _solve_bands(ab, F)
 
 
 def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,

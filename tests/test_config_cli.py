@@ -462,10 +462,11 @@ class TestCliConverge:
             "", f"error: mesh.ne: need at least one element, got ne = {ne}\n")
 
     def test_singular_system_is_a_clean_error(self, sandwich_file, capsys, monkeypatch):
-        def singular(*args, **kwargs):
-            raise SingularSystemError("stiffness is not positive definite at node 3, dof u0")
+        def singular(ab, F):
+            error = SingularSystemError("stiffness is not positive definite at node 3, dof u0")
+            return np.zeros(F.shape), [error] * len(F)
 
-        monkeypatch.setattr(solver, "_solve_banded", singular)
+        monkeypatch.setattr(solver, "_solve_bands", singular)
         assert main(["converge", str(sandwich_file), "--ne", "4,8"]) == 2
         captured = capsys.readouterr()
         assert captured.err == ("error: stiffness is not positive definite at "
@@ -755,6 +756,14 @@ class TestCliProfile:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == b"old,bytes\n"
 
+    @pytest.mark.parametrize("argv", [["--x", "99"], ["--samples", "1"]],
+                             ids=["station_outside_the_beam", "one_sample"])
+    def test_failed_profile_leaves_no_new_out_file(self, argv, sandwich_file, tmp_path, capsys):
+        out = tmp_path / "new.csv"
+        assert main(["profile", str(sandwich_file), *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_unwritable_output_is_a_clean_error(self, sandwich_file, tmp_path, capsys,
                                                 monkeypatch):
         # the file is opened before any solve, so a bad path costs none
@@ -800,6 +809,12 @@ class TestCliBench:
         assert main(["bench", "--table", "T99", "--csv", str(out)]) == 2
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == b"old,bytes\n"
+
+    def test_failed_bench_leaves_no_new_csv_file(self, tmp_path, capsys):
+        out = tmp_path / "new.csv"
+        assert main(["bench", "--table", "T99", "--csv", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_unwritable_csv_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
         # the file is opened before any solve, so a bad path prints no report

@@ -5,7 +5,11 @@ Dense checks expand the program's band with
 columns with ``eliminate``.
 """
 
+import concurrent.futures
+import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from fgcbeam.solver import (
     HALF_BAND,
     _constrain,
     _fill_band,
-    _solve_banded,
+    _solve_bands,
     backward_error,
 )
 
@@ -220,8 +224,9 @@ class TestSolveStatic:
         ab = band(mesh, RIG)
         F = assemble_load(mesh, LoadCase("udl", 1.0))
         _constrain(ab, F, [1, 4 * mesh.ne + 1])
-        with pytest.raises(SingularSystemError, match=r"node \d+, dof"):
-            _solve_banded(ab, F)
+        _, (error,) = _solve_bands(ab[None], F[None])
+        assert isinstance(error, SingularSystemError)
+        assert re.search(r"node \d+, dof", str(error))
 
     def test_fully_constrained_single_element(self):
         sol = solve_static(Mesh(L=1.0, ne=1), RIG, BoundaryCondition.CC,
@@ -330,7 +335,7 @@ class TestBandedSolve:
                 F = assemble_load(mesh, cfg.load)
                 _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
                 d = solve_static(mesh, rig, cfg.bc, cfg.load).d
-                assert d.tobytes() == _solve_banded(ab, F).tobytes()
+                assert d.tobytes() == _solve_bands(ab[None], F[None])[0][0].tobytes()
         assert len(cases) == 420
 
     def test_gate_rejects_perturbed_solution(self, monkeypatch):
@@ -340,20 +345,20 @@ class TestBandedSolve:
         ab = band(mesh, rig)
         F = assemble_load(mesh, cfg.load)
         _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
-        d = _solve_banded(ab, F)
+        d = _solve_bands(ab[None], F[None])[0][0]
         bound = mesh.ndof * np.finfo(float).eps
         assert backward_error(ab[None], d[None], F[None])[0] <= bound
         noise = np.random.default_rng(7).standard_normal(mesh.ndof)
         perturbed = d * (1.0 + 1e-8 * noise)
         assert backward_error(ab[None], perturbed[None], F[None])[0] > 100 * bound
 
-        real_solve = solver_module.dpbtrs
+        real_solve = solver_module.dpbsv
 
-        def perturbed_solve(c, b):
-            x, info = real_solve(c, b)
+        def perturbed_solve(ab, F):
+            x, info = real_solve(ab, F)
             return x * (1.0 + 1e-8 * noise), info
 
-        monkeypatch.setattr(solver_module, "dpbtrs", perturbed_solve)
+        monkeypatch.setattr(solver_module, "dpbsv", perturbed_solve)
         with pytest.raises(SingularSystemError, match="backward error"):
             solve_static(mesh, rig, cfg.bc, cfg.load)
 
@@ -363,3 +368,104 @@ class TestBandedSolve:
         F = assemble_load(mesh, LoadCase("udl", 1.0))
         d = np.full(mesh.ndof, np.nan)
         assert not backward_error(ab[None], d[None], F[None])[0] <= 1.0
+
+
+class TestBlockDiagonalSolve:
+    """``solve_batch`` solves a mesh group as the one band of its block-diagonal matrix.
+
+    A failed pivot restarts the LAPACK call after its system, and a system that
+    the gate rejects is judged alone, so every job keeps the bits and the verdict
+    of its lone ``solve_static``.
+    """
+
+    CONFIGS = [make_case("A", p=1.0, bc="SS"), make_case("B", scheme=(1, 2, 1), p=2.0, bc="CC"),
+               make_case("C", scheme=(1, 8, 1), p=5.0, bc="CF"),
+               make_case("B", scheme=(2, 2, 1), p=0.5, bc="SS", load=LoadCase("point_mid", 2.0)),
+               make_case("A", p=10.0, bc="CF", load=LoadCase("point_end", 1.5))]
+
+    @staticmethod
+    def broken(rig, fault):
+        """rig with a negative A11 (a failed pivot) or a NaN D11 (a NaN solution, which
+        the gate rejects)."""
+        if fault == "pivot":
+            return dataclasses.replace(rig, A11=-rig.A11)
+        return dataclasses.replace(rig, D11=math.nan) if fault == "gate" else rig
+
+    @staticmethod
+    def lone(mesh, job):
+        try:
+            return solve_static(mesh, *job).d, None
+        except SingularSystemError as err:
+            return None, str(err)
+
+    @pytest.mark.parametrize("faults", [
+        ["ok", "pivot", "ok"], ["ok", "gate", "ok"], ["pivot", "ok", "gate", "pivot", "ok"],
+        ["ok", "pivot", "ok", "pivot", "ok"], ["ok", "ok", "ok", "gate", "pivot"],
+        ["gate", "gate", "ok"]])
+    def test_each_job_gets_its_lone_bits_and_verdict(self, faults):
+        mesh = self.CONFIGS[0].mesh
+        jobs = [(self.broken(compute_rigidities(cfg.material, cfg.layup), fault), cfg.bc, cfg.load)
+                for cfg, fault in zip(self.CONFIGS, faults)]
+        D, errors = solver_module.solve_batch(mesh, jobs)
+        for m, job in enumerate(jobs):
+            d, message = self.lone(mesh, job)
+            assert (errors[m] and str(errors[m])) == message
+            if faults[m] == "ok":
+                assert message is None and D[m].tobytes() == d.tobytes()
+            elif faults[m] == "pivot":
+                assert re.search(r"not positive definite at node \d+, dof u0", message)
+            else:
+                assert message.startswith("solve rejected: backward error nan")
+
+    def test_pivot_error_names_the_systems_own_node(self):
+        # a failed pivot at global column info of the (8, M n) band is system
+        # (info - 1) // n's, at its DOF (info - 1) % n
+        cfg = self.CONFIGS[1]
+        rig = compute_rigidities(cfg.material, cfg.layup)
+        rig = dataclasses.replace(rig, A55s=-rig.A55s)
+        jobs = [(RIG, cfg.bc, cfg.load)] * 3 + [(rig, cfg.bc, cfg.load)]
+        _, errors = solver_module.solve_batch(cfg.mesh, jobs)
+        assert errors[:3] == [None] * 3
+        assert str(errors[3]) == ("stiffness is not positive definite at node 2, dof phi_x; "
+                                  "check boundary conditions and mesh")
+
+    @pytest.mark.parametrize("faults,calls", [
+        (["ok"] * 5, 1), (["ok", "pivot", "ok"], 3), (["pivot", "ok", "ok"], 2),
+        (["ok", "ok", "pivot"], 2), (["ok", "pivot", "ok", "pivot", "ok"], 5)])
+    def test_dpbsv_calls_per_group(self, faults, calls, monkeypatch):
+        # one call for the group; a failed pivot adds one for the jobs before it and
+        # one for those after it, where there are any
+        counted = []
+        real = solver_module.dpbsv
+
+        def dpbsv(ab, F):
+            counted.append(len(F))
+            return real(ab, F)
+
+        monkeypatch.setattr(solver_module, "dpbsv", dpbsv)
+        jobs = [(self.broken(RIG, fault), cfg.bc, cfg.load)
+                for cfg, fault in zip(self.CONFIGS, faults)]
+        solver_module.solve_batch(self.CONFIGS[0].mesh, jobs)
+        assert len(counted) == calls and counted[0] == len(jobs)
+
+    def test_concurrent_groups_keep_their_serial_bits(self):
+        # the LAPACK binding keeps no state between calls, and ctypes releases the
+        # interpreter lock inside LAPACK, so threads overlap in the library itself
+        groups = {}
+        for cfg in dict.fromkeys(cell.config for cell in ALL_CELLS):
+            rig = compute_rigidities(cfg.material, cfg.layup)
+            groups.setdefault(cfg.mesh, []).append((rig, cfg.bc, cfg.load))
+        serial = {mesh: solver_module.solve_batch(mesh, jobs)[0].tobytes()
+                  for mesh, jobs in groups.items()}
+        work = list(groups.items()) * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+                results = list(pool.map(lambda item: solver_module.solve_batch(*item), work,
+                                        timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4 * len(groups) == 52
+        for (mesh, _), (D, errors) in zip(work, results):
+            assert D.tobytes() == serial[mesh] and errors == [None] * len(errors)

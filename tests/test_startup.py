@@ -1,62 +1,69 @@
-"""Cold start: the stored Gauss-Jacobi rules and the standalone LAPACK/BLAS load.
+"""Cold start: the stored Gauss-Jacobi rules and a numpy-only runtime.
 
-The program reaches ``dpbtrf``, ``dpbtrs``, ``dsbmv`` and ``dsbevd`` through
-scipy's compiled extensions alone, reads the paper's five Gauss-Jacobi rules
-from a table and computes any other p's rule on that LAPACK, so a run at any
-p imports neither ``scipy.linalg`` nor ``scipy.special``.  Each subprocess
-below runs ``bench --table T6``, ``run a_ss_udl.ini`` and one
-``evaluate_cases`` on a paper p and a non-paper p, in one of three import
-orders, and then records which scipy subpackages are loaded.  A cold ``run``
-imports no ``configparser`` either: ``config`` reads the INI text itself.
+The solver calls ``dpbsv``, ``dsbmv`` and ``dsbevd`` in the OpenBLAS that numpy's
+wheel ships and has already loaded, through ``ctypes``; the paper's five
+Gauss-Jacobi rules come from a table and any other p's rule from that
+``dsbevd``.  So no command imports scipy, which is checked in a subprocess
+where any scipy import fails.  Where numpy ships no OpenBLAS of its own, the
+solver falls back to ``scipy.linalg``'s public wrappers, whose results must be
+the binding's bits.  A cold ``run`` imports no ``configparser`` either:
+``config`` reads the INI text itself.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
 import fgcbeam
-from fgcbeam import section, solver
+from fgcbeam import compute_rigidities, section, solver
+from fgcbeam.benchmarks import ALL_CELLS
+from fgcbeam.element import element_stiffness
 
-CASE = Path(__file__).parent / "golden" / "cases" / "a_ss_udl.ini"
+TESTS = Path(__file__).parent
+CASE = TESTS / "golden" / "cases" / "a_ss_udl.ini"
+ENV = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
+needs_numpy_openblas = pytest.mark.skipif(
+    solver._openblas is None, reason="numpy ships no OpenBLAS here; the scipy fallback runs")
 
 SCRIPT = r"""
-import contextlib, importlib.machinery, io, json, sys
-case, mode = sys.argv[1], sys.argv[2]
-if mode == "early":
-    import scipy.linalg, scipy.special
-elif mode == "fallback":
-    importlib.machinery.EXTENSION_SUFFIXES.clear()   # no file is found: public import
-from fgcbeam import evaluate_cases, parse_config, solver
+import contextlib, glob, io, json, sys, tempfile
+if sys.argv[2] == "numpy":
+    sys.modules["scipy"] = None                # from here on, any scipy import fails
+else:
+    glob.glob = lambda pattern: []             # the solver finds no OpenBLAS in numpy
+sys.path.insert(0, sys.argv[1])
+import test_golden
+from fgcbeam import solver
 from fgcbeam.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    codes = [main(["bench", "--table", "T6"]), main(["run", case])]
-text = open(case).read()
-results = evaluate_cases([parse_config(text.replace("p = 1", f"p = {p}")) for p in ("5", "3.7")])
-loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
-import scipy.linalg.lapack
-print(json.dumps(dict(
-    codes=codes, stdout=out.getvalue(), loaded=loaded, results=repr(results),
-    same_module=scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
-    same_dpbtrf=scipy.linalg.lapack.dpbtrf is solver.dpbtrf)))
+outputs = {name: test_golden.generate(name).decode() for name in sys.argv[3:]}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["bench", "--table", "T6", "--csv", tmp + "/t6.csv"])
+    with open(tmp + "/t6.csv", encoding="utf-8") as f:
+        t6 = f.read()
+print(json.dumps(dict(outputs=outputs, code=code, stdout=out.getvalue(), t6=t6,
+                      binding=solver._openblas is not None)))
 """
+#: p = 1 and p = 2.5 (a computed Gauss-Jacobi rule), a profile and a convergence study
+GOLDEN = ("a_ss_udl.run.txt", "b_ss_udl_curved_material.run.txt",
+          "b_cc_udl_curved.profile_support.csv", "a_ss_udl.converge.txt")
 
 
 @pytest.fixture(scope="module")
 def runs() -> dict:
-    """SCRIPT's record per import order: scipy imported 'late', 'early', or as the 'fallback'.
-
-    The three interpreters run side by side.
-    """
-    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
-    procs = {mode: subprocess.Popen([sys.executable, "-c", SCRIPT, str(CASE), mode], env=env,
-                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for mode in ("late", "early", "fallback")}
+    """SCRIPT's record of the GOLDEN outputs and ``bench --table T6`` per LAPACK: 'numpy',
+    the binding with scipy unimportable (where numpy ships an OpenBLAS), or the scipy
+    'fallback'.  They run side by side."""
+    procs = {mode: subprocess.Popen([sys.executable, "-c", SCRIPT, str(TESTS), mode, *GOLDEN],
+                                    env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True)
+             for mode in ("numpy", "fallback")[solver._openblas is None:]}
     records = {}
     for mode, proc in procs.items():
         out, err = proc.communicate(timeout=120)
@@ -78,21 +85,91 @@ def test_table_holds_the_papers_indices():
     assert sorted(section._JACOBI_HEX) == [0.0, 1.0, 2.0, 5.0, 10.0]
 
 
-def test_paper_cases_import_neither_scipy_subpackage(runs):
-    """Nor does the non-paper p = 3.7 that follows them."""
-    late = runs["late"]
-    assert late["codes"] == [0, 0]
-    assert "total: 30 pass, 0 fail, 0 suspect cells skipped" in late["stdout"]
-    assert late["loaded"] == []
+@pytest.mark.parametrize("mode", [
+    pytest.param("numpy", marks=needs_numpy_openblas), "fallback"])
+def test_commands_print_the_golden_bytes(runs, mode):
+    """With scipy unimportable ('numpy'), or on scipy's wrappers ('fallback')."""
+    run = runs[mode]
+    assert run["binding"] == (mode == "numpy")
+    for name in GOLDEN:
+        assert run["outputs"][name] == (TESTS / "golden" / name).read_text("utf-8"), name
+    assert run["code"] == 0
+    assert run["stdout"].splitlines()[-2] == "total: 30 pass, 0 fail, 0 suspect cells skipped"
+    golden = (TESTS / "golden" / "bench.csv").read_text("utf-8").splitlines(keepends=True)
+    assert run["t6"] == "".join(golden[:1] + [r for r in golden if r.startswith("T6,")])
 
 
-def test_import_order_gives_identical_results(runs):
-    late, early = runs["late"], runs["early"]
-    assert early["loaded"] == ["scipy.linalg", "scipy.special"]
-    assert early["stdout"] == late["stdout"]
-    assert early["results"] == late["results"]
-    for run in (late, early):
-        assert run["same_module"] and run["same_dpbtrf"]
+LOADED = r"""
+import contextlib, io, json, sys
+from fgcbeam import evaluate_cases, parse_config
+from fgcbeam.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [main(["bench", "--table", "T6"]), main(["run", sys.argv[1]])]
+text = open(sys.argv[1]).read()
+evaluate_cases([parse_config(text.replace("p = 1", f"p = {p}")) for p in ("5", "3.7")])
+print(json.dumps(dict(codes=codes, stdout=out.getvalue(),
+                      loaded=sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))))
+"""
+
+
+@needs_numpy_openblas
+def test_paper_cases_import_neither_scipy_subpackage():
+    """Nor any scipy module, nor does the non-paper p = 3.7 that follows them."""
+    proc = subprocess.run([sys.executable, "-c", LOADED, str(CASE)], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["codes"] == [0, 0]
+    assert "total: 30 pass, 0 fail, 0 suspect cells skipped" in record["stdout"]
+    assert record["loaded"] == []
+
+
+def _groups(ne):
+    """The fixture configs' constrained band stacks and loads on one ne, one per mesh, plus
+    three systems of which the middle one fails a pivot (its A11 is negative)."""
+    meshes = {}
+    for cfg in dict.fromkeys(cell.config for cell in ALL_CELLS):
+        mesh = solver.Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
+        meshes.setdefault(mesh, []).append(cfg)
+    for mesh, cfgs in meshes.items():
+        rigs = [compute_rigidities(cfg.material, cfg.layup) for cfg in cfgs]
+        ab = solver._fill_band(mesh, element_stiffness(rigs, mesh))
+        F = np.array([solver.assemble_load(mesh, cfg.load) for cfg in cfgs])
+        for m, cfg in enumerate(cfgs):
+            solver._constrain(ab[m], F[m], cfg.bc.constrained_dofs(mesh))
+        yield ab, F
+    rigs[1] = dataclasses.replace(rigs[1], A11=-rigs[1].A11)
+    ab = solver._fill_band(mesh, element_stiffness(rigs[:3], mesh))
+    F = F[:3].copy()
+    for m, cfg in enumerate(cfgs[:3]):
+        solver._constrain(ab[m], F[m], cfg.bc.constrained_dofs(mesh))
+    yield ab, F
+
+
+@needs_numpy_openblas
+def test_scipy_fallback_is_bit_equal_to_the_binding(monkeypatch):
+    binding, fallback = solver._ctypes_lapack(solver._openblas), solver._scipy_lapack()
+    (dpbsv, residual, dsbevd), (dpbsv_s, residual_s, dsbevd_s) = binding, fallback
+    infos = []
+    for ne in (16, 1024):
+        for ab, F in _groups(ne):
+            (x, info), (x_s, info_s) = dpbsv(ab, F), dpbsv_s(ab, F)
+            assert info == info_s and x.tobytes() == x_s.tobytes()
+            assert residual(ab, x, F).tobytes() == residual_s(ab, x, F).tobytes()
+            infos.append(info)
+    assert len(infos) == 28 and infos.count(0) == 26
+    bands = []
+
+    def both(band):
+        (w, info), (w_s, info_s) = dsbevd(band), dsbevd_s(band.copy())
+        assert info == info_s == 0 and w.tobytes() == w_s.tobytes()
+        bands.append(band)
+        return w, info
+
+    monkeypatch.setattr(solver, "dsbevd", both)
+    for p in (1e-300, 0.3, 2.5, 3.7, 20.0, 799.9):
+        section._gauss_jacobi(p)
+    assert len(bands) == 6
 
 
 def test_run_leaves_the_benchmark_fixtures_unbuilt():
@@ -102,31 +179,16 @@ def test_run_leaves_the_benchmark_fixtures_unbuilt():
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(['run', sys.argv[1]])\n"
               "print(code, 'fgcbeam.benchmarks' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script, str(CASE)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(CASE)], env=ENV,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
 
 def test_run_imports_no_configparser():
     """``config`` reads INI text itself; ``run`` under ``-X importtime``, as in CI."""
-    env = dict(os.environ, PYTHONPATH=str(Path(fgcbeam.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "fgcbeam.cli", "run",
-                           str(CASE)], env=env, capture_output=True, text=True, timeout=120)
+                           str(CASE)], env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "fgcbeam.config" in imported and "configparser" not in imported
-
-
-def test_loader_returns_none_for_a_missing_extension():
-    assert solver._linalg_extension("_no_such_extension") is None
-    assert "scipy.linalg._no_such_extension" not in sys.modules
-
-
-def test_public_import_fallback_is_bit_identical(runs):
-    late, fallback = runs["late"], runs["fallback"]
-    assert fallback["loaded"] == ["scipy.linalg"]
-    assert fallback["stdout"] == late["stdout"]
-    assert fallback["results"] == late["results"]
-    assert fallback["same_dpbtrf"]

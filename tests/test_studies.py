@@ -199,21 +199,26 @@ def test_convergence_study_checks_every_element_count_before_any_solve(
 
 
 def test_earliest_failed_solve_is_raised_after_every_group(monkeypatch):
-    # groups solve in turn: cases 0 and 2 (ne = 4), then case 1 (ne = 8); the
-    # second and third solves fail, and case 1's failure is the earliest case's
-    real, calls = solver._solve_banded, []
+    # groups solve in turn, each as one band stack: cases 0 and 2 (ne = 4), then
+    # case 1 (ne = 8); the second and third systems fail, and case 1's failure is
+    # the earliest case's
+    real, groups, calls = solver._solve_bands, [], []
 
     def solve(ab, F):
-        calls.append(ab.shape[-1])
-        if len(calls) > 1:
-            raise solver.SingularSystemError(f"failed at n = {ab.shape[-1]}")
-        return real(ab, F)
+        groups.append(len(F))
+        D, errors = real(ab, F)
+        for m in range(len(F)):
+            calls.append(ab.shape[-1])
+            if len(calls) > 1:
+                errors[m] = solver.SingularSystemError(f"failed at n = {ab.shape[-1]}")
+        return D, errors
 
-    monkeypatch.setattr(solver, "_solve_banded", solve)
+    monkeypatch.setattr(solver, "_solve_bands", solve)
     configs = [make_case("A", p=2.0, ne=4), make_case("B", p=1.0, ne=8),
                make_case("C", p=1.0, ne=4)]
     with pytest.raises(solver.SingularSystemError, match="failed at n = 36"):
         evaluate_cases(configs)
+    assert groups == [2, 1]
     assert calls == [20, 20, 36]
 
 
