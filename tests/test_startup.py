@@ -100,21 +100,25 @@ def test_commands_print_the_golden_bytes(runs, mode):
 
 
 LOADED = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from fgcbeam import evaluate_cases, parse_config
 from fgcbeam.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     codes = [main(["bench", "--table", "T6"]), main(["run", sys.argv[1]])]
 text = open(sys.argv[1]).read()
 evaluate_cases([parse_config(text.replace("p = 1", f"p = {p}")) for p in ("5", "3.7")])
-print(json.dumps(dict(codes=codes, stdout=out.getvalue(),
+maps = "/proc/self/maps"                       # Linux: the shared libraries mapped
+openblas = (sorted({line.split()[-1] for line in open(maps) if "openblas" in line})
+            if os.path.exists(maps) else None)
+print(json.dumps(dict(codes=codes, stdout=out.getvalue(), openblas=openblas,
                       loaded=sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))))
 """
 
 
 @needs_numpy_openblas
 def test_paper_cases_import_neither_scipy_subpackage():
-    """Nor any scipy module, nor does the non-paper p = 3.7 that follows them."""
+    """Nor any scipy module, nor does the non-paper p = 3.7 that follows them; on Linux the
+    process maps one OpenBLAS, numpy's."""
     proc = subprocess.run([sys.executable, "-c", LOADED, str(CASE)], env=ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -122,6 +126,7 @@ def test_paper_cases_import_neither_scipy_subpackage():
     assert record["codes"] == [0, 0]
     assert "total: 30 pass, 0 fail, 0 suspect cells skipped" in record["stdout"]
     assert record["loaded"] == []
+    assert record["openblas"] in (None, [os.path.realpath(solver._openblas._name)])
 
 
 def _groups(ne):
