@@ -30,9 +30,9 @@ DOFs of one solution or of an (M, ndof) stack on one mesh:
 ``_deflections(d, mesh, x)`` gives w0 and ``_strains(d, mesh, xs)`` the
 generalized strains.  Every product is ``np.vecdot`` (a dot product per
 row), whose bits, unlike a ``gemm``'s, do not depend on how many
-solutions a stack holds; the case engine always passes a stack.  Inside
-an element, w0 of a single 1-D ``d`` can differ in its last bit from the
-same row of a stack, whose gathered DOFs are strided.  ``table_scales``
+solutions a stack holds; the case engine always passes a stack.  The
+gathered DOFs are copied to contiguous rows (``take``), so a 1-D ``d``
+and each row of a stack are summed in one order.  ``table_scales``
 rejects a load magnitude q <= 0, or one that leaves a scale infinite,
 with a ``ConfigError`` that names load.magnitude; ``CaseConfig`` calls it
 once per uniform-load case, when the case is built.
@@ -77,7 +77,7 @@ def _deflections(d: np.ndarray, mesh: Mesh, x: float) -> np.ndarray:
     shape (...)."""
     e, xi = _locate(mesh, x)
     Nb = _hermite(float(xi), float(mesh.Le))[0]
-    return np.vecdot(Nb, d[..., mesh.element_dofs(e)][..., [1, 2, 5, 6]])
+    return np.vecdot(Nb, d[..., mesh.element_dofs(e)].take([1, 2, 5, 6], axis=-1))
 
 
 def _strains(d: np.ndarray, mesh: Mesh, xs) -> list[np.ndarray]:

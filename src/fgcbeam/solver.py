@@ -15,8 +15,11 @@ memory, the (8, M ndof) band of the block-diagonal matrix of the M
 systems, so one ``dpbsv`` factors and solves them all and one ``dsbmv``
 gives every residual of the backward-error gate; memory is O(M ndof).
 Each job still gets the bits of its lone solve (see ``_solve_bands``);
-one batched dense Cholesky would round differently.  ``solve_static``
-is the one-job stack.
+one batched dense Cholesky would round differently.  If anything in a
+group fails (a pivot, the gate, or an element stiffness beyond float64),
+each of its jobs is solved again as a one-job stack, which gives it the
+solution and the error of its lone solve.  ``solve_static`` is the
+one-job stack.
 
 LAPACK and BLAS come from the OpenBLAS that numpy's wheel ships and has
 already loaded, called through ``ctypes``, so a process holds one
@@ -384,64 +387,58 @@ def backward_error(ab: np.ndarray, d: np.ndarray, F: np.ndarray) -> list[float]:
     return [res / scale if (scale := k * x + f) > 0 else res for k, x, f, res in zip(*norms)]
 
 
-def _solve_bands(ab: np.ndarray, F: np.ndarray
-                 ) -> tuple[np.ndarray, list[SingularSystemError | None]]:
+def _solve_bands(ab: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, SingularSystemError | None]:
     """Solve the M systems of an (M, 8, n) band stack, loads F (M, n), as one band.
 
-    Returns the (M, n) solutions and each system's ``SingularSystemError`` or None.
-    The stack is the (8, M n) band of its block-diagonal matrix, whose coupling
-    entries are zeros, so one ``dpbsv`` and one gate ``dsbmv`` serve all M.  A zero
-    coupling entry adds exact zeros while every value is finite, so each block gets
-    the bits of its lone solve.  A failed pivot at column ``info`` of a call is its
-    system ``(info - 1) // n``'s: the systems before it are solved again and the call
-    restarts after it.  A NaN or inf would cross the couplings, both ways, and make
-    NaN of every system it reaches; a NaN pivot passes LAPACK's test, so no system
-    fails a pivot for another, but the gate rejects them all, so each system that the
-    gate rejects is judged alone.
+    Returns the (M, n) solutions and a ``SingularSystemError`` for the first failed
+    pivot or gate, or None.  The stack is the (8, M n) band of its block-diagonal
+    matrix, whose coupling entries are zeros, so one ``dpbsv`` and one gate ``dsbmv``
+    serve all M.  A zero coupling entry adds exact zeros while every value is finite,
+    so each block gets the bits of its lone solve.  A NaN or inf would cross the
+    couplings, so an error is one system's own only for M = 1: ``solve_batch`` solves
+    each system of a failing stack again alone.
     """
-    M, n = F.shape
-    errors = [None] * M
-    lo, (D, info) = 0, dpbsv(ab, F)
-    while info:
-        f = lo + (info - 1) // n
-        errors[f] = SingularSystemError(
-            f"stiffness is not positive definite at {_dof_label((info - 1) % n)}; "
-            "check boundary conditions and mesh")
-        D[f] = 0.0
-        if f > lo:
-            D[lo:f] = dpbsv(ab[lo:f], F[lo:f])[0]
-        lo = f + 1
-        if lo == M:
-            break
-        D[lo:], info = dpbsv(ab[lo:], F[lo:])
+    n = F.shape[1]
+    D, info = dpbsv(ab, F)
+    if info:
+        return D, SingularSystemError(f"stiffness is not positive definite at "
+                                      f"{_dof_label((info - 1) % n)}; check boundary "
+                                      "conditions and mesh")
     bound = n * _EPS
-    for m, eta in enumerate(backward_error(ab, D, F)):
-        if errors[m] is None and not eta <= bound:
-            if M > 1:
-                (D[m],), (errors[m],) = _solve_bands(ab[m:m + 1], F[m:m + 1])
-            else:
-                errors[m] = SingularSystemError(
-                    f"solve rejected: backward error {eta:.3e} exceeds n * eps = {bound:.3e}")
-    return D, errors
+    for eta in backward_error(ab, D, F):
+        if not eta <= bound:
+            return D, SingularSystemError(
+                f"solve rejected: backward error {eta:.3e} exceeds n * eps = {bound:.3e}")
+    return D, None
 
 
 def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryCondition, LoadCase]]
-                ) -> tuple[np.ndarray, list[SingularSystemError | None]]:
+                ) -> tuple[np.ndarray, list[SingularSystemError | ArithmeticError | None]]:
     """Solve K d = F for each job (rig, bc, load) on one mesh, as one stack.
 
-    Returns the (M, ndof) solutions and each job's ``SingularSystemError``
-    (failed pivot or gate) or None; a failure does not stop the others.
-    Each solution is bit-identical to a lone ``solve_static`` (see
+    Returns the (M, ndof) solutions and each job's error or None: a
+    ``SingularSystemError`` (failed pivot or gate) or the ``ArithmeticError`` of
+    an element stiffness beyond float64.  If anything in the stack fails and
+    M > 1, each job is solved again as a one-job batch and gets that solve's
+    solution and error, so a failure does not stop the others, and every job
+    gets the bits and the verdict of a lone ``solve_static`` (see
     ``_solve_bands``).  Jobs must pass ``check_load``.
     """
-    ab = _fill_band(mesh, element_stiffness([rig for rig, _, _ in jobs], mesh))
     loads = {load: assemble_load(mesh, load) for load in dict.fromkeys(load for _, _, load in jobs)}
     F = np.array([loads[load] for _, _, load in jobs])
-    bcs = [bc for _, bc, _ in jobs]
-    for bc in dict.fromkeys(bcs):
-        members = [m for m, other in enumerate(bcs) if other is bc]
-        _constrain(ab, F, bc.constrained_dofs(mesh), members if len(members) < len(bcs) else None)
-    return _solve_bands(ab, F)
+    try:
+        ab = _fill_band(mesh, element_stiffness([rig for rig, _, _ in jobs], mesh))
+        bcs = [bc for _, bc, _ in jobs]
+        for bc in dict.fromkeys(bcs):
+            group = [m for m, other in enumerate(bcs) if other is bc]
+            _constrain(ab, F, bc.constrained_dofs(mesh), group if len(group) < len(bcs) else None)
+        D, error = _solve_bands(ab, F)
+    except ArithmeticError as err:        # e.g. an element stiffness beyond float64
+        D, error = np.zeros(F.shape), err
+    if error is None or len(jobs) == 1:
+        return D, [error] * len(jobs)
+    lone = [solve_batch(mesh, [job]) for job in jobs]
+    return np.concatenate([d for d, _ in lone]), [e for _, (e,) in lone]
 
 
 def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,

@@ -18,7 +18,8 @@ three layers, all within one call:
     section  one ``compute_rigidities`` per distinct (material, layup),
              and for uniform-load cases one stress-factor call for z = h/2 and 0;
     solver   the cases are grouped by ``Mesh``, and ``solve_batch`` solves
-             each group as one stack (one ``Ke`` stack, one band stack);
+             each group as one stack (one ``Ke`` stack, one band stack), or,
+             if anything in it fails, each of its cases alone;
     postproc w and the strains at (L/2, h/2) and (0, 0) of a whole group
              at once, with the ``np.vecdot`` kernels of ``postproc``.
 
@@ -79,8 +80,9 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     solves and recovers.  The sections are computed in input order, and the
     first one that overflows ends the list there: the cases before it are
     solved and recovered, so an earlier case's failure comes first.  Every
-    group is solved, and the earliest case's failed solve raises.  No case
-    is solved twice.
+    group is solved, and the earliest case's failed solve or element
+    overflow raises.  No case is solved twice, except in a failing group,
+    whose cases are each solved again alone.
     """
     rigs, groups, jobs, last = {}, {}, [], None
     for i, cfg in enumerate(configs):

@@ -42,20 +42,22 @@ def make_case(kind="A", scheme=None, p=1.0, L_over_h=5.0, R_over_L=math.inf,
 
 
 def random_case(rng: np.random.Generator, udl_only: bool = False) -> CaseConfig:
-    """Random but well-posed case drawn from the protocol's ranges."""
+    """Random but well-posed case drawn from the protocol's ranges; ne is often odd,
+    but even under a mid-span point load, which needs a node at L/2."""
     kind = rng.choice(["A", "B", "C"])
     scheme = SCHEMES[rng.choice(list(SCHEMES))] if kind != "A" else None
     p = float(rng.choice([0.0, 0.5, 1.0, 2.0, 5.0, 10.0]))
     L_over_h = float(rng.uniform(4.0, 25.0))
     R_over_L = math.inf if rng.random() < 0.4 else float(rng.uniform(2.0, 100.0))
     bc = str(rng.choice(["SS", "CC", "CF"]))
-    ne = int(rng.choice([4, 8, 12, 16, 32, 64, 256]))
+    ne = int(rng.choice([3, 4, 5, 8, 12, 15, 16, 32, 63, 64, 256]))
     if udl_only or rng.random() < 0.7:
         load = LoadCase("udl", float(rng.uniform(0.1, 10.0)))
     elif rng.random() < 0.5 and bc == "CF":   # only a free end can take an end load
         load = LoadCase("point_end", float(rng.uniform(0.1, 10.0)))
     else:
         load = LoadCase("point_mid", float(rng.uniform(0.1, 10.0)))
+        ne += ne % 2                            # x = L/2 must be a node
     h = float(rng.choice([1.0, 0.02, 0.1]))
     return make_case(kind, scheme, p, L_over_h, R_over_L, bc, load, ne, h)
 

@@ -224,7 +224,7 @@ class TestSolveStatic:
         ab = band(mesh, RIG)
         F = assemble_load(mesh, LoadCase("udl", 1.0))
         _constrain(ab, F, [1, 4 * mesh.ne + 1])
-        _, (error,) = _solve_bands(ab[None], F[None])
+        _, error = _solve_bands(ab[None], F[None])
         assert isinstance(error, SingularSystemError)
         assert re.search(r"node \d+, dof", str(error))
 
@@ -362,6 +362,20 @@ class TestBandedSolve:
         with pytest.raises(SingularSystemError, match="backward error"):
             solve_static(mesh, rig, cfg.bc, cfg.load)
 
+    def test_backward_error_against_dense_norms(self, rng):
+        # ||K||_inf is the largest dense row sum: a row's band entries left of the
+        # diagonal are its column's upper part, those right of it the mirrored entries
+        M, n = 3, 23
+        ab = rng.standard_normal((M, HALF_BAND + 1, n))
+        for k in range(1, HALF_BAND + 1):
+            ab[:, HALF_BAND - k, :k] = 0.0      # outside the matrix
+        d, F = rng.standard_normal((2, M, n))
+        got = backward_error(ab, d, F)
+        for m in range(M):
+            K = dense_from_band(ab[m])
+            scale = np.abs(K).sum(axis=1).max() * np.abs(d[m]).max() + np.abs(F[m]).max()
+            assert got[m] == pytest.approx(np.abs(K @ d[m] - F[m]).max() / scale, rel=1e-12)
+
     def test_non_finite_solution_rejected(self):
         mesh = Mesh(L=1.0, ne=2)
         ab = band(mesh, RIG)
@@ -373,9 +387,9 @@ class TestBandedSolve:
 class TestBlockDiagonalSolve:
     """``solve_batch`` solves a mesh group as the one band of its block-diagonal matrix.
 
-    A failed pivot restarts the LAPACK call after its system, and a system that
-    the gate rejects is judged alone, so every job keeps the bits and the verdict
-    of its lone ``solve_static``.
+    If anything in the group fails (a pivot, the gate, or an element stiffness
+    beyond float64), each job is solved again alone, so every job keeps the bits
+    and the verdict of its lone ``solve_static``.
     """
 
     CONFIGS = [make_case("A", p=1.0, bc="SS"), make_case("B", scheme=(1, 2, 1), p=2.0, bc="CC"),
@@ -385,23 +399,24 @@ class TestBlockDiagonalSolve:
 
     @staticmethod
     def broken(rig, fault):
-        """rig with a negative A11 (a failed pivot) or a NaN D11 (a NaN solution, which
-        the gate rejects)."""
-        if fault == "pivot":
-            return dataclasses.replace(rig, A11=-rig.A11)
+        """rig with a negative A11 (a failed pivot), an A11 whose element stiffness
+        overflows, or a NaN D11 (a NaN solution, which the gate rejects)."""
+        if fault in ("pivot", "overflow"):
+            return dataclasses.replace(rig, A11=-rig.A11 if fault == "pivot" else 1e308)
         return dataclasses.replace(rig, D11=math.nan) if fault == "gate" else rig
 
     @staticmethod
     def lone(mesh, job):
         try:
             return solve_static(mesh, *job).d, None
-        except SingularSystemError as err:
+        except (SingularSystemError, ArithmeticError) as err:
             return None, str(err)
 
     @pytest.mark.parametrize("faults", [
         ["ok", "pivot", "ok"], ["ok", "gate", "ok"], ["pivot", "ok", "gate", "pivot", "ok"],
         ["ok", "pivot", "ok", "pivot", "ok"], ["ok", "ok", "ok", "gate", "pivot"],
-        ["gate", "gate", "ok"]])
+        ["gate", "gate", "ok"], ["ok", "overflow", "gate", "ok", "pivot"],
+        ["overflow", "ok"], ["ok", "pivot"]])
     def test_each_job_gets_its_lone_bits_and_verdict(self, faults):
         mesh = self.CONFIGS[0].mesh
         jobs = [(self.broken(compute_rigidities(cfg.material, cfg.layup), fault), cfg.bc, cfg.load)
@@ -414,8 +429,29 @@ class TestBlockDiagonalSolve:
                 assert message is None and D[m].tobytes() == d.tobytes()
             elif faults[m] == "pivot":
                 assert re.search(r"not positive definite at node \d+, dof u0", message)
+            elif faults[m] == "overflow":
+                assert isinstance(errors[m], FloatingPointError)
             else:
                 assert message.startswith("solve rejected: backward error nan")
+
+    def test_gate_judges_every_system_of_the_stack(self, monkeypatch):
+        # a finite solution that the gate rejects crosses no coupling, so the gate
+        # itself must find a rejected system behind passing ones
+        cfg = self.CONFIGS[0]
+        noise = np.random.default_rng(7).standard_normal(cfg.mesh.ndof)
+        real = solver_module.dpbsv
+
+        def dpbsv(ab, F):       # perturbs each solution under a downward load
+            x, info = real(ab, F)
+            x[F.sum(axis=1) < 0] *= 1.0 + 1e-8 * noise
+            return x, info
+
+        monkeypatch.setattr(solver_module, "dpbsv", dpbsv)
+        jobs = [(RIG, cfg.bc, cfg.load)] * 2 + [(RIG, cfg.bc, LoadCase("udl", -1.0))]
+        _, errors = solver_module.solve_batch(cfg.mesh, jobs)
+        assert errors[:2] == [None, None]
+        assert str(errors[2]).startswith("solve rejected: backward error")
+        assert str(errors[2]) == self.lone(cfg.mesh, jobs[2])[1]
 
     def test_pivot_error_names_the_systems_own_node(self):
         # a failed pivot at global column info of the (8, M n) band is system
@@ -430,23 +466,27 @@ class TestBlockDiagonalSolve:
                                   "check boundary conditions and mesh")
 
     @pytest.mark.parametrize("faults,calls", [
-        (["ok"] * 5, 1), (["ok", "pivot", "ok"], 3), (["pivot", "ok", "ok"], 2),
-        (["ok", "ok", "pivot"], 2), (["ok", "pivot", "ok", "pivot", "ok"], 5)])
+        (["ok"] * 5, 1), (["ok", "pivot", "ok"], 4), (["pivot", "ok", "ok"], 4),
+        (["ok", "ok", "pivot"], 4), (["ok", "pivot", "ok", "pivot", "ok"], 6),
+        (["ok", "overflow"], 1)])
     def test_dpbsv_calls_per_group(self, faults, calls, monkeypatch):
-        # one call for the group; a failed pivot adds one for the jobs before it and
-        # one for those after it, where there are any
-        counted = []
-        real = solver_module.dpbsv
+        # a passing group makes one dpbsv and one gate dsbmv call; a failing group makes
+        # one dpbsv for the group and one for each job solved again alone (an element
+        # overflow fails the group, and then its own job, before any call)
+        counted = {"dpbsv": [], "residual": []}
+        for name, sizes in counted.items():
+            def call(*args, real=getattr(solver_module, name), sizes=sizes):
+                sizes.append(len(args[-1]))
+                return real(*args)
 
-        def dpbsv(ab, F):
-            counted.append(len(F))
-            return real(ab, F)
-
-        monkeypatch.setattr(solver_module, "dpbsv", dpbsv)
+            monkeypatch.setattr(solver_module, name, call)
         jobs = [(self.broken(RIG, fault), cfg.bc, cfg.load)
                 for cfg, fault in zip(self.CONFIGS, faults)]
         solver_module.solve_batch(self.CONFIGS[0].mesh, jobs)
-        assert len(counted) == calls and counted[0] == len(jobs)
+        group = [] if "overflow" in faults else [len(jobs)]
+        assert counted["dpbsv"] == group + [1] * (calls - len(group))
+        if faults == ["ok"] * len(jobs):
+            assert counted["residual"] == [len(jobs)]
 
     def test_concurrent_groups_keep_their_serial_bits(self):
         # the LAPACK binding keeps no state between calls, and ctypes releases the

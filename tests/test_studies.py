@@ -1,9 +1,13 @@
 """The batched case engine against the per-case pipeline it replaced."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from fgcbeam import (
     LoadCase,
+    MaterialPair,
     compute_rigidities,
     deflection_point,
     element,
@@ -198,28 +202,56 @@ def test_convergence_study_checks_every_element_count_before_any_solve(
     assert solves == []
 
 
+@pytest.mark.parametrize("fall,monotone", [(0.0, True), (1e-14, True), (1e-6, False)])
+def test_convergence_study_flags_a_fall_beyond_round_off(fall, monotone, monkeypatch):
+    # the last deflection falls by `fall` relative to the largest; round-off (1e-14)
+    # passes, and a fall of 1e-6, far above it, makes the sequence not monotone
+    values = iter([2.0, 3.0, 3.0 * (1.0 - fall)])
+    monkeypatch.setattr(studies, "evaluate_cases",
+                        lambda configs: [SimpleNamespace(w_bar=next(values)) for _ in configs])
+    result = studies.convergence_study(make_case("A", p=1.0), [2, 4, 8])
+    assert result.monotone is monotone
+    assert [ne for ne, _ in result.rows] == [2, 4, 8]
+
+
 def test_earliest_failed_solve_is_raised_after_every_group(monkeypatch):
     # groups solve in turn, each as one band stack: cases 0 and 2 (ne = 4), then
-    # case 1 (ne = 8); the second and third systems fail, and case 1's failure is
-    # the earliest case's
-    real, groups, calls = solver._solve_bands, [], []
+    # case 1 (ne = 8).  Every stack fails but case 0's lone one: the group of cases 0
+    # and 2 fails, so each is solved again alone, and case 1's failure, the earliest
+    # case's, is raised
+    real, calls = solver._solve_bands, []
 
     def solve(ab, F):
-        groups.append(len(F))
-        D, errors = real(ab, F)
-        for m in range(len(F)):
-            calls.append(ab.shape[-1])
-            if len(calls) > 1:
-                errors[m] = solver.SingularSystemError(f"failed at n = {ab.shape[-1]}")
-        return D, errors
+        calls.append((len(F), ab.shape[-1]))
+        D, error = real(ab, F)
+        if len(calls) != 2:
+            error = solver.SingularSystemError(f"failed at n = {ab.shape[-1]}")
+        return D, error
 
     monkeypatch.setattr(solver, "_solve_bands", solve)
     configs = [make_case("A", p=2.0, ne=4), make_case("B", p=1.0, ne=8),
                make_case("C", p=1.0, ne=4)]
     with pytest.raises(solver.SingularSystemError, match="failed at n = 36"):
         evaluate_cases(configs)
-    assert groups == [2, 1]
-    assert calls == [20, 20, 36]
+    assert calls == [(2, 20), (1, 20), (1, 20), (1, 36)]
+
+
+def test_element_overflow_is_ordered_by_case():
+    # case 2's element stiffness overflows (E h^3 / Le^4 beyond float64) in the first
+    # group, which case 0 opens; case 1's solve fails in the later group, and its error,
+    # the earliest case's, is raised
+    point = LoadCase("point_mid", 1.0)
+    good = make_case("A", p=2.0, L_over_h=1e-3, ne=8, load=point)
+    overflow = replace(good, material=MaterialPair(E_m=1e300, E_c=1e300, nu=0.3))
+    singular = make_case("A", p=1.0, h=1e-200, L_over_h=5e200, load=point)   # D11 = 0
+    assert overflow.mesh == good.mesh != singular.mesh
+    with pytest.raises(FloatingPointError):
+        evaluate_case(overflow)
+    with pytest.raises(solver.SingularSystemError) as alone:
+        evaluate_case(singular)
+    with pytest.raises(solver.SingularSystemError) as batched:
+        evaluate_cases([good, singular, overflow])
+    assert str(batched.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("ne", [1, 2, 3, 5])
@@ -233,13 +265,16 @@ def test_coarse_meshes_bit_equal_to_per_case_pipeline(ne, bc, load):
 
 
 def test_results_do_not_depend_on_the_batch():
-    cfg = make_case("B", scheme=(2, 2, 1), p=5.0, R_over_L=5.0, bc="CF")
-    other = make_case("A", p=1.0, R_over_L=5.0, bc="SS", load=LoadCase("udl", 3.0))
-    assert other.mesh == cfg.mesh and cfg not in FIXTURE_CONFIGS
-    assert sum(c.mesh == cfg.mesh for c in FIXTURE_CONFIGS) >= 30
-    runs = [evaluate_cases([cfg])[0], evaluate_cases([other, cfg])[1],
-            evaluate_cases(FIXTURE_CONFIGS[:200] + [cfg] + FIXTURE_CONFIGS[200:])[200]]
-    for res in runs:
-        assert res.solution.d.tobytes() == runs[0].solution.d.tobytes()
-        for key in ("w_bar", "sigma_bar", "tau_bar"):
-            assert _bits(getattr(res, key)) == _bits(getattr(runs[0], key)), key
+    # at ne = 9, x = L/2 lies inside an element, where w comes from four gathered DOFs
+    for bc, ne, p in (("CF", 16, 5.0), ("SS", 9, 3.0)):
+        cfg = make_case("B", scheme=(2, 2, 1), p=p, R_over_L=5.0, bc=bc, ne=ne)
+        other = make_case("A", p=1.0, R_over_L=5.0, bc="SS", load=LoadCase("udl", 3.0), ne=ne)
+        configs = [replace(c, ne=ne) for c in FIXTURE_CONFIGS]
+        assert other.mesh == cfg.mesh and cfg not in configs
+        assert sum(c.mesh == cfg.mesh for c in configs) >= 30
+        runs = [evaluate_cases([cfg])[0], evaluate_cases([other, cfg])[1],
+                evaluate_cases(configs[:200] + [cfg] + configs[200:])[200]]
+        for res in runs:
+            assert res.solution.d.tobytes() == runs[0].solution.d.tobytes()
+            for key in ("w", "w_bar", "sigma_bar", "tau_bar"):
+                assert _bits(getattr(res, key)) == _bits(getattr(runs[0], key)), key

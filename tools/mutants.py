@@ -1,0 +1,104 @@
+"""Run a fixed list of mutants of the fgcbeam package against the test suite.
+
+Each mutant is one (file, old text, new text, reason) entry.  For each, the
+working tree (without .git) is copied to a temporary directory, the old text
+(which must occur exactly once) is replaced, and the tests run there with
+``pytest -x -q -W error``.  A mutant is killed when pytest fails.  Prints one
+line per mutant (killed or SURVIVED, and the seconds it took) and the kill
+rate.  The unchanged copy runs first and must pass.  Exits 1 if any mutant
+survives, 2 if the unchanged copy fails:
+
+    python tools/mutants.py [TEST ...]      # default: the whole suite
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # (file, old, new, reason)
+    ("src/fgcbeam/solver.py", "    bound = n * _EPS\n", "    bound = 1e6 * n * _EPS\n",
+     "the gate bound n eps loosened a millionfold"),
+    ("src/fgcbeam/solver.py",
+     "        row_sums[:, :-k] += a[:, HALF_BAND - k, k:]   # the mirrored entries right of it\n",
+     "        pass\n",
+     "backward_error leaves the mirrored entries out of ||K||_inf"),
+    ("src/fgcbeam/section.py", "1.0 - 4.5 * zh * zh + 2.0 * zh4",
+     "1.0 - 4.5 * zh * zh + 2.0000001 * zh4", "g(z)'s coefficient 2 perturbed in its 8th digit"),
+    ("src/fgcbeam/studies.py", "a - 1e-12 * scale", "a - 1e-2 * scale",
+     "converge's monotone tolerance widened from round-off to 1%"),
+    ("src/fgcbeam/solver.py", "    if error is None or len(jobs) == 1:\n", "    if True:\n",
+     "a failing group is not solved again one job at a time"),
+    ("src/fgcbeam/solver.py", "if error is None or len(jobs) == 1:",
+     "if error is None or len(jobs) <= 2:",
+     "a failing two-job group is not solved again one job at a time"),
+    ("src/fgcbeam/solver.py", "        D, error = np.zeros(F.shape), err\n",
+     "        D, error = np.zeros(F.shape), None\n",
+     "an element stiffness beyond float64 is swallowed"),
+    ("src/fgcbeam/solver.py", "    except ArithmeticError as err:",
+     "    except ZeroDivisionError as err:",
+     "an element stiffness beyond float64 escapes the group"),
+    ("src/fgcbeam/solver.py", "    return np.concatenate([d for d, _ in lone]),",
+     "    return D,", "a job solved again alone keeps the failing group's solution"),
+    ("src/fgcbeam/solver.py", "    for eta in backward_error(ab, D, F):\n",
+     "    for eta in backward_error(ab, D, F)[:1]:\n",
+     "the gate judges only a group's first system"),
+    ("src/fgcbeam/solver.py", "_dof_label((info - 1) % n)", "_dof_label(info % n)",
+     "a failed pivot names the DOF after its own"),
+    ("src/fgcbeam/postproc.py", "d[..., mesh.element_dofs(e)].take([1, 2, 5, 6], axis=-1)",
+     "d[..., mesh.element_dofs(e)][..., [1, 2, 5, 6]]",
+     "w0 inside an element sums a stack's strided DOFs in another order than one solution's"),
+]
+
+_IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+
+
+def run(mutant, tests: list[str]) -> tuple[bool, float]:
+    """(killed, seconds) of one mutant, or of the unchanged tree for None, on a fresh copy."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="fgcbeam-mutant-") as parent:
+        tmp = Path(parent) / "tree"
+        shutil.copytree(ROOT, tmp, ignore=_IGNORED)
+        if mutant is not None:
+            path, old, new, _ = mutant
+            target = tmp / path
+            source = target.read_text(encoding="utf-8")
+            if source.count(old) != 1:
+                raise SystemExit(f"{path}: the mutated text must occur once, found "
+                                 f"{source.count(old)}: {old!r}")
+            target.write_text(source.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        code = subprocess.call([sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
+                                "-p", "no:cacheprovider", *tests],
+                               cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL)
+    return code != 0, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    failed, seconds = run(None, argv)
+    print(f"{'FAILED' if failed else 'passed':<9} {seconds:5.1f} s  the unchanged tree")
+    if failed:
+        return 2                        # every mutant would count as killed
+    killed = survived = 0
+    for mutant in MUTANTS:
+        path, _, _, reason = mutant
+        dead, seconds = run(mutant, argv)
+        killed += dead
+        survived += not dead
+        print(f"{'killed' if dead else 'SURVIVED':<9} {seconds:5.1f} s  {path}: {reason}",
+              flush=True)
+    print(f"killed {killed} of {killed + survived}")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
