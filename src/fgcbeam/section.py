@@ -17,9 +17,10 @@ polynomial part (Gauss-Legendre) and a weighted part with weight s**p
 involved (degree <= 10), for every p that ``Layup`` accepts (0 <= p <= 800).
 
 The Gauss-Jacobi rules of the paper's p are stored bit for bit; any other
-p takes scipy's ``roots_jacobi`` algorithm, run without ``scipy.special``
-on the LAPACK that the solver loads (``_gauss_jacobi``), so its nodes are
-scipy's to the bit.
+p takes scipy's ``roots_jacobi`` algorithm without ``scipy.special``
+(``_gauss_jacobi``), its eigenvalues from numpy's ``eigvalsh``, so its
+nodes are scipy's to the bit.  The module needs numpy and ``materials``
+alone.
 """
 
 from __future__ import annotations
@@ -127,27 +128,24 @@ def _gauss_jacobi(p: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s in (0,1) and weights for integral of s**p * phi(s) ds, for p > 0.
 
     This is scipy's ``roots_jacobi(_NPOINTS, 0, p)`` without ``scipy.special``: the
-    eigenvalues of the Jacobi band (Golub and Welsch) from LAPACK ``dsbevd``, then one
-    Newton step on P_n^(0,p).  With alpha = 0 scipy's band terms simplify exactly, and
-    the band and the Newton step take scipy's operations in scipy's order, so the nodes
-    are scipy's to the bit.  The weights are 1 / (P_(n-1)(x) P_n'(x)), scaled to sum to
-    1/(p+1): no log rescaling, beta function or 2**(p+1) factor, which would overflow
-    float64 near p ~ 1020.
+    eigenvalues of the tridiagonal Jacobi matrix (Golub and Welsch), then one Newton
+    step on P_n^(0,p).  numpy's ``eigvalsh`` (LAPACK ``dsyevd``) and scipy's ``dsbevd``
+    both hand an already tridiagonal matrix's diagonal and off-diagonal unchanged to
+    ``dsterf``, so the eigenvalues are ``dsbevd``'s bit for bit.  With alpha = 0 scipy's band
+    terms simplify exactly, and the matrix and the Newton step take scipy's operations
+    in scipy's order, so the nodes are scipy's to the bit.  The weights are
+    1 / (P_(n-1)(x) P_n'(x)), scaled to sum to 1/(p+1): no log rescaling, beta function
+    or 2**(p+1) factor, which would overflow float64 near p ~ 1020.
     """
-    from .solver import dsbevd  # solver imports this module
     n = _NPOINTS
-    band = np.zeros((2, n))
-    band[1, 0] = p / (2 + p)
+    J = np.zeros((n, n))
+    J[0, 0] = p / (2 + p)
     for k in range(1, n):
         t = 2.0 * k + p
-        band[0, k] = 2.0 / t * math.sqrt(k * (k + p) / (t + 1)) * (
+        J[k, k - 1] = 2.0 / t * math.sqrt(k * (k + p) / (t + 1)) * (
             1.0 if k == 1 else math.sqrt(k * (k + p) / (t - 1)))
-        band[1, k] = p * p / (t * (t + 2))
-    x, info = dsbevd(band)
-    if info:
-        raise ArithmeticError(f"layup.p: LAPACK dsbevd returned info = {info} on the "
-                              f"Gauss-Jacobi band of p = {p!r}")
-    x = x.tolist()
+        J[k, k] = p * p / (t * (t + 2))
+    x = np.linalg.eigvalsh(J).tolist()       # reads the lower triangle
     # P_n' = (n + p + 1)/2 * P_(n-1)^(1,p+1), whose binomial factor binom(n, n-1) is n
     dp = [0.5 * (n + p + 1) * (n * v) for v in _jacobi_values(n - 1, 1.0, p + 1, x)]
     x = [xi - v / d for xi, v, d in zip(x, _jacobi_values(n, 0.0, p, x), dp)]

@@ -21,11 +21,12 @@ each of its jobs is solved again as a one-job stack, which gives it the
 solution and the error of its lone solve.  ``solve_static`` is the
 one-job stack.
 
-LAPACK and BLAS come from the OpenBLAS that numpy's wheel ships and has
+The binding holds two routines, the solve (``dpbsv``) and the gate's
+residual (``dsbmv``), from the OpenBLAS that numpy's wheel ships and has
 already loaded, called through ``ctypes``, so a process holds one
 OpenBLAS and imports no scipy.  Where numpy ships none (a conda or
 distro numpy), scipy's public ``scipy.linalg`` wrappers stand in,
-behind the same three functions.
+behind the same two functions.
 
 All elements of a ``Mesh`` share its ``Le`` and ``inv_R``, hence one
 ``Ke``.  In band storage it is an (8, 8) slab whose first four columns
@@ -97,13 +98,13 @@ def _numpy_openblas():
                 lib = ctypes.CDLL(path)
             except OSError:
                 continue
-            if all(hasattr(lib, f"scipy_{name}_64_") for name in ("dpbsv", "dsbmv", "dsbevd")):
+            if all(hasattr(lib, f"scipy_{name}_64_") for name in ("dpbsv", "dsbmv")):
                 return lib
     return None
 
 
 def _ctypes_lapack(lib):
-    """``dpbsv``, ``residual`` and ``dsbevd`` on ``lib``'s ILP64 Fortran symbols.
+    """``dpbsv`` and ``residual`` (``dsbmv``) on ``lib``'s ILP64 Fortran symbols.
 
     Each argument is a pointer: a constant is an immutable ``bytes`` of the int64 or
     double, anything else a ``byref`` into a numpy array owned by the call or given to it
@@ -111,8 +112,8 @@ def _ctypes_lapack(lib):
     ``size_t``.  Without ``argtypes``, ctypes passes these objects as they are, so a call
     costs about what an f2py wrapper's does.
     """
-    pbsv, sbmv, sbevd = lib.scipy_dpbsv_64_, lib.scipy_dsbmv_64_, lib.scipy_dsbevd_64_
-    pbsv.restype = sbmv.restype = sbevd.restype = None
+    pbsv, sbmv = lib.scipy_dpbsv_64_, lib.scipy_dsbmv_64_
+    pbsv.restype = sbmv.restype = None
     kd, ldab, one = (struct.pack("q", v) for v in (HALF_BAND, HALF_BAND + 1, 1))
     alpha, beta, char = struct.pack("d", 1.0), struct.pack("d", -1.0), ctypes.c_size_t(1)
 
@@ -133,20 +134,11 @@ def _ctypes_lapack(lib):
              pointer(np.ascontiguousarray(d)), one, beta, pointer(r), one, char)
         return r
 
-    def dsbevd(band):
-        (rows, n), iwork_info = band.shape, (c_int64 * 2)()
-        ab = np.array(band.T, order="C")     # the band in Fortran order
-        w, z, work = np.empty(n), np.empty(1), np.empty(2 * n + 1)
-        sbevd(b"N", b"U", struct.pack("q", n), struct.pack("q", rows - 1), pointer(ab),
-              struct.pack("q", rows), pointer(w), pointer(z), one, pointer(work),
-              struct.pack("q", 2 * n + 1), iwork_info, one, byref(iwork_info, 8), char, char)
-        return w, iwork_info[1]
-
-    return dpbsv, residual, dsbevd
+    return dpbsv, residual
 
 
 def _scipy_lapack():
-    """The three functions of ``_ctypes_lapack`` on ``scipy.linalg``'s public wrappers."""
+    """The two functions of ``_ctypes_lapack`` on ``scipy.linalg``'s public wrappers."""
     from scipy.linalg import blas, lapack
 
     def block_diagonal(ab):
@@ -160,19 +152,14 @@ def _scipy_lapack():
         return blas.dsbmv(HALF_BAND, 1.0, block_diagonal(ab), d.reshape(-1), beta=-1.0,
                           y=F.reshape(-1)).reshape(F.shape)
 
-    def dsbevd(band):
-        w, _, info = lapack.dsbevd(band, compute_v=0, lower=0)
-        return w, info
-
-    return dpbsv, residual, dsbevd
+    return dpbsv, residual
 
 
 _openblas = _numpy_openblas()
 #: ``dpbsv(ab, F) -> (x, info)`` factors and solves the block-diagonal band of an (M, 8, n)
 #: stack of Fortran-ordered bands, an (8, M n) band, for F (M, n); ``residual(ab, d, F)``
-#: is K d - F by ``dsbmv`` on that band; ``dsbevd(band) -> (w, info)`` gives the
-#: eigenvalues of a (kd + 1, n) upper band (section's Gauss-Jacobi rules).
-dpbsv, residual, dsbevd = (_scipy_lapack() if _openblas is None else _ctypes_lapack(_openblas))
+#: is K d - F by ``dsbmv`` on that band, the backward-error gate's residual.
+dpbsv, residual = _scipy_lapack() if _openblas is None else _ctypes_lapack(_openblas)
 
 #: Names of the four nodal DOFs, in interleaved storage order.
 DOF_NAMES = ("u0", "w0", "w0_x", "phi_x")

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,14 @@ from fgcbeam import (
     LayupKind,
     LoadCase,
 )
+
+# hypothesis explains a failing example with libcst where it is installed; libcst's import
+# warns (mypy_extensions.TypedDict is deprecated), which under -W error would raise inside
+# pytest's report hook and end the session in INTERNALERROR instead of a failure report.
+# Import it once here with that warning ignored; without libcst this does nothing.
+with contextlib.suppress(ImportError), warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 SCHEMES = {
     "1-1-1": (1, 1, 1), "1-2-1": (1, 2, 1), "2-1-1": (2, 1, 1),

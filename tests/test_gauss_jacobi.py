@@ -1,11 +1,13 @@
 """Gauss-Jacobi rules of non-paper p, computed without ``scipy.special``.
 
-``section._gauss_jacobi`` runs scipy's ``roots_jacobi`` algorithm on the solver's
-LAPACK: its nodes must be scipy's to the bit, mapped to (0, 1), at 205 p spread over
-``Layup``'s range.  Its weights are its own (no log rescaling, no 2**(p+1)): they must sum
-to 1/(p+1) within 2 ulps, and lie within 1e-12 relative of a 40-digit ``mpmath`` rule at
-ten p, their worst error no larger than that of scipy's weights at the same p.  The 205 p
-are 100 seeded on (0, 20], 100 on (20, 800] and five edge values.
+``section._gauss_jacobi`` runs scipy's ``roots_jacobi`` algorithm with numpy's
+``eigvalsh``: its eigenvalues must be those of scipy's ``eigvals_banded`` (LAPACK
+``dsbevd``) on the same band, and its nodes scipy's, to the bit, mapped to (0, 1), at
+205 p spread over ``Layup``'s range.  Its weights are its own (no log rescaling, no
+2**(p+1)): they must sum to 1/(p+1) within 2 ulps, and lie within 1e-12 relative of a
+40-digit ``mpmath`` rule at ten p, their worst error no larger than that of scipy's
+weights at the same p.  The 205 p are 100 seeded on (0, 20], 100 on (20, 800] and five
+edge values.
 """
 
 import math
@@ -13,10 +15,10 @@ import random
 
 import mpmath
 import numpy as np
-import pytest
+from scipy.linalg import eigvals_banded
 from scipy.special import roots_jacobi
 
-from fgcbeam import section, solver
+from fgcbeam import section
 from fgcbeam.materials import _P_MAX
 
 _RNG = random.Random(30)
@@ -29,6 +31,25 @@ MPMATH_P = [1e-300, 0.5, 2.5, 3.0, 7.3, 15.0, 55.5, 123.4, 400.0, _P_MAX]
 def _scipy_rule(p):
     x, w = roots_jacobi(section._NPOINTS, 0.0, p)
     return 0.5 * (x + 1.0), w * 0.5 ** (p + 1.0)
+
+
+def test_eigenvalues_are_those_of_the_banded_solver(monkeypatch):
+    """Before the Newton step: ``eigvalsh`` of the Jacobi matrix against ``dsbevd`` on its
+    lower band, the diagonal and the subdiagonal."""
+    seen, eigvalsh_numpy = [], np.linalg.eigvalsh
+
+    def eigvalsh(J):
+        seen.append((J.copy(), eigvalsh_numpy(J)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for p in EDGE_P + SEEDED_P:
+        section._gauss_jacobi(p)
+    assert len(seen) == 205
+    for J, x in seen:
+        assert not np.triu(J, 1).any()
+        band = np.array([np.diag(J), np.append(np.diag(J, -1), 0.0)])
+        assert x.tobytes() == eigvals_banded(band, lower=True).tobytes()
 
 
 def test_nodes_are_scipys_bit_for_bit():
@@ -60,9 +81,3 @@ def test_rule_of_a_non_paper_p_is_the_computed_one():
     section._jacobi_rule.cache_clear()
     for got, want in zip(section._jacobi_rule(2.5), section._gauss_jacobi(2.5)):
         assert got.tobytes() == want.tobytes()
-
-
-def test_nonzero_lapack_info_raises(monkeypatch):
-    monkeypatch.setattr(solver, "dsbevd", lambda band: (np.zeros(band.shape[1]), 3))
-    with pytest.raises(ArithmeticError, match=r"^layup\.p: LAPACK dsbevd returned info = 3 "):
-        section._gauss_jacobi(2.5)

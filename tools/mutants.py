@@ -56,6 +56,31 @@ MUTANTS = [
     ("src/fgcbeam/postproc.py", "d[..., mesh.element_dofs(e)].take([1, 2, 5, 6], axis=-1)",
      "d[..., mesh.element_dofs(e)][..., [1, 2, 5, 6]]",
      "w0 inside an element sums a stack's strided DOFs in another order than one solution's"),
+    ("src/fgcbeam/section.py", "        J[k, k - 1] = 2.0 / t", "        J[k - 1, k] = 2.0 / t",
+     "the Jacobi matrix's off-diagonal written above the diagonal, which eigvalsh does not read"),
+    ("src/fgcbeam/section.py",
+     "    x = [xi - v / d for xi, v, d in zip(x, _jacobi_values(n, 0.0, p, x), dp)]\n", "",
+     "the Gauss-Jacobi nodes skip their Newton step"),
+    ("src/fgcbeam/section.py", "(p + 1) * math.fsum(w)", "(p + 1) * sum(w)",
+     "the Gauss-Jacobi weight scale sums the weights in plain floats"),
+    ("src/fgcbeam/element.py", "        S *= (half * _GAUSS_W)[:, None, None]\n",
+     "        S *= (mesh.Le * _GAUSS_W)[:, None, None]\n",
+     "the element's Gauss weights take twice the Jacobian"),
+    ("src/fgcbeam/element.py", "-q * Le**2 / 12.0, 0.0])", "q * Le**2 / 12.0, 0.0])",
+     "the uniform load's end moment at the right node gets the left node's sign"),
+    ("src/fgcbeam/materials.py", 'end = 2 if side == "below" else 1',
+     'end = 1 if side == "below" else 2', "an interface's two sides pick each other's layer"),
+    ("src/fgcbeam/materials.py", "            z = lo if z < lo else hi if z > hi else z\n", "",
+     "a height snapped to a layer is not clamped into it"),
+    ("src/fgcbeam/materials.py", "((hi - z) / (hi - lo)) ** p if grade",
+     "((z - lo) / (hi - lo)) ** p if grade",
+     "a layer graded downward is graded upward"),
+    ("src/fgcbeam/config.py", "if not (R > self.h / 2 and", "if not (R > 0 and",
+     "a radius inside the section (R <= h/2) is accepted"),
+    ("src/fgcbeam/materials.py", "if not 0 <= self.p <= _P_MAX:", "if not 0 <= self.p:",
+     "the power-law index cap is dropped"),
+    ("src/fgcbeam/solver.py", "        if k in bc.constrained_dofs(mesh):", "        if False:",
+     "a point load on a DOF the supports hold is accepted"),
 ]
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
