@@ -20,7 +20,6 @@ from .solver import (
     LoadCase,
     Mesh,
     SingularSystemError,
-    Solution,
     assemble_load,
     solve_static,
 )
@@ -32,7 +31,7 @@ __all__ = [
     "stiffness_coeffs",
     "deflection_point", "table_scales",
     "SectionRigidities", "compute_rigidities", "shear_functions",
-    "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError", "Solution",
+    "BoundaryCondition", "LoadCase", "Mesh", "SingularSystemError",
     "assemble_load", "solve_static",
     "CaseResults", "convergence_study", "evaluate_case", "evaluate_cases", "sweep",
 ]

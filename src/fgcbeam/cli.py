@@ -28,7 +28,7 @@ from pathlib import Path
 from .config import CaseConfig, parse_config
 from .postproc import _profile_columns
 from .section import compute_rigidities
-from .solver import SingularSystemError, Solution, solve_static
+from .solver import SingularSystemError, solve_static
 from .studies import PRINTED, convergence_study, evaluate_case, printed, sweep
 
 
@@ -81,10 +81,11 @@ def _parse_station(text: str, cfg: CaseConfig, flag: str) -> float:
 _PROFILE_ROW = f"{PRINTED},{PRINTED},{PRINTED},%s"      # one formatting call per row
 
 
-def _profile_csv(cfg: CaseConfig, sol: Solution, x: float, samples: int) -> str:
-    """Through-thickness profile at x as CSV, formatted from the profile's columns;
-    nondimensional for the udl case."""
-    _, z_over_h, sigma, tau, sides = _profile_columns(sol, cfg.material, cfg.layup, x, samples)
+def _profile_csv(cfg: CaseConfig, d, x: float, samples: int) -> str:
+    """Through-thickness profile at x of the case's DOFs d as CSV, formatted from the
+    profile's columns; nondimensional for the udl case."""
+    _, z_over_h, sigma, tau, sides = _profile_columns(d, cfg.mesh, cfg.material, cfg.layup, x,
+                                                      samples)
     udl = cfg.scales is not None
     # a product with 1.0 is exact: point-load rows keep the dimensional stresses
     scale = cfg.scales[1] if udl else 1.0
@@ -119,8 +120,8 @@ def _cmd_profile(args) -> int:
     x = _parse_station(args.x, cfg, "--x")
     with _output(args.out) as out:
         # the solve alone: the profile prints none of evaluate_case's table values
-        sol = solve_static(cfg.mesh, compute_rigidities(cfg.material, cfg.layup), cfg.bc, cfg.load)
-        (out or sys.stdout).write(_profile_csv(cfg, sol, x, args.samples))
+        d = solve_static(cfg.mesh, compute_rigidities(cfg.material, cfg.layup), cfg.bc, cfg.load)
+        (out or sys.stdout).write(_profile_csv(cfg, d, x, args.samples))
     if args.out:
         sys.stdout.write(f"profile written to {args.out}\n")
     return 0

@@ -98,14 +98,12 @@ _RIGHT = np.array([0, 1, 2, 1, 2, 2, 3])
 _CROSS = np.array([False, True, True, False, True, False, False])[:, None, None]
 
 
-def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
-                      mesh: Mesh) -> np.ndarray:
+def element_stiffness(rigs: Sequence[SectionRigidities], mesh: Mesh) -> np.ndarray:
     """Symmetric element stiffness by 4-point Gauss integration.
 
-    ``rig`` is one ``SectionRigidities`` (returns the 8x8 ``Ke``) or a
-    sequence of M of them (returns an (M, 8, 8) stack); the lone call is
-    the M = 1 case.  At each Gauss point the integrand is the sum, left
-    to right, of
+    Returns the (M, 8, 8) stack of the 8x8 ``Ke`` of each of the M
+    ``SectionRigidities`` in ``rigs``.  At each Gauss point the integrand
+    is the sum, left to right, of
 
         A11 B0B0 + B11 (B0B1 + B1B0) + B11s (B0B2 + B2B0) + D11 B1B1
         + D11s (B1B2 + B2B1) + H11s B2B2 + A55s BsBs
@@ -117,7 +115,6 @@ def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
     its rigidities alone, and exactly symmetric.  A product or sum beyond
     float64 raises a ``FloatingPointError`` before numpy can warn.
     """
-    rigs = [rig] if isinstance(rig, SectionRigidities) else rig
     half = 0.5 * mesh.Le
     B = strain_rows(half * (_GAUSS_X + 1.0), mesh)
     with np.errstate(over="raise", invalid="raise"):
@@ -127,8 +124,7 @@ def element_stiffness(rig: SectionRigidities | Sequence[SectionRigidities],
                           for r in rigs])[:, None, :, None, None]
         S = P.sum(axis=2)                   # over a non-contiguous axis numpy adds in order
         S *= (half * _GAUSS_W)[:, None, None]
-        K = np.add.reduce(S, axis=1, initial=0.0)
-    return K[0] if isinstance(rig, SectionRigidities) else K
+        return np.add.reduce(S, axis=1, initial=0.0)
 
 
 def element_load_udl(q: float, Le: float) -> np.ndarray:

@@ -26,7 +26,8 @@ left end support, where tau is reported, uses the only element
 available).
 
 Recovery multiplies the Hermite or strain rows at a station x by the
-DOFs of one solution or of an (M, ndof) stack on one mesh:
+DOFs d of one solution, an (ndof,) array, or of an (M, ndof) stack on
+one mesh:
 ``_deflections(d, mesh, x)`` gives w0 and ``_strains(d, mesh, xs)`` the
 generalized strains.  Every product is ``np.vecdot`` (a dot product per
 row), whose bits, unlike a ``gemm``'s, do not depend on how many
@@ -57,7 +58,7 @@ from .element import _hermite, strain_rows
 from .materials import (_Z_SNAP, ConfigError, Layup, MaterialPair, effective_moduli,
                         stiffness_coeffs)
 from .section import shear_functions
-from .solver import BoundaryCondition, Mesh, Solution
+from .solver import BoundaryCondition, Mesh
 
 _NODE_SNAP = 1e-9  # fraction of L within which x counts as a node
 
@@ -135,11 +136,11 @@ def table_scales(E_m: float, L: float, h: float, q: float) -> tuple[float, float
     return scales
 
 
-def _profile_columns(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
+def _profile_columns(d: np.ndarray, mesh: Mesh, mat: MaterialPair, layup: Layup, x: float,
                      n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                                               list[str]]:
-    """Stress profile over z in [-h/2, h/2] at station x, as columns: z, z/h, sigma_x and
-    tau_xz (arrays) and side (a list), from one ``_stress_factors`` call.
+    """Stress profile over z in [-h/2, h/2] at station x of the DOFs d on mesh, as columns:
+    z, z/h, sigma_x and tau_xz (arrays) and side (a list), from one ``_stress_factors`` call.
 
     The grid is uniform with both surfaces included; every interior layer interface is
     sampled twice, once per adjacent layer, since sigma_x jumps wherever E(z) does.  Rows
@@ -160,6 +161,6 @@ def _profile_columns(sol: Solution, mat: MaterialPair, layup: Layup, x: float,
     z = np.insert(grid, at, np.repeat(inner, 2))
     sides = np.insert(np.full(len(grid), "", object), at,
                       ["below", "above"] * len(inner)).tolist()
-    sigma, tau = _stresses(_strains(sol.d, sol.mesh, [x])[0],
+    sigma, tau = _stresses(_strains(d, mesh, [x])[0],
                            _stress_factors(mat, layup, z, sides), z)
     return z, z / h, sigma, tau, sides

@@ -7,19 +7,18 @@ factors and solves it with banded Cholesky (``dpbsv``): time and
 memory are O(ne), and no ndof x ndof matrix is ever formed.
 
 ``solve_batch`` solves the M jobs (rigidities, supports, load) of one
-mesh as a stack (batched small-matrix linear algebra; Dongarra et al.,
-Procedia Comput. Sci. 2017): one ``Ke`` stack, one (M, 8, ndof) band
-stack, one constraint store per support type, and one LAPACK call per
-mesh group.  The stack's Fortran-ordered bands are, as they lie in
-memory, the (8, M ndof) band of the block-diagonal matrix of the M
-systems, so one ``dpbsv`` factors and solves them all and one ``dsbmv``
-gives every residual of the backward-error gate; memory is O(M ndof).
-Each job still gets the bits of its lone solve (see ``_solve_bands``);
-one batched dense Cholesky would round differently.  If anything in a
-group fails (a pivot, the gate, or an element stiffness beyond float64),
-each of its jobs is solved again as a one-job stack, which gives it the
-solution and the error of its lone solve.  ``solve_static`` is the
-one-job stack.
+mesh together (batched small-matrix linear algebra; Dongarra et al.,
+Procedia Comput. Sci. 2017): one ``Ke`` stack, one (8, M ndof) band of
+the block-diagonal matrix of the M systems, in which job m's DOF k is
+global DOF m ndof + k, one constraint store, and one LAPACK call per
+mesh group: one ``dpbsv`` factors and solves all M systems and one
+``dsbmv`` gives every residual of the backward-error gate; memory is
+O(M ndof).  Each job still gets the bits of its lone solve (see
+``_solve_bands``); one batched dense Cholesky would round differently.
+If anything in a group fails (a pivot, the gate, or an element
+stiffness beyond float64), each of its jobs is solved again as a
+one-job group, which gives it the solution and the error of its lone
+solve.  ``solve_static`` is the one-job group.
 
 The binding holds two routines, the solve (``dpbsv``) and the gate's
 residual (``dsbmv``), from the OpenBLAS that numpy's wheel ships and has
@@ -123,14 +122,13 @@ def _ctypes_lapack(lib):
     def dpbsv(ab, F):
         x, info = F.copy(), (c_int64 * 1)()
         n = struct.pack("q", x.size)
-        pbsv(b"U", n, kd, one, pointer(ab.swapaxes(-1, -2).copy()), ldab, pointer(x), n, info,
-             char)
+        pbsv(b"U", n, kd, one, pointer(ab.T.copy()), ldab, pointer(x), n, info, char)
         return x, info[0]
 
     def residual(ab, d, F):
         r = F.copy()
         sbmv(b"U", struct.pack("q", r.size), kd, alpha,
-             pointer(np.ascontiguousarray(ab.swapaxes(-1, -2))), ldab,
+             pointer(np.ascontiguousarray(ab.T)), ldab,
              pointer(np.ascontiguousarray(d)), one, beta, pointer(r), one, char)
         return r
 
@@ -141,24 +139,21 @@ def _scipy_lapack():
     """The two functions of ``_ctypes_lapack`` on ``scipy.linalg``'s public wrappers."""
     from scipy.linalg import blas, lapack
 
-    def block_diagonal(ab):
-        return ab.swapaxes(-1, -2).reshape(-1, HALF_BAND + 1).T
-
     def dpbsv(ab, F):
-        _, x, info = lapack.dpbsv(block_diagonal(ab), F.reshape(-1))
+        _, x, info = lapack.dpbsv(ab, F.reshape(-1))
         return x.reshape(F.shape), info
 
     def residual(ab, d, F):
-        return blas.dsbmv(HALF_BAND, 1.0, block_diagonal(ab), d.reshape(-1), beta=-1.0,
+        return blas.dsbmv(HALF_BAND, 1.0, ab, d.reshape(-1), beta=-1.0,
                           y=F.reshape(-1)).reshape(F.shape)
 
     return dpbsv, residual
 
 
 _openblas = _numpy_openblas()
-#: ``dpbsv(ab, F) -> (x, info)`` factors and solves the block-diagonal band of an (M, 8, n)
-#: stack of Fortran-ordered bands, an (8, M n) band, for F (M, n); ``residual(ab, d, F)``
-#: is K d - F by ``dsbmv`` on that band, the backward-error gate's residual.
+#: ``dpbsv(ab, F) -> (x, info)`` factors and solves a Fortran-ordered (8, N) band for the
+#: N = F.size loads F, of any shape; ``residual(ab, d, F)`` is K d - F by ``dsbmv`` on
+#: that band, the backward-error gate's residual.
 dpbsv, residual = _scipy_lapack() if _openblas is None else _ctypes_lapack(_openblas)
 
 #: Names of the four nodal DOFs, in interleaved storage order.
@@ -255,33 +250,26 @@ class LoadCase:
             raise ConfigError(f"load.magnitude: must be finite, got {self.magnitude}")
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Solved global DOF vector on its mesh."""
-
-    d: np.ndarray
-    mesh: Mesh
-
-
 def _fill_band(mesh: Mesh, Ke: np.ndarray) -> np.ndarray:
     """Global stiffness in upper band storage; every element has the stiffness ``Ke``.
 
-    ``ab`` has shape (HALF_BAND + 1, ndof), or (M, 8, ndof) for an (M, 8, 8)
-    ``Ke`` stack, and holds ``K[i, j] = ab[HALF_BAND + i - j, j]`` for
-    ``j - HALF_BAND <= i <= j``.  Each band is Fortran-ordered, as LAPACK
-    reads it, so no call copies it to transpose.  In band storage ``Ke`` is
-    an (8, 8) slab (``Ke[i, j]``, i <= j, at (HALF_BAND + i - j, j)) whose
-    columns 0-3 belong to the element's left node and 4-7 to its right
-    node, so two slab adds over all nodes assemble the band.  Each entry
-    receives at most two terms, node e's before node e + 1's as in an
-    element loop.
+    ``ab`` has shape (HALF_BAND + 1, ndof), or (8, M ndof) for an (M, 8, 8)
+    ``Ke`` stack: the band of the block-diagonal matrix of the M systems,
+    whose coupling entries are exact zeros.  It holds
+    ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``
+    and is Fortran-ordered, as LAPACK reads it, so no call copies it to
+    transpose.  In band storage ``Ke`` is an (8, 8) slab (``Ke[i, j]``,
+    i <= j, at (HALF_BAND + i - j, j)) whose columns 0-3 belong to the
+    element's left node and 4-7 to its right node, so two slab adds over
+    all nodes assemble the band.  Each entry receives at most two terms,
+    node e's before node e + 1's as in an element loop.
     """
     kb = np.zeros(Ke.shape)
     kb[..., _KE_BAND[0], _KE_BAND[1]] = Ke[..., _KE_UPPER[0], _KE_UPPER[1]]
     columns = np.zeros(Ke.shape[:-2] + (mesh.n_nodes, 4, HALF_BAND + 1))
     columns[..., :-1, :, :] += kb[..., None, :, :4].swapaxes(-1, -2)
     columns[..., 1:, :, :] += kb[..., None, :, 4:].swapaxes(-1, -2)
-    return columns.reshape(Ke.shape[:-2] + (mesh.ndof, HALF_BAND + 1)).swapaxes(-1, -2)
+    return columns.reshape(-1, HALF_BAND + 1).T
 
 
 def _point_dof(mesh: Mesh, load: LoadCase) -> int:
@@ -344,46 +332,48 @@ def _band_index(dofs: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray, 
     return rows, cols, k[:, 0]
 
 
-def _constrain(ab: np.ndarray, F: np.ndarray, dofs: list[int], jobs=None) -> None:
-    """Turn each DOF's row and column of the band into the identity; F = 0.
+def _constrain(ab: np.ndarray, F: np.ndarray, dofs: list[int]) -> None:
+    """Turn each DOF's row and column of the (8, n) band into the identity, and its load in
+    the (n,) loads F into 0.
 
-    ``ab`` is one band with its loads F, or an (M, 8, n) stack of which
-    ``jobs`` lists the bands to constrain (default all), with one store.
+    In a group's block-diagonal band, job m's DOF k is global DOF m ndof + k.  A row
+    that runs past its block's last column stores 0.0 over coupling entries, which
+    are zeros already, so one store constrains every job as its lone band would.
     """
-    rows, cols, k = _band_index(tuple(dofs), ab.shape[-1])
-    lead = () if jobs is None else (np.array(jobs)[:, None],)
-    ab[(*lead, ..., rows, cols)] = 0.0
-    ab[(*lead, ..., HALF_BAND, k)] = 1.0
-    F[(*lead, ..., k)] = 0.0
+    rows, cols, k = _band_index(tuple(dofs), ab.shape[1])
+    ab[rows, cols] = 0.0
+    ab[HALF_BAND, k] = 1.0
+    F[k] = 0.0
 
 
 def backward_error(ab: np.ndarray, d: np.ndarray, F: np.ndarray) -> list[float]:
     """Normwise backward error of d for K d = F, K in upper band storage.
 
-    ``||K d - F||_inf / (||K||_inf ||d||_inf + ||F||_inf)`` of each system of an
-    (M, 8, n) stack, d and F (M, n); NaN where d is not finite.  The residuals come
-    from one ``dsbmv`` on the stack's block-diagonal band, the norms are taken for
-    the whole stack, the quotients in floats.
+    ``||K d - F||_inf / (||K||_inf ||d||_inf + ||F||_inf)`` of each of the M systems
+    of an (8, M n) block-diagonal band, d and F (M, n); NaN where d is not finite.
+    The residuals come from one ``dsbmv`` and the row sums of ``|K|`` from one pass
+    over the band (a coupling entry adds an exact zero), the norms are taken per
+    system, the quotients in floats.
     """
     r = residual(ab, d, F)
     a = np.abs(ab, order="C")             # band rows outermost: summed in order, and faster
-    row_sums = a.sum(axis=1)              # each column's upper part, diagonal included
+    row_sums = a.sum(axis=0)              # each column's upper part, diagonal included
     for k in range(1, HALF_BAND + 1):
-        row_sums[:, :-k] += a[:, HALF_BAND - k, k:]   # the mirrored entries right of it
-    norms = (x.max(axis=1).tolist() for x in (row_sums, np.abs(d), np.abs(F), np.abs(r)))
+        row_sums[:-k] += a[HALF_BAND - k, k:]   # the mirrored entries right of it
+    norms = (x.max(axis=1).tolist()
+             for x in (row_sums.reshape(d.shape), np.abs(d), np.abs(F), np.abs(r)))
     return [res / scale if (scale := k * x + f) > 0 else res for k, x, f, res in zip(*norms)]
 
 
 def _solve_bands(ab: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, SingularSystemError | None]:
-    """Solve the M systems of an (M, 8, n) band stack, loads F (M, n), as one band.
+    """Solve the M systems of an (8, M n) block-diagonal band, loads F (M, n).
 
     Returns the (M, n) solutions and a ``SingularSystemError`` for the first failed
-    pivot or gate, or None.  The stack is the (8, M n) band of its block-diagonal
-    matrix, whose coupling entries are zeros, so one ``dpbsv`` and one gate ``dsbmv``
-    serve all M.  A zero coupling entry adds exact zeros while every value is finite,
-    so each block gets the bits of its lone solve.  A NaN or inf would cross the
-    couplings, so an error is one system's own only for M = 1: ``solve_batch`` solves
-    each system of a failing stack again alone.
+    pivot or gate, or None.  The band's coupling entries are zeros, so one ``dpbsv``
+    and one gate ``dsbmv`` serve all M.  A zero coupling entry adds exact zeros while
+    every value is finite, so each block gets the bits of its lone solve.  A NaN or
+    inf would cross the couplings, so an error is one system's own only for M = 1:
+    ``solve_batch`` solves each system of a failing group again alone.
     """
     n = F.shape[1]
     D, info = dpbsv(ab, F)
@@ -401,24 +391,23 @@ def _solve_bands(ab: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, SingularSys
 
 def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryCondition, LoadCase]]
                 ) -> tuple[np.ndarray, list[SingularSystemError | ArithmeticError | None]]:
-    """Solve K d = F for each job (rig, bc, load) on one mesh, as one stack.
+    """Solve K d = F for each job (rig, bc, load) on one mesh, as one band.
 
-    Returns the (M, ndof) solutions and each job's error or None: a
-    ``SingularSystemError`` (failed pivot or gate) or the ``ArithmeticError`` of
-    an element stiffness beyond float64.  If anything in the stack fails and
-    M > 1, each job is solved again as a one-job batch and gets that solve's
-    solution and error, so a failure does not stop the others, and every job
-    gets the bits and the verdict of a lone ``solve_static`` (see
-    ``_solve_bands``).  Jobs must pass ``check_load``.
+    Job m's DOF k is DOF m ndof + k of the group's block-diagonal band and of its
+    loads, which one ``_constrain`` store constrains.  Returns the (M, ndof)
+    solutions and each job's error or None: a ``SingularSystemError`` (failed pivot
+    or gate) or the ``ArithmeticError`` of an element stiffness beyond float64.  If
+    anything in the group fails and M > 1, each job is solved again as a one-job
+    batch and gets that solve's solution and error, so a failure does not stop the
+    others, and every job gets the bits and the verdict of a lone ``solve_static``
+    (see ``_solve_bands``).  Jobs must pass ``check_load``.
     """
     loads = {load: assemble_load(mesh, load) for load in dict.fromkeys(load for _, _, load in jobs)}
     F = np.array([loads[load] for _, _, load in jobs])
     try:
         ab = _fill_band(mesh, element_stiffness([rig for rig, _, _ in jobs], mesh))
-        bcs = [bc for _, bc, _ in jobs]
-        for bc in dict.fromkeys(bcs):
-            group = [m for m, other in enumerate(bcs) if other is bc]
-            _constrain(ab, F, bc.constrained_dofs(mesh), group if len(group) < len(bcs) else None)
+        _constrain(ab, F.reshape(-1), [m * mesh.ndof + k for m, (_, bc, _) in enumerate(jobs)
+                                       for k in bc.constrained_dofs(mesh)])
         D, error = _solve_bands(ab, F)
     except ArithmeticError as err:        # e.g. an element stiffness beyond float64
         D, error = np.zeros(F.shape), err
@@ -429,11 +418,11 @@ def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryConditio
 
 
 def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
-                 load: LoadCase) -> Solution:
-    """Assemble, constrain and solve K d = F for the static response.
+                 load: LoadCase) -> np.ndarray:
+    """Assemble, constrain and solve K d = F for the static response: the (ndof,) DOFs.
 
     A point load on a constrained DOF raises a ConfigError.  The returned
-    vector carries exact zeros at constrained DOFs.  The solve is
+    DOF array carries exact zeros at constrained DOFs.  The solve is
     accepted only if its normwise backward error is at most n * eps
     (see the module docstring).  This is the one-job ``solve_batch``.
     """
@@ -441,4 +430,4 @@ def solve_static(mesh: Mesh, rig: SectionRigidities, bc: BoundaryCondition,
     d, (error,) = solve_batch(mesh, [(rig, bc, load)])
     if error is not None:
         raise error
-    return Solution(d[0], mesh)
+    return d[0]

@@ -18,8 +18,8 @@ three layers, all within one call:
     section  one ``compute_rigidities`` per distinct (material, layup),
              and for uniform-load cases one stress-factor call for z = h/2 and 0;
     solver   the cases are grouped by ``Mesh``, and ``solve_batch`` solves
-             each group as one stack (one ``Ke`` stack, one band stack), or,
-             if anything in it fails, each of its cases alone;
+             each group as one block-diagonal band (one ``Ke`` stack, one
+             band), or, if anything in it fails, each of its cases alone;
     postproc w and the strains at (L/2, h/2) and (0, 0) of a whole group
              at once, with the ``np.vecdot`` kernels of ``postproc``.
 
@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .config import CaseConfig, with_parameter
 from .postproc import (
     _deflections,
@@ -42,7 +44,7 @@ from .postproc import (
     deflection_point,
 )
 from .section import compute_rigidities
-from .solver import Solution, solve_batch
+from .solver import solve_batch
 
 
 #: The format of every printed result value: 10 significant digits.
@@ -57,10 +59,10 @@ def printed(x: float) -> str:
 
 @dataclass(frozen=True)
 class CaseResults:
-    """Headline results of one case."""
+    """Headline results of one case; ``d`` is its solved DOF array, on ``config.mesh``."""
 
     config: CaseConfig
-    solution: Solution
+    d: np.ndarray
     x_deflection: float
     w: float                      # dimensional deflection at the station (m)
     w_bar: float | None           # None for point-load cases
@@ -114,7 +116,7 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
             cfg, w = configs[i], w_at[x][m]
             bars = (_uniform_load_bars(cfg, w, strains[m], factors)
                     if m in strains else (None, None, None))
-            results[i] = CaseResults(cfg, Solution(d[m], mesh), x, w, *bars)
+            results[i] = CaseResults(cfg, d[m], x, w, *bars)
     if last is not None:
         raise last
     return results

@@ -678,11 +678,12 @@ def test_sample_count_beyond_memory_is_one_error_line(capsys):
     assert err.startswith("error: out of memory: ")
 
 
-def reference_profile_csv(cfg, sol, x, samples):
+def reference_profile_csv(cfg, d, x, samples):
     """The profile CSV as it was formatted before the column form: one row of
     ``_profile_columns`` at a time, its stresses times the stress scale (1.0 under a point
     load) in Python floats."""
-    _, z_over_h, sigma, tau, sides = _profile_columns(sol, cfg.material, cfg.layup, x, samples)
+    _, z_over_h, sigma, tau, sides = _profile_columns(d, cfg.mesh, cfg.material, cfg.layup, x,
+                                                      samples)
     udl = cfg.scales is not None
     scale = cfg.scales[1] if udl else 1.0
     lines = ["z_over_h,sigma_bar,tau_bar,side" if udl else "z_over_h,sigma_x,tau_xz,side"]
@@ -702,9 +703,9 @@ def test_profile_csv_equals_the_row_by_row_format(seed, load, samples, station):
     kind = load if load != "point_end" or cfg.bc is BoundaryCondition.CF else "point_mid"
     ne = cfg.ne + cfg.ne % 2 if kind == "point_mid" else cfg.ne    # x = L/2 must be a node
     cfg = replace(cfg, load=LoadCase(kind, cfg.load.magnitude), ne=ne)
-    sol = solve_static(cfg.mesh, compute_rigidities(cfg.material, cfg.layup), cfg.bc, cfg.load)
+    d = solve_static(cfg.mesh, compute_rigidities(cfg.material, cfg.layup), cfg.bc, cfg.load)
     x = station * cfg.L
-    assert _profile_csv(cfg, sol, x, samples) == reference_profile_csv(cfg, sol, x, samples)
+    assert _profile_csv(cfg, d, x, samples) == reference_profile_csv(cfg, d, x, samples)
 
 
 class TestCliProfile:
@@ -908,7 +909,7 @@ def test_public_api_is_pinned():
     assert sorted(fgcbeam.__all__) == [
         "BoundaryCondition", "CaseConfig", "CaseResults", "ConfigError", "DEFAULT_MATERIAL",
         "Layup", "LayupKind", "LoadCase", "MaterialPair", "Mesh", "SectionRigidities",
-        "SingularSystemError", "Solution", "assemble_load", "compute_rigidities",
+        "SingularSystemError", "assemble_load", "compute_rigidities",
         "convergence_study", "deflection_point", "evaluate_case", "evaluate_cases",
         "parse_config", "shear_functions", "solve_static", "stiffness_coeffs", "sweep",
         "table_scales",

@@ -137,13 +137,13 @@ class TestStrainDisplacement:
 class TestElementStiffness:
     @pytest.mark.parametrize("inv_R", [0.0, 0.04, 0.5])
     def test_symmetric(self, inv_R):
-        K = element_stiffness(RIG_A, Mesh(L=0.3125, ne=1, inv_R=inv_R))
+        K = element_stiffness([RIG_A], Mesh(L=0.3125, ne=1, inv_R=inv_R))[0]
         assert np.array_equal(K, K.T)
 
     def test_bending_block_matches_hermite_oracle(self):
         Le = 0.4
         D = RIG_A.D11
-        K = element_stiffness(RIG_A, Mesh(L=Le, ne=1))
+        K = element_stiffness([RIG_A], Mesh(L=Le, ne=1))[0]
         expected = D / Le**3 * np.array([
             [12, 6 * Le, -12, 6 * Le],
             [6 * Le, 4 * Le**2, -6 * Le, 2 * Le**2],
@@ -156,13 +156,13 @@ class TestElementStiffness:
         assert abs(RIG_SYM.B11) < scale and abs(RIG_SYM.B11s) < scale
         rig = SectionRigidities(RIG_SYM.A11, 0.0, RIG_SYM.D11, 0.0,
                                 RIG_SYM.D11s, RIG_SYM.H11s, RIG_SYM.A55s)
-        K = element_stiffness(rig, Mesh(L=1.0, ne=1))
+        K = element_stiffness([rig], Mesh(L=1.0, ne=1))[0]
         assert np.all(K[np.ix_(U_COLS, W_COLS)] == 0.0)
         assert np.all(K[np.ix_(W_COLS, U_COLS)] == 0.0)
 
     def test_rigid_modes_zero_energy_straight(self):
         Le = 0.7
-        K = element_stiffness(RIG_A, Mesh(L=Le, ne=1))
+        K = element_stiffness([RIG_A], Mesh(L=Le, ne=1))[0]
         norm = np.linalg.norm(K, 2)
         modes = [np.array([1, 0, 0, 0, 1, 0, 0, 0.0]),
                  np.array([0, 1, 0, 0, 0, 1, 0, 0.0]),
@@ -173,14 +173,14 @@ class TestElementStiffness:
 
     @pytest.mark.parametrize("inv_R", [0.0, 0.2])
     def test_positive_semidefinite(self, inv_R):
-        K = element_stiffness(RIG_A, Mesh(L=1.25, ne=1, inv_R=inv_R))
+        K = element_stiffness([RIG_A], Mesh(L=1.25, ne=1, inv_R=inv_R))[0]
         eigs = np.linalg.eigvalsh(K)
         assert np.all(eigs >= -1e-12 * eigs.max())
 
     @pytest.mark.parametrize("Le,inv_R", [(0.3125, 0.04), (1.25, 0.2), (2.0, 0.0)])
     def test_four_point_gauss_is_exact(self, Le, inv_R):
         mesh = Mesh(L=Le, ne=1, inv_R=inv_R)
-        K4 = element_stiffness(RIG_A, mesh)
+        K4 = element_stiffness([RIG_A], mesh)[0]
         K10 = stiffness_reference(RIG_A, mesh, order=10)
         assert np.max(np.abs(K4 - K10)) <= 1e-13 * np.max(np.abs(K10))
 
@@ -188,14 +188,14 @@ class TestElementStiffness:
         mesh = Mesh(L=0.9, ne=1, inv_R=0.1)
         names = ("A11", "B11", "D11", "B11s", "D11s", "H11s", "A55s")
         base = {n: 0.0 for n in names}
-        zero = element_stiffness(SectionRigidities(**base), mesh)
+        zero = element_stiffness([SectionRigidities(**base)], mesh)[0]
         assert np.all(zero == 0.0)
         total = np.zeros((8, 8))
         for n in names:
             one = dict(base)
             one[n] = getattr(RIG_A, n)
-            total += element_stiffness(SectionRigidities(**one), mesh)
-        assert np.allclose(total, element_stiffness(RIG_A, mesh), rtol=1e-12)
+            total += element_stiffness([SectionRigidities(**one)], mesh)[0]
+        assert np.allclose(total, element_stiffness([RIG_A], mesh)[0], rtol=1e-12)
 
 
 def random_rigidities(rng, n):
@@ -249,7 +249,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(33)
         for n in range(10_000):
             rig, mesh = random_rigidities(rng, n), random_element(rng, n)
-            K = element_stiffness(rig, mesh)
+            K = element_stiffness([rig], mesh)[0]
             assert K.tobytes() == ref.element_stiffness(rig, mesh).tobytes()
             assert np.array_equal(K, K.T)
 

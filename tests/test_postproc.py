@@ -33,14 +33,16 @@ MAT = DEFAULT_MATERIAL
 
 
 def solve_cfg(cfg):
+    """The solved (DOFs, mesh) pair of a case, and its rigidities."""
     rig = compute_rigidities(cfg.material, cfg.layup)
-    return solve_static(cfg.mesh, rig, cfg.bc, cfg.load), rig
+    return (solve_static(cfg.mesh, rig, cfg.bc, cfg.load), cfg.mesh), rig
 
 
 def reference_strains(sol, e, xi):
     """Strains of element e at local coordinate xi from the reference element's rows."""
-    de = sol.d[sol.mesh.element_dofs(e)]
-    return np.array([B @ de for B in reference_element.strain_displacement(xi, sol.mesh)])
+    d, mesh = sol
+    de = d[mesh.element_dofs(e)]
+    return np.array([B @ de for B in reference_element.strain_displacement(xi, mesh)])
 
 
 class TestDisplacementAt:
@@ -49,36 +51,36 @@ class TestDisplacementAt:
     def test_symmetric_case_zero_midspan_slope(self):
         cfg = make_case("B", scheme=(1, 1, 1), p=2.0, bc="SS")
         sol, _ = solve_cfg(cfg)
-        slopes = np.abs(sol.d[2::4])          # the dw0/dx DOF of every node
+        slopes = np.abs(sol[0][2::4])          # the dw0/dx DOF of every node
         assert slopes[cfg.ne // 2] <= 1e-10 * slopes.max()
-        w = [float(_deflections(sol.d, sol.mesh, x)) for x in np.linspace(0, cfg.L, 33)]
+        w = [float(_deflections(*sol, x)) for x in np.linspace(0, cfg.L, 33)]
         assert w == pytest.approx(w[::-1], rel=1e-10, abs=0)
 
     def test_cantilever_max_deflection_at_tip(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=1.0, bc="CF")
         sol, _ = solve_cfg(cfg)
-        w = [abs(_deflections(sol.d, sol.mesh, x)) for x in np.linspace(0, cfg.L, 101)]
+        w = [abs(_deflections(*sol, x)) for x in np.linspace(0, cfg.L, 101)]
         assert np.argmax(w) == 100
 
     def test_clamped_ends_zero(self):
         cfg = make_case("A", p=1.0, bc="CC")
         sol, _ = solve_cfg(cfg)
-        assert _deflections(sol.d, sol.mesh, 0.0) == 0.0
-        assert _deflections(sol.d, sol.mesh, cfg.L) == 0.0
+        assert _deflections(*sol, 0.0) == 0.0
+        assert _deflections(*sol, cfg.L) == 0.0
 
     def test_out_of_range(self):
         sol, _ = solve_cfg(make_case("A", p=1.0))
         with pytest.raises(ValueError):
-            _deflections(sol.d, sol.mesh, -0.1)
+            _deflections(*sol, -0.1)
         with pytest.raises(ValueError):
-            _deflections(sol.d, sol.mesh, 5.1)
+            _deflections(*sol, 5.1)
 
     def test_nan_station_rejected(self):
         cfg = make_case("A", p=1.0)
         sol, _ = solve_cfg(cfg)
-        for recover in (lambda x: _deflections(sol.d, sol.mesh, x),
-                        lambda x: _strains(sol.d, sol.mesh, [x]),
-                        lambda x: _profile_columns(sol, MAT, cfg.layup, x, 5)):
+        for recover in (lambda x: _deflections(*sol, x),
+                        lambda x: _strains(*sol, [x]),
+                        lambda x: _profile_columns(*sol, MAT, cfg.layup, x, 5)):
             with pytest.raises(ValueError, match="outside the beam"):
                 recover(math.nan)
 
@@ -86,21 +88,21 @@ class TestDisplacementAt:
         cfg = make_case("A", p=2.0, bc="CF", ne=8)
         sol, _ = solve_cfg(cfg)
         for node in (0, 3, 8):
-            w = _deflections(sol.d, sol.mesh, node * cfg.mesh.Le)
-            assert w == pytest.approx(sol.d[4 * node + 1], rel=1e-12, abs=0)
+            w = _deflections(*sol, node * cfg.mesh.Le)
+            assert w == pytest.approx(sol[0][4 * node + 1], rel=1e-12, abs=0)
 
 
 class TestStrainsAt:
     def test_zero_load_zero_strains(self):
         cfg = make_case("A", p=1.0, load=LoadCase("point_mid", 0.0))
         sol, _ = solve_cfg(cfg)
-        assert _strains(sol.d, sol.mesh, [1.7])[0] == pytest.approx(np.zeros(4), abs=1e-20)
+        assert _strains(*sol, [1.7])[0] == pytest.approx(np.zeros(4), abs=1e-20)
 
     def test_no_membrane_strain_without_coupling(self):
         # homogeneous straight SS beam: B11 = 0 and 1/R = 0
         cfg = make_case("A", p=0.0, bc="SS")
         sol, _ = solve_cfg(cfg)
-        eps0, eps1, _, _ = _strains(sol.d, sol.mesh, [cfg.L / 2])[0]
+        eps0, eps1, _, _ = _strains(*sol, [cfg.L / 2])[0]
         assert abs(eps0) <= 1e-12 * abs(eps1) * cfg.h
 
     def test_bending_strain_is_minus_w_second_derivative(self):
@@ -108,9 +110,9 @@ class TestStrainsAt:
         sol, _ = solve_cfg(cfg)
         x = 0.9 * cfg.mesh.Le  # inside the first element
         d = 1e-4
-        w = [_deflections(sol.d, sol.mesh, x + k * d) for k in (-1, 0, 1)]
+        w = [_deflections(*sol, x + k * d) for k in (-1, 0, 1)]
         w_xx = (w[0] - 2 * w[1] + w[2]) / d**2
-        assert _strains(sol.d, sol.mesh, [x])[0][1] == pytest.approx(-w_xx, rel=1e-5)
+        assert _strains(*sol, [x])[0][1] == pytest.approx(-w_xx, rel=1e-5)
 
     def test_interior_node_average(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=2.0, bc="CF", ne=4)
@@ -119,7 +121,7 @@ class TestStrainsAt:
         x = 2 * mesh.Le
         left = reference_strains(sol, 1, mesh.Le)
         right = reference_strains(sol, 2, 0.0)
-        assert _strains(sol.d, mesh, [x])[0] == pytest.approx(0.5 * (left + right))
+        assert _strains(*sol, [x])[0] == pytest.approx(0.5 * (left + right))
 
     def test_element_strains_bit_equal_to_reference_rows(self, rng):
         # inside an element, and at both ends, the strains are the reference rows
@@ -130,7 +132,7 @@ class TestStrainsAt:
             mesh = cfg.mesh
             for e in rng.integers(0, cfg.ne, 3):
                 xs = [0.0, mesh.L, e * mesh.Le, float(rng.uniform(e * mesh.Le, (e + 1) * mesh.Le))]
-                for x, got in zip(xs, _strains(sol.d, mesh, xs)):
+                for x, got in zip(xs, _strains(*sol, xs)):
                     if x == e * mesh.Le and 0 < e:
                         want = 0.5 * (reference_strains(sol, e - 1, mesh.Le)
                                       + reference_strains(sol, e, 0.0))
@@ -147,14 +149,14 @@ class TestStressAt:
         sol, _ = solve_cfg(cfg)
         z = np.array([cfg.h / 2, -cfg.h / 2])
         factors = _stress_factors(MAT, cfg.layup, z, [None, None])
-        for eps in _strains(sol.d, sol.mesh, [0.0, 1.3, cfg.L / 2, cfg.L]):
+        for eps in _strains(*sol, [0.0, 1.3, cfg.L / 2, cfg.L]):
             assert _stresses(eps, factors, z)[1].tolist() == [0.0, 0.0]
 
     def test_reference_stresses_ceramic(self):
         cfg = make_case("A", p=0.0, L_over_h=5)
         sol, _ = solve_cfg(cfg)
         q, L, h = 1.0, cfg.L, cfg.h
-        eps_mid, eps_end = _strains(sol.d, sol.mesh, [L / 2, 0.0])
+        eps_mid, eps_end = _strains(*sol, [L / 2, 0.0])
         sig = _stresses(eps_mid, _stress_factors(MAT, cfg.layup, [h / 2], [None]), h / 2)[0][0]
         tau = _stresses(eps_end, _stress_factors(MAT, cfg.layup, [0.0], [None]), 0.0)[1][0]
         stress_scale = table_scales(MAT.E_m, L, h, q)[1]
@@ -164,7 +166,7 @@ class TestStressAt:
     def test_reference_shear_sandwich(self):
         cfg = make_case("B", scheme=(1, 1, 1), p=5.0, L_over_h=5)
         sol, _ = solve_cfg(cfg)
-        eps = _strains(sol.d, sol.mesh, [0.0])[0]
+        eps = _strains(*sol, [0.0])[0]
         tau = _stresses(eps, _stress_factors(MAT, cfg.layup, [0.0], [None]), 0.0)[1][0]
         assert table_scales(MAT.E_m, cfg.L, cfg.h, 1.0)[1] * tau == pytest.approx(
             1.0280, rel=1e-3)
@@ -174,7 +176,7 @@ class TestStressAt:
         sol, _ = solve_cfg(cfg)
         z = np.concatenate(([0.0], rng.uniform(-0.49, 0.49, 12)))
         sides = [None] * len(z)
-        eps = _strains(sol.d, sol.mesh, [1.0])[0]
+        eps = _strains(*sol, [1.0])[0]
         tau = _stresses(eps, _stress_factors(MAT, cfg.layup, z, sides), z)[1]
         C = np.array(effective_moduli(MAT, cfg.layup, z.tolist(), sides)) / (2 * (1 + MAT.nu))
         expected = C * shear_functions(z, cfg.h)[1] / C[0]
@@ -188,7 +190,7 @@ class TestStressAt:
 
 def resultants_at(sol, rig, x):
     """(N_x, M_x, S_x, Q_xz): the rigidity matrix times the recovered strains."""
-    return rigidity_matrix(rig) @ _strains(sol.d, sol.mesh, [x])[0]
+    return rigidity_matrix(rig) @ _strains(*sol, [x])[0]
 
 
 class TestResultantsAt:
@@ -202,7 +204,7 @@ class TestResultantsAt:
         sol, rig = solve_cfg(cfg)
         for x in (0.0, 1.1, 4.0):
             Q_xz = resultants_at(sol, rig, x)[3]
-            phi = _strains(sol.d, sol.mesh, [x])[0][3]
+            phi = _strains(*sol, [x])[0][3]
             assert Q_xz == pytest.approx(rig.A55s * phi, rel=1e-13)
 
     @pytest.mark.parametrize("kind,scheme,p", [
@@ -215,7 +217,7 @@ class TestResultantsAt:
         h = cfg.h
         edges = layer_edges(cfg.layup)
         xg, wg = leggauss(50)
-        eps = _strains(sol.d, sol.mesh, [x])[0]
+        eps = _strains(*sol, [x])[0]
         n = m = s = 0.0
         for a, b in zip(edges, edges[1:]):
             z = 0.5 * (b - a) * xg + 0.5 * (a + b)
@@ -269,7 +271,7 @@ class TestThicknessProfile:
     def test_surface_rows_have_zero_shear(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=2.0)
         sol, _ = solve_cfg(cfg)
-        _, zh, _, tau, _ = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 21)
+        _, zh, _, tau, _ = _profile_columns(*sol, MAT, cfg.layup, cfg.L / 2, 21)
         assert zh[0] == -0.5 and zh[-1] == 0.5
         assert tau[0] == 0.0 and tau[-1] == 0.0
 
@@ -277,10 +279,10 @@ class TestThicknessProfile:
         cfg = make_case("A", p=0.0)
         sol, _ = solve_cfg(cfg)
         x = cfg.L / 4  # station where both bending and shear are active
-        z, _, sig, tau, _ = _profile_columns(sol, MAT, cfg.layup, x, 41)
+        z, _, sig, tau, _ = _profile_columns(*sol, MAT, cfg.layup, x, 41)
         # with constant C the profile is exactly eps0 + z eps1 + f(z) eps2,
         # affine in z up to the small shear-warp term
-        eps0, eps1, eps2, _ = _strains(sol.d, sol.mesh, [x])[0]
+        eps0, eps1, eps2, _ = _strains(*sol, [x])[0]
         C11 = MAT.E_c
         model = C11 * (eps0 + z * eps1 + shear_functions(z, cfg.h)[0] * eps2)
         assert np.allclose(sig, model, rtol=0, atol=1e-12 * np.max(np.abs(sig)))
@@ -297,7 +299,7 @@ class TestThicknessProfile:
     def test_symmetric_sandwich_antisymmetric_sigma(self):
         cfg = make_case("B", scheme=(1, 1, 1), p=2.0)
         sol, _ = solve_cfg(cfg)
-        _, zh, sigma, _, sides = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 41)
+        _, zh, sigma, _, sides = _profile_columns(*sol, MAT, cfg.layup, cfg.L / 2, 41)
         sig = {round(v, 9): s for v, s, side in zip(zh.tolist(), sigma.tolist(), sides)
                if side == ""}
         smax = max(abs(v) for v in sig.values())
@@ -307,7 +309,7 @@ class TestThicknessProfile:
     def test_interface_rows_are_two_sided(self):
         cfg = make_case("C", scheme=(1, 8, 1), p=0.0)  # E jumps at z = -0.4 h
         sol, _ = solve_cfg(cfg)
-        z, _, sigma, _, sides = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 15)
+        z, _, sigma, _, sides = _profile_columns(*sol, MAT, cfg.layup, cfg.L / 2, 15)
         assert [side for side in sides if side] == ["below", "above", "below", "above"]
         lo = [s for zi, s, side in zip(z, sigma, sides) if side and abs(zi + 0.4 * cfg.h) < 1e-12]
         assert len(lo) == 2
@@ -316,7 +318,7 @@ class TestThicknessProfile:
     def test_shear_continuous_in_fg_faces(self):
         cfg = make_case("B", scheme=(2, 2, 1), p=3.0)
         sol, _ = solve_cfg(cfg)
-        z, _, _, tau, sides = _profile_columns(sol, MAT, cfg.layup, 1.0, 11)
+        z, _, _, tau, sides = _profile_columns(*sol, MAT, cfg.layup, 1.0, 11)
         marked = {}
         for zi, t, side in zip(z.tolist(), tau.tolist(), sides):
             if side:
@@ -329,14 +331,14 @@ class TestThicknessProfile:
         # n = 11 puts a grid point exactly on the -0.4 h interface
         cfg = make_case("C", scheme=(1, 8, 1), p=1.0)
         sol, _ = solve_cfg(cfg)
-        z, _, _, _, sides = _profile_columns(sol, MAT, cfg.layup, cfg.L / 2, 11)
+        z, _, _, _, sides = _profile_columns(*sol, MAT, cfg.layup, cfg.L / 2, 11)
         assert [side for zi, side in zip(z, sides) if abs(zi + 0.4) < 1e-12] == ["below", "above"]
 
     def test_minimum_samples(self):
         cfg = make_case("A", p=1.0)
         sol, _ = solve_cfg(cfg)
         with pytest.raises(ValueError):
-            _profile_columns(sol, MAT, cfg.layup, 1.0, 1)
+            _profile_columns(*sol, MAT, cfg.layup, 1.0, 1)
 
     @pytest.mark.parametrize("kind,scheme", [("A", None), ("B", (2, 2, 1)),
                                              ("C", (1, 8, 1))])
@@ -347,8 +349,8 @@ class TestThicknessProfile:
             cfg = make_case(kind, scheme, p=p, R_over_L=10.0, ne=8)
             sol, _ = solve_cfg(cfg)
             for x in (0.0, cfg.L / 2, cfg.L / 8, 0.3 * cfg.L, cfg.L):
-                z, _, sigma, tau, sides = _profile_columns(sol, MAT, cfg.layup, x, 201)
-                eps = _strains(sol.d, sol.mesh, [x])[0]
+                z, _, sigma, tau, sides = _profile_columns(*sol, MAT, cfg.layup, x, 201)
+                eps = _strains(*sol, [x])[0]
                 for row in zip(z.tolist(), sigma.tolist(), tau.tolist(), sides):
                     zi, side = row[0], row[3]
                     point = _stresses(eps, _stress_factors(MAT, cfg.layup, [zi], [side]), zi)
@@ -372,7 +374,7 @@ def reference_thickness_profile(sol, mat, layup, x, n_samples):
         pts.append((zi, "below"))
         pts.append((zi, "above"))
     pts.sort(key=lambda t: (t[0], 0 if t[1] in ("", "below") else 1))
-    eps0, eps1, eps2, gamma0 = _strains(sol.d, sol.mesh, [x])[0].tolist()
+    eps0, eps1, eps2, gamma0 = _strains(*sol, [x])[0].tolist()
     rows = []
     for z, side in pts:
         C11, C55 = stiffness_coeffs(effective_moduli(mat, layup, [z], [side or None])[0], mat.nu)
@@ -391,7 +393,7 @@ class TestProfileBitIdentity:
 
     def assert_same(self, cfg, x, n_samples):
         sol, _ = solve_cfg(cfg)
-        z, zh, sigma, tau, sides = _profile_columns(sol, cfg.material, cfg.layup, x, n_samples)
+        z, zh, sigma, tau, sides = _profile_columns(*sol, cfg.material, cfg.layup, x, n_samples)
         got = list(zip(z.tolist(), zh.tolist(), sigma.tolist(), tau.tolist(), sides))
         want = reference_thickness_profile(sol, cfg.material, cfg.layup, x, n_samples)
         assert profile_bits(got) == profile_bits(want)
@@ -414,6 +416,16 @@ class TestProfileBitIdentity:
         for n_samples in (2, 11, 201):
             self.assert_same(cfg, 0.3 * cfg.L, n_samples)
 
+    @pytest.mark.parametrize("kind", ["B", "C"])
+    def test_interfaces_closer_than_the_snap_are_sampled_once(self, kind):
+        # a core of 5e-14 h keeps its layer, but its two interfaces lie within the snap
+        # tolerance (1e-12 h) of each other, so the profile has one two-sided pair there
+        cfg = make_case(kind, (1, 1e-13, 1), p=2.5, ne=8)
+        assert len(cfg.layup.layers) == 3
+        for n_samples in (2, 11, 201):
+            rows = self.assert_same(cfg, 0.3 * cfg.L, n_samples)
+            assert [row[4] for row in rows if row[4]] == ["below", "above"]
+
     def test_interior_node_station(self):
         cfg = make_case("B", (2, 2, 1), p=3.7, bc="CF", ne=8)
         self.assert_same(cfg, 3 * cfg.mesh.Le, 201)
@@ -434,5 +446,5 @@ class TestRandomizedSurfaceCondition:
             x = float(rng.uniform(0, cfg.L))
             z = np.array([cfg.h / 2, -cfg.h / 2])
             factors = _stress_factors(cfg.material, cfg.layup, z, [None, None])
-            tau = _stresses(_strains(sol.d, sol.mesh, [x])[0], factors, z)[1]
+            tau = _stresses(_strains(*sol, [x])[0], factors, z)[1]
             assert tau.tolist() == [0.0, 0.0]

@@ -53,7 +53,7 @@ def solve_case(cfg):
 
 def band(mesh, rig):
     """The program's global stiffness in band storage."""
-    return _fill_band(mesh, element_stiffness(rig, mesh))
+    return _fill_band(mesh, element_stiffness([rig], mesh)[0])
 
 
 def dense(mesh, rig):
@@ -69,16 +69,16 @@ def eliminate(K, F, bc, mesh):
 def dense_by_element_loop(mesh, rig):
     """Direct-stiffness assembly, one element at a time (reference)."""
     K = np.zeros((mesh.ndof, mesh.ndof))
-    Ke = element_stiffness(rig, mesh)
+    Ke = element_stiffness([rig], mesh)[0]
     for e in range(mesh.ne):
         K[mesh.element_dofs(e), mesh.element_dofs(e)] += Ke
     return K
 
 
 def w_bar_of(cfg):
-    sol = solve_case(cfg)
+    d = solve_case(cfg)
     x = cfg.L if cfg.bc is BoundaryCondition.CF else cfg.L / 2
-    w = _deflections(sol.d, sol.mesh, x)
+    w = _deflections(d, cfg.mesh, x)
     return table_scales(cfg.material.E_m, cfg.L, cfg.h, cfg.load.magnitude)[0] * w
 
 
@@ -103,7 +103,7 @@ class TestAssemble:
     def test_single_element_equals_element_matrix(self):
         mesh = Mesh(L=1.0, ne=1)
         K = dense(mesh, RIG)
-        Ke = element_stiffness(RIG, mesh)
+        Ke = element_stiffness([RIG], mesh)[0]
         assert np.array_equal(K, Ke)
 
     def test_symmetry_and_band(self):
@@ -198,24 +198,24 @@ class TestSolveStatic:
     def test_linearity_in_load(self):
         cfg1 = make_case("B", scheme=(2, 2, 1), p=2.0, load=LoadCase("udl", 1.0))
         cfg2 = make_case("B", scheme=(2, 2, 1), p=2.0, load=LoadCase("udl", 2.0))
-        d1, d2 = solve_case(cfg1).d, solve_case(cfg2).d
+        d1, d2 = solve_case(cfg1), solve_case(cfg2)
         assert np.allclose(d2, 2.0 * d1, rtol=1e-12, atol=1e-18)
 
     def test_constrained_dofs_exactly_zero(self):
         cfg = make_case("A", p=1.0, bc="CC")
-        sol = solve_case(cfg)
+        d = solve_case(cfg)
         for i in BoundaryCondition.CC.constrained_dofs(cfg.mesh):
-            assert sol.d[i] == 0.0
+            assert d[i] == 0.0
 
     def test_residual_bound(self):
         cfg = make_case("B", scheme=(1, 2, 1), p=5.0, bc="CF", R_over_L=8.0)
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh
-        sol = solve_static(mesh, rig, cfg.bc, cfg.load)
+        d = solve_static(mesh, rig, cfg.bc, cfg.load)
         K = dense(mesh, rig)
         F = assemble_load(mesh, cfg.load)
         K_red, F_red, free = eliminate(K, F, cfg.bc, mesh)
-        res = np.linalg.norm(K_red @ sol.d[free] - F_red)
+        res = np.linalg.norm(K_red @ d[free] - F_red)
         assert res <= 1e-10 * np.linalg.norm(F_red)
 
     def test_singular_system_names_dof(self):
@@ -224,14 +224,13 @@ class TestSolveStatic:
         ab = band(mesh, RIG)
         F = assemble_load(mesh, LoadCase("udl", 1.0))
         _constrain(ab, F, [1, 4 * mesh.ne + 1])
-        _, error = _solve_bands(ab[None], F[None])
+        _, error = _solve_bands(ab, F[None])
         assert isinstance(error, SingularSystemError)
         assert re.search(r"node \d+, dof", str(error))
 
     def test_fully_constrained_single_element(self):
-        sol = solve_static(Mesh(L=1.0, ne=1), RIG, BoundaryCondition.CC,
-                           LoadCase("udl", 1.0))
-        assert np.all(sol.d == 0.0)
+        d = solve_static(Mesh(L=1.0, ne=1), RIG, BoundaryCondition.CC, LoadCase("udl", 1.0))
+        assert np.all(d == 0.0)
 
 
 class TestSolverInvariants:
@@ -253,10 +252,10 @@ class TestSolverInvariants:
         cfg = make_case("B", scheme=(2, 1, 1), p=5.0, bc="SS", ne=10)
         rig = compute_rigidities(cfg.material, cfg.layup)
         mesh = cfg.mesh
-        sol = solve_static(mesh, rig, cfg.bc, cfg.load)
+        d = solve_static(mesh, rig, cfg.bc, cfg.load)
         K = dense(mesh, rig)
         F = assemble_load(mesh, cfg.load)
-        reactions = K @ sol.d - F
+        reactions = K @ d - F
         w_fixed = [1, 4 * mesh.ne + 1]
         total = sum(reactions[i] for i in w_fixed)
         q, L = cfg.load.magnitude, cfg.L
@@ -269,8 +268,8 @@ class TestSolverInvariants:
 
     def test_superposition_of_loads(self):
         kw = dict(kind="B", scheme=(1, 1, 1), p=2.0, bc="CF", ne=8)
-        d_udl = solve_case(make_case(load=LoadCase("udl", 2.0), **kw)).d
-        d_pt = solve_case(make_case(load=LoadCase("point_end", 5.0), **kw)).d
+        d_udl = solve_case(make_case(load=LoadCase("udl", 2.0), **kw))
+        d_pt = solve_case(make_case(load=LoadCase("point_end", 5.0), **kw))
         mesh = make_case(**kw).mesh
         rig = compute_rigidities(MAT, make_layup("B", (1, 1, 1), 2.0))
         K = dense(mesh, rig)
@@ -304,7 +303,7 @@ class TestBandedSolve:
             cfg = random_case(rng)
             rig = compute_rigidities(cfg.material, cfg.layup)
             mesh = cfg.mesh
-            d = solve_static(mesh, rig, cfg.bc, cfg.load).d
+            d = solve_static(mesh, rig, cfg.bc, cfg.load)
             K_red, F_red, free = eliminate(dense_by_element_loop(mesh, rig),
                                            assemble_load(mesh, cfg.load), cfg.bc, mesh)
             d_ref = np.zeros(mesh.ndof)
@@ -319,8 +318,8 @@ class TestBandedSolve:
             rig = compute_rigidities(cfg.material, cfg.layup)
             for ne in (24, 32, 64, 256, 1024):
                 mesh = Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
-                sol = solve_static(mesh, rig, cfg.bc, cfg.load)
-                assert np.isfinite(sol.d).all()
+                d = solve_static(mesh, rig, cfg.bc, cfg.load)
+                assert np.isfinite(d).all()
         assert len(cases) == 420
 
     def test_fixture_solutions_bit_equal_to_reference_band(self):
@@ -334,8 +333,8 @@ class TestBandedSolve:
                 assert band(mesh, rig).tobytes() == ab.tobytes()
                 F = assemble_load(mesh, cfg.load)
                 _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
-                d = solve_static(mesh, rig, cfg.bc, cfg.load).d
-                assert d.tobytes() == _solve_bands(ab[None], F[None])[0][0].tobytes()
+                d = solve_static(mesh, rig, cfg.bc, cfg.load)
+                assert d.tobytes() == _solve_bands(ab, F[None])[0][0].tobytes()
         assert len(cases) == 420
 
     def test_gate_rejects_perturbed_solution(self, monkeypatch):
@@ -345,12 +344,12 @@ class TestBandedSolve:
         ab = band(mesh, rig)
         F = assemble_load(mesh, cfg.load)
         _constrain(ab, F, cfg.bc.constrained_dofs(mesh))
-        d = _solve_bands(ab[None], F[None])[0][0]
+        d = _solve_bands(ab, F[None])[0][0]
         bound = mesh.ndof * np.finfo(float).eps
-        assert backward_error(ab[None], d[None], F[None])[0] <= bound
+        assert backward_error(ab, d[None], F[None])[0] <= bound
         noise = np.random.default_rng(7).standard_normal(mesh.ndof)
         perturbed = d * (1.0 + 1e-8 * noise)
-        assert backward_error(ab[None], perturbed[None], F[None])[0] > 100 * bound
+        assert backward_error(ab, perturbed[None], F[None])[0] > 100 * bound
 
         real_solve = solver_module.dpbsv
 
@@ -364,13 +363,14 @@ class TestBandedSolve:
 
     def test_backward_error_against_dense_norms(self, rng):
         # ||K||_inf is the largest dense row sum: a row's band entries left of the
-        # diagonal are its column's upper part, those right of it the mirrored entries
+        # diagonal are its column's upper part, those right of it the mirrored entries;
+        # the M blocks' bands side by side are the band of their block-diagonal matrix
         M, n = 3, 23
         ab = rng.standard_normal((M, HALF_BAND + 1, n))
         for k in range(1, HALF_BAND + 1):
-            ab[:, HALF_BAND - k, :k] = 0.0      # outside the matrix
+            ab[:, HALF_BAND - k, :k] = 0.0      # outside the block: a coupling entry
         d, F = rng.standard_normal((2, M, n))
-        got = backward_error(ab, d, F)
+        got = backward_error(np.concatenate(ab, axis=1), d, F)
         for m in range(M):
             K = dense_from_band(ab[m])
             scale = np.abs(K).sum(axis=1).max() * np.abs(d[m]).max() + np.abs(F[m]).max()
@@ -381,7 +381,7 @@ class TestBandedSolve:
         ab = band(mesh, RIG)
         F = assemble_load(mesh, LoadCase("udl", 1.0))
         d = np.full(mesh.ndof, np.nan)
-        assert not backward_error(ab[None], d[None], F[None])[0] <= 1.0
+        assert not backward_error(ab, d[None], F[None])[0] <= 1.0
 
 
 class TestBlockDiagonalSolve:
@@ -408,7 +408,7 @@ class TestBlockDiagonalSolve:
     @staticmethod
     def lone(mesh, job):
         try:
-            return solve_static(mesh, *job).d, None
+            return solve_static(mesh, *job), None
         except (SingularSystemError, ArithmeticError) as err:
             return None, str(err)
 
@@ -464,6 +464,46 @@ class TestBlockDiagonalSolve:
         assert errors[:3] == [None] * 3
         assert str(errors[3]) == ("stiffness is not positive definite at node 2, dof phi_x; "
                                   "check boundary conditions and mesh")
+
+    @pytest.mark.parametrize("ne", [1, 2, 16])
+    def test_one_store_constrains_each_job_as_its_lone_band(self, ne, monkeypatch):
+        # job m's DOF k is the group band's DOF m ndof + k.  At ne = 1 CC fixes all 8 DOFs
+        # of its block, so constrained DOFs of adjacent blocks lie within HALF_BAND of each
+        # other, and a row past a block's last column stores over coupling entries
+        configs = [make_case(kind, p=p, bc=bc, ne=ne, load=LoadCase(load, f))
+                   for kind, p, bc, load, f in [("A", 1.0, "CC", "udl", 1.0),
+                                                ("C", 5.0, "CC", "udl", 2.0),
+                                                ("B", 2.0, "SS", "udl", 0.5),
+                                                ("A", 0.0, "CF", "point_end", 3.0),
+                                                ("B", 0.5, "CC", "udl", 1.5),
+                                                ("C", 10.0, "CF", "udl", 1.0),
+                                                ("A", 2.0, "SS", "udl", 4.0)]]
+        mesh = configs[0].mesh
+        jobs = [(compute_rigidities(cfg.material, cfg.layup), cfg.bc, cfg.load)
+                for cfg in configs]
+        seen, real = [], solver_module._solve_bands
+
+        def solve(ab, F):
+            seen.append((ab.copy(order="A"), F.copy()))
+            return real(ab, F)
+
+        monkeypatch.setattr(solver_module, "_solve_bands", solve)
+        D, errors = solver_module.solve_batch(mesh, jobs)
+        assert errors == [None] * len(jobs) and len(seen) == 1
+        (ab, F), n = seen[0], mesh.ndof
+        lone = []
+        for rig, bc, load in jobs:
+            ab_m, F_m = band(mesh, rig), assemble_load(mesh, load)
+            _constrain(ab_m, F_m, bc.constrained_dofs(mesh))
+            lone.append((ab_m, F_m))
+        assert ab.shape == (HALF_BAND + 1, len(jobs) * n) and ab.flags.f_contiguous
+        assert ab.tobytes("F") == np.concatenate([a for a, _ in lone], axis=1).tobytes("F")
+        assert F.tobytes() == np.array([f for _, f in lone]).tobytes()
+        for m in range(1, len(jobs)):               # K[i, j], i in block m - 1, j in block m
+            for k in range(1, HALF_BAND + 1):
+                assert (ab[HALF_BAND - k, m * n:m * n + k] == 0.0).all()
+        for m, job in enumerate(jobs):
+            assert D[m].tobytes() == solve_static(mesh, *job).tobytes()
 
     @pytest.mark.parametrize("faults,calls", [
         (["ok"] * 5, 1), (["ok", "pivot", "ok"], 4), (["pivot", "ok", "ok"], 4),

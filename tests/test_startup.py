@@ -130,8 +130,9 @@ def test_paper_cases_import_neither_scipy_subpackage():
 
 
 def _groups(ne):
-    """The fixture configs' constrained band stacks and loads on one ne, one per mesh, plus
-    three systems of which the middle one fails a pivot (its A11 is negative)."""
+    """The fixture configs' constrained block-diagonal bands and loads on one ne, one per
+    mesh, plus three systems of which the middle one fails a pivot (its A11 is negative).
+    Job m's DOF k is the band's DOF m ndof + k."""
     meshes = {}
     for cfg in dict.fromkeys(cell.config for cell in ALL_CELLS):
         mesh = solver.Mesh(L=cfg.L, ne=ne, inv_R=cfg.inv_R)
@@ -141,13 +142,15 @@ def _groups(ne):
         ab = solver._fill_band(mesh, element_stiffness(rigs, mesh))
         F = np.array([solver.assemble_load(mesh, cfg.load) for cfg in cfgs])
         for m, cfg in enumerate(cfgs):
-            solver._constrain(ab[m], F[m], cfg.bc.constrained_dofs(mesh))
+            solver._constrain(ab, F.reshape(-1),
+                              [m * mesh.ndof + k for k in cfg.bc.constrained_dofs(mesh)])
         yield ab, F
     rigs[1] = dataclasses.replace(rigs[1], A11=-rigs[1].A11)
     ab = solver._fill_band(mesh, element_stiffness(rigs[:3], mesh))
     F = F[:3].copy()
     for m, cfg in enumerate(cfgs[:3]):
-        solver._constrain(ab[m], F[m], cfg.bc.constrained_dofs(mesh))
+        solver._constrain(ab, F.reshape(-1),
+                          [m * mesh.ndof + k for k in cfg.bc.constrained_dofs(mesh)])
     yield ab, F
 
 

@@ -27,24 +27,24 @@ def reference_evaluate_case(cfg):
     """One case through solve_static and the recovery kernels, one solution and one point
     at a time, as before batching."""
     rig = compute_rigidities(cfg.material, cfg.layup)
-    sol = solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
+    d = solve_static(cfg.mesh, rig, cfg.bc, cfg.load)
     L, h = cfg.L, cfg.h
     x_w = deflection_point(cfg.bc, L)
-    w = float(_deflections(sol.d, sol.mesh, x_w))
+    w = float(_deflections(d, cfg.mesh, x_w))
     if cfg.load.kind == "udl":
         q = cfg.load.magnitude
-        eps = _strains(sol.d, sol.mesh, [L / 2.0])[0]
+        eps = _strains(d, cfg.mesh, [L / 2.0])[0]
         sigma = _stresses(eps, _stress_factors(cfg.material, cfg.layup, [h / 2.0], [None]),
                           h / 2.0)[0][0]
-        eps = _strains(sol.d, sol.mesh, [0.0])[0]
+        eps = _strains(d, cfg.mesh, [0.0])[0]
         tau = _stresses(eps, _stress_factors(cfg.material, cfg.layup, [0.0], [None]), 0.0)[1][0]
         return CaseResults(
-            config=cfg, solution=sol, x_deflection=x_w, w=w,
+            config=cfg, d=d, x_deflection=x_w, w=w,
             w_bar=100.0 * cfg.material.E_m * h**3 / (q * L**4) * w,
             sigma_bar=h / (q * L) * sigma,
             tau_bar=h / (q * L) * tau,
         )
-    return CaseResults(config=cfg, solution=sol, x_deflection=x_w, w=w,
+    return CaseResults(config=cfg, d=d, x_deflection=x_w, w=w,
                        w_bar=None, sigma_bar=None, tau_bar=None)
 
 
@@ -54,7 +54,7 @@ def _bits(value):
 
 def assert_bit_equal(got: CaseResults, want: CaseResults):
     assert got.config == want.config
-    assert got.solution.d.tobytes() == want.solution.d.tobytes()
+    assert got.d.tobytes() == want.d.tobytes()
     for key in ("x_deflection", "w", "w_bar", "sigma_bar", "tau_bar"):
         assert _bits(getattr(got, key)) == _bits(getattr(want, key)), key
 
@@ -83,7 +83,7 @@ def test_duplicate_configs_each_get_their_own_result():
     results = evaluate_cases(configs)
     for got, cfg in zip(results, configs):
         assert_bit_equal(got, reference_evaluate_case(cfg))
-    assert results[0].solution.d is not results[2].solution.d
+    assert results[0].d is not results[2].d
 
 
 def test_empty_list():
@@ -215,17 +215,17 @@ def test_convergence_study_flags_a_fall_beyond_round_off(fall, monotone, monkeyp
 
 
 def test_earliest_failed_solve_is_raised_after_every_group(monkeypatch):
-    # groups solve in turn, each as one band stack: cases 0 and 2 (ne = 4), then
-    # case 1 (ne = 8).  Every stack fails but case 0's lone one: the group of cases 0
+    # groups solve in turn, each as one band: cases 0 and 2 (ne = 4), then
+    # case 1 (ne = 8).  Every band fails but case 0's lone one: the group of cases 0
     # and 2 fails, so each is solved again alone, and case 1's failure, the earliest
     # case's, is raised
     real, calls = solver._solve_bands, []
 
     def solve(ab, F):
-        calls.append((len(F), ab.shape[-1]))
+        calls.append((len(F), F.shape[-1]))
         D, error = real(ab, F)
         if len(calls) != 2:
-            error = solver.SingularSystemError(f"failed at n = {ab.shape[-1]}")
+            error = solver.SingularSystemError(f"failed at n = {F.shape[-1]}")
         return D, error
 
     monkeypatch.setattr(solver, "_solve_bands", solve)
@@ -275,6 +275,6 @@ def test_results_do_not_depend_on_the_batch():
         runs = [evaluate_cases([cfg])[0], evaluate_cases([other, cfg])[1],
                 evaluate_cases(configs[:200] + [cfg] + configs[200:])[200]]
         for res in runs:
-            assert res.solution.d.tobytes() == runs[0].solution.d.tobytes()
+            assert res.d.tobytes() == runs[0].d.tobytes()
             for key in ("w", "w_bar", "sigma_bar", "tau_bar"):
                 assert _bits(getattr(res, key)) == _bits(getattr(runs[0], key)), key

@@ -3,9 +3,10 @@
 Each mutant is one (file, old text, new text, reason) entry.  For each, the
 working tree (without .git) is copied to a temporary directory, the old text
 (which must occur exactly once) is replaced, and the tests run there with
-``pytest -x -q -W error``.  A mutant is killed when pytest fails.  Prints one
-line per mutant (killed or SURVIVED, and the seconds it took) and the kill
-rate.  The unchanged copy runs first and must pass.  Exits 1 if any mutant
+``pytest -x -q -W error``, leaving out ``LIST_TEST``, the suite's check of
+this list, which fails on every mutated copy.  A mutant is killed when
+pytest fails.  Prints one line per mutant (killed or SURVIVED, and the
+seconds it took) and the kill rate.  The unchanged copy runs first and must pass.  Exits 1 if any mutant
 survives, 2 if the unchanged copy fails:
 
     python tools/mutants.py [TEST ...]      # default: the whole suite
@@ -28,9 +29,16 @@ MUTANTS = [
     ("src/fgcbeam/solver.py", "    bound = n * _EPS\n", "    bound = 1e6 * n * _EPS\n",
      "the gate bound n eps loosened a millionfold"),
     ("src/fgcbeam/solver.py",
-     "        row_sums[:, :-k] += a[:, HALF_BAND - k, k:]   # the mirrored entries right of it\n",
+     "        row_sums[:-k] += a[HALF_BAND - k, k:]   # the mirrored entries right of it\n",
      "        pass\n",
      "backward_error leaves the mirrored entries out of ||K||_inf"),
+    ("src/fgcbeam/solver.py", "row_sums[:-k] += a[HALF_BAND - k, k:]",
+     "row_sums[k:] += a[HALF_BAND - k, :-k]",
+     "backward_error adds each mirrored entry to its column's row, not to its own row"),
+    ("src/fgcbeam/solver.py", "row_sums.reshape(d.shape)", "row_sums.reshape(d.shape[::-1]).T",
+     "backward_error takes each system's ||K||_inf over a stride of the band, not its block"),
+    ("src/fgcbeam/solver.py", "m * mesh.ndof + k", "m * (mesh.ndof - 1) + k",
+     "a group's job m is constrained at DOFs offset by m (ndof - 1), not m ndof"),
     ("src/fgcbeam/section.py", "1.0 - 4.5 * zh * zh + 2.0 * zh4",
      "1.0 - 4.5 * zh * zh + 2.0000001 * zh4", "g(z)'s coefficient 2 perturbed in its 8th digit"),
     ("src/fgcbeam/studies.py", "a - 1e-12 * scale", "a - 1e-2 * scale",
@@ -81,7 +89,29 @@ MUTANTS = [
      "the power-law index cap is dropped"),
     ("src/fgcbeam/solver.py", "        if k in bc.constrained_dofs(mesh):", "        if False:",
      "a point load on a DOF the supports hold is accepted"),
+    ("src/fgcbeam/config.py", "        while i > 0 and not line[i - 1].isspace():\n",
+     "        while False:\n", "a '#' or ';' inside a value starts a comment"),
+    ("src/fgcbeam/config.py", "key = match[1].rstrip().lower()", "key = match[1].rstrip()",
+     "an INI key is read with its case kept, so E_m is an unknown key"),
+    ("src/fgcbeam/config.py", 're.split(r"(?<![eE])-", raw)', 're.split(r"-", raw)',
+     "a scheme ratio's exponent sign splits the scheme"),
+    ("src/fgcbeam/config.py", "            if section in ini:\n", "            if False:\n",
+     "a repeated section is accepted"),
+    ("src/fgcbeam/config.py", 'if "scheme" in ini["layup"]:', "if False:",
+     "a kind A scheme's a-b-c shape goes unchecked"),
+    ("src/fgcbeam/postproc.py", "0.5 * (ep[0] + ep[1])", "ep[1]",
+     "strains at an interior node are the right element's, not both elements' mean"),
+    ("src/fgcbeam/postproc.py", '["below", "above"] * len(inner)',
+     '["above", "below"] * len(inner)',
+     "a profile's two rows at an interface carry each other's side"),
+    ("src/fgcbeam/postproc.py", " and all(abs(zi - zj) > eps for zj in inner)", "",
+     "a profile samples two interfaces closer than the snap tolerance as two pairs"),
+    ("src/fgcbeam/postproc.py", "    if q <= 0:\n", "    if q < 0:\n",
+     "a zero uniform load reaches the scale quotients"),
 ]
+
+#: The suite's check that each entry's old text occurs once in its file.
+LIST_TEST = "tests/test_mutants.py"
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
 
@@ -102,7 +132,7 @@ def run(mutant, tests: list[str]) -> tuple[bool, float]:
             target.write_text(source.replace(old, new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         code = subprocess.call([sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
-                                "-p", "no:cacheprovider", *tests],
+                                "-p", "no:cacheprovider", f"--ignore={LIST_TEST}", *tests],
                                cwd=tmp, env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL)
     return code != 0, time.perf_counter() - start
