@@ -75,9 +75,11 @@ SUSPECT_REASONS = {
 
 
 def _build_cells() -> list[BenchmarkCell]:
-    """One cell per row of ``fixtures.csv``; the rows of one case share one ``CaseConfig``."""
+    """One cell per row of ``fixtures.csv``; the rows of one case share one ``CaseConfig``,
+    and the cases of one layup share one ``Layup``."""
     cells: list[BenchmarkCell] = []
     configs: dict[tuple[str, ...], CaseConfig] = {}
+    layups: dict[tuple[str, str, str], Layup] = {}
     with open(Path(__file__).with_name("fixtures.csv"), newline="", encoding="utf-8") as file:
         rows = csv.reader(file)
         next(rows)                                  # the header
@@ -85,11 +87,13 @@ def _build_cells() -> list[BenchmarkCell]:
             cfg = configs.get(key := tuple(case))
             if cfg is None:
                 kind, scheme, p, lh, rl, bc = case
-                ratios = tuple(map(float, scheme.split("-"))) if scheme else (0.0, 0.0, 0.0)
+                layup = layups.get(layup_key := (kind, scheme, p))
+                if layup is None:
+                    ratios = tuple(map(float, scheme.split("-"))) if scheme else (0.0, 0.0, 0.0)
+                    layup = layups[layup_key] = Layup(LayupKind[kind], ratios, float(p), 1.0)
                 cfg = configs[key] = CaseConfig(
-                    material=DEFAULT_MATERIAL, layup=Layup(LayupKind[kind], ratios, float(p), 1.0),
-                    L=float(lh), R_over_L=float(rl), bc=BoundaryCondition[bc],
-                    load=LoadCase("udl", 1.0))
+                    material=DEFAULT_MATERIAL, layup=layup, L=float(lh), R_over_L=float(rl),
+                    bc=BoundaryCondition[bc], load=LoadCase("udl", 1.0))
             cells.append(BenchmarkCell(table, row, col, quantity, cfg, float(expected),
                                        float(tol), SUSPECT_REASONS[suspect] if suspect else None))
     return cells

@@ -10,9 +10,10 @@ Generalized strains (membrane eps0 = u0' + w0/R, bending
 eps1 = -w0'', shear-warp eps2 = phi', shear gamma0 = phi) map from the
 DOFs through the four strain-displacement rows (B0, B1, B2, Bs).  All
 integrands are polynomials of degree <= 6, so a fixed 4-point Gauss
-rule (exact to degree 7) integrates the stiffness exactly; the
-consistent load of a uniform q is written out in closed form.  Every
-element of a ``Mesh`` has its length ``Le`` and curvature ``inv_R``.
+rule (exact to degree 7, numpy's ``leggauss(4)`` stored bit for bit)
+integrates the stiffness exactly; the consistent load of a uniform q is
+written out in closed form.  Every element of a ``Mesh`` has its length
+``Le`` and curvature ``inv_R``.
 
 The shape functions are evaluated in one place, ``_lagrange`` and
 ``_hermite``, in Python floats.  One builder, ``strain_rows``, turns
@@ -34,14 +35,18 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .section import SectionRigidities
 
 if TYPE_CHECKING:
     from .solver import Mesh
 
-_GAUSS_X, _GAUSS_W = leggauss(4)
+# float.hex of numpy's leggauss(4), 4 nodes then 4 weights: stored, so that no command
+# imports numpy.polynomial
+_GAUSS_X, _GAUSS_W = np.array([float.fromhex(t) for t in (
+    "-0x1.b8e6dbcf63985p-1 -0x1.5c23fd9dd3dfcp-2 0x1.5c23fd9dd3dfcp-2 0x1.b8e6dbcf63985p-1"
+    " 0x1.64340f7e7b666p-2 0x1.4de5f840c24cdp-1 0x1.4de5f840c24cdp-1 0x1.64340f7e7b666p-2"
+).split()]).reshape(2, 4)
 
 
 def _lagrange(x: float, L: float) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -8,19 +8,24 @@ whose derivative vanishes at z = +-h/2, so the transverse shear stress
 satisfies the traction-free surface condition without a shear
 correction factor.
 
-``compute_rigidities`` integrates the graded stiffness against the
-moments {1, z, z^2, f, z f, f^2} (axial) and g^2 (shear) layer by
-layer.  Within every layer the modulus is E_m + (E_c - E_m) * s**p with
-s an affine function of z running 0 -> 1, so the integral splits into a
-polynomial part (Gauss-Legendre) and a weighted part with weight s**p
+``rigidity_pass`` integrates the graded stiffness of a list of sections
+against the moments {1, z, z^2, f, z f, f^2} (axial) and g^2 (shear)
+layer by layer.  Within every layer the modulus is E_m + (E_c - E_m) * s**p
+with s an affine function of z running 0 -> 1, so the integral splits into
+a polynomial part (Gauss-Legendre) and a weighted part with weight s**p
 (Gauss-Jacobi).  Both rules are exact for the polynomial factors
 involved (degree <= 10), for every p that ``Layup`` accepts (0 <= p <= 800).
 
-The Gauss-Jacobi rules of the paper's p are stored bit for bit; any other
-p takes scipy's ``roots_jacobi`` algorithm without ``scipy.special``
-(``_gauss_jacobi``), its eigenvalues from numpy's ``eigvalsh``, so its
-nodes are scipy's to the bit.  The module needs numpy and ``materials``
-alone.
+The sections of one node count are the rows of (k, n) arrays, and each
+integral is a row sum.  Every step is elementwise, and numpy sums a
+contiguous row in the pairwise order of a 1-D sum, so each section gets
+the bits of its lone pass; ``compute_rigidities`` is the one-row case.
+
+The 8-point Gauss-Legendre rule and the Gauss-Jacobi rules of the paper's
+p are stored bit for bit; any other p takes scipy's ``roots_jacobi``
+algorithm without ``scipy.special`` (``_gauss_jacobi``), its eigenvalues
+from numpy's ``eigvalsh``, so its nodes are scipy's to the bit.  The
+module needs numpy and ``materials`` alone.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .materials import Layup, MaterialPair, stiffness_coeffs
 
@@ -38,9 +42,17 @@ from .materials import Layup, MaterialPair, stiffness_coeffs
 # degree 2n-1 exactly, 8 leaves margin.
 _NPOINTS = 8
 
-# Gauss-Legendre nodes s in (0, 1) and weights for the integral of phi(s) ds.
-_GL_S, _GL_W = leggauss(_NPOINTS)
-_GL_S, _GL_W = 0.5 * (_GL_S + 1.0), 0.5 * _GL_W
+# float.hex of numpy's leggauss(_NPOINTS): 8 nodes, then 8 weights.  Stored, so that no
+# command imports numpy.polynomial.
+_LEGENDRE_HEX = (
+    "-0x1.ebab1cb0acc66p-1 -0x1.97e4ab249f41ep-1 -0x1.0d129583284b4p-1 -0x1.77ac94f3c7344p-3"
+    " 0x1.77ac94f3c7344p-3 0x1.0d129583284b4p-1 0x1.97e4ab249f41ep-1 0x1.ebab1cb0acc66p-1"
+    " 0x1.9ea1d04ca03aep-4 0x1.c76fb531d2b94p-3 0x1.413c50a25560ep-2 0x1.736360b19933dp-2"
+    " 0x1.736360b19933dp-2 0x1.413c50a25560ep-2 0x1.c76fb531d2b94p-3 0x1.9ea1d04ca03aep-4")
+
+# Gauss-Legendre nodes s in (0, 1) (row 0) and weights (row 1) for the integral of phi(s) ds.
+_GL = np.array([float.fromhex(t) for t in _LEGENDRE_HEX.split()]).reshape(2, _NPOINTS)
+_GL = np.array([0.5 * (_GL[0] + 1.0), 0.5 * _GL[1]])
 
 # float.hex of roots_jacobi(_NPOINTS, 0.0, p) for the paper's p: 8 nodes, then 8 weights.
 _JACOBI_HEX = {
@@ -155,42 +167,110 @@ def _gauss_jacobi(p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _jacobi_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s in (0,1) and weights for integral of s**p * phi(s) ds."""
+def _jacobi_rule(p: float) -> np.ndarray:
+    """Nodes s in (0,1) (row 0) and weights (row 1) for integral of s**p * phi(s) ds."""
     if p not in _JACOBI_HEX:
-        return _gauss_jacobi(p)
+        return np.array(_gauss_jacobi(p))
     x, w = np.array([float.fromhex(t) for t in _JACOBI_HEX[p].split()]).reshape(2, _NPOINTS)
-    return 0.5 * (x + 1.0), w * 0.5 ** (p + 1.0)
+    return np.array([0.5 * (x + 1.0), w * 0.5 ** (p + 1.0)])
 
 
-def _modulus_nodes(mat: MaterialPair, layup: Layup) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes z_i and coefficients c_i with
-    sum_i c_i * m(z_i) = integral of E(z) * m(z) dz (exact for
+def _segments(mat: MaterialPair, layup: Layup) -> list[tuple]:
+    """The section's quadrature in segments of ``_NPOINTS`` nodes: (a, b, t, e, rule) with
+    nodes z = a + b s and coefficients c = t w e, where s and w are the rule's rows, its
+    nodes and weights, so that sum_i c_i * m(z_i) = integral of E(z) * m(z) dz (exact for
     polynomial m up to degree 2 * _NPOINTS - 1).
 
-    Per layer of ``layup.layers`` the ceramic fraction is a constant or
-    s**p with s running 0 -> 1 up the layer ("up") or down it ("down");
-    the constant part of E uses Gauss-Legendre and the graded part
-    Gauss-Jacobi with weight s**p.
+    Per layer of ``layup.layers``, of thickness t, the ceramic fraction is a constant or
+    s**p with s running 0 -> 1 up the layer ("up", z = lo + t s) or down it
+    ("down", z = hi - t s, which hi + (-t) s rounds alike); the constant part
+    of E uses Gauss-Legendre and the graded part Gauss-Jacobi with weight s**p.
     """
     dE = mat.E_c - mat.E_m
-    zs, cs = [], []
+    segments = []
     for _, lo, hi, grade in layup.layers:
         t = hi - lo
         graded = grade == "up" or grade == "down"
         # constant part: the metal baseline of a graded layer, or the layer's own modulus
-        zs.append(lo + t * _GL_S)
-        cs.append(t * _GL_W * (mat.E_m if graded else mat.E_m + dE * grade))
+        segments.append((lo, t, t, mat.E_m if graded else mat.E_m + dE * grade, _GL))
         if graded:
             # graded ceramic excess, weight s**p
-            s_gj, w_gj = _jacobi_rule(layup.p)
-            zs.append(lo + t * s_gj if grade == "up" else hi - t * s_gj)
-            cs.append(t * w_gj * dE)
-    return np.concatenate(zs), np.concatenate(cs)
+            rule = _jacobi_rule(layup.p)
+            segments.append((lo, t, t, dE, rule) if grade == "up" else (hi, -t, t, dE, rule))
+    return segments
+
+
+def _modulus_nodes(members: list[tuple[MaterialPair, Layup, list[tuple]]]
+                   ) -> tuple[np.ndarray, ...]:
+    """Quadrature nodes z and coefficients c of sections (mat, layup, their ``_segments``),
+    one row of ``_NPOINTS`` per segment, and each segment's section h and nu as a column:
+    a section of n nodes is n / ``_NPOINTS`` consecutive rows."""
+    a, b, t, e, h, nu = np.array([(a, b, t, e, layup.h, mat.nu) for mat, layup, segments in members
+                                  for a, b, t, e, _ in segments]).T[:, :, None]
+    s, w = np.array([segment[4] for _, _, segments in members
+                     for segment in segments]).swapaxes(0, 1)
+    return a + b * s, t * w * e, h, nu
+
+
+def _integrals(members: list[tuple[MaterialPair, Layup, list[tuple]]]
+               ) -> list[SectionRigidities | OverflowError]:
+    """The rigidities of k sections (mat, layup, their ``_segments``) of n nodes each.
+
+    Every step is elementwise over the nodes, and each rigidity is the sum of a
+    section's n consecutive nodes, a contiguous row of a (k, n) array.  If
+    anything overflows and k > 1, each section is integrated again alone, which gives
+    it the result of its lone pass: its rigidities, or an ``OverflowError`` that names
+    geometry.h or the larger modulus's key, whichever is the larger factor of E h^3.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            z, c, h, nu = _modulus_nodes(members)
+            c11, c55 = stiffness_coeffs(c, nu)
+            f, g = shear_functions(z, h)
+            # c11 z z is (c11 z) z, and so on: each product as written, from its shared factor
+            cz, cf, cg = c11 * z, c11 * f, c55 * g
+            terms = np.array((c11, cz, cz * z, cf, cz * f, cf * f, cg * g))
+            # each (term, section) row in the pairwise order of a 1-D sum
+            sums = terms.reshape(7, len(members), -1).sum(axis=2)
+            return [SectionRigidities(*v) for v in sums.T.tolist()]
+    except FloatingPointError as err:
+        if len(members) > 1:
+            return [_integrals([member])[0] for member in members]
+        (mat, layup, _), = members
+        E, key = max((mat.E_m, "material.E_m"), (mat.E_c, "material.E_c"))
+        # the rigidities scale as E h and E h^3: name the key of the larger factor of E h^3
+        key = key if E ** (1 / 3) >= layup.h else "geometry.h"
+        error = OverflowError(f"{key}: E = {E:g} Pa and h = {layup.h:g} m give section "
+                              f"rigidities (A11 ~ E h, D11 ~ E h^3) beyond float64: {err}")
+        error.__cause__ = err
+        return [error]
+
+
+def rigidity_pass(sections: list[tuple[MaterialPair, Layup]]
+                  ) -> tuple[list[SectionRigidities], OverflowError | None]:
+    """The rigidities of each (material, layup) section, in input order, up to the first
+    that overflows, and that section's ``OverflowError``, or None.
+
+    The sections of one node count are integrated together (``_integrals``), and each
+    gets the bits of its lone ``compute_rigidities``.
+    """
+    groups: dict[int, list] = {}
+    for i, (mat, layup) in enumerate(sections):
+        segments = _segments(mat, layup)
+        groups.setdefault(len(segments), []).append((i, (mat, layup, segments)))
+    results = [None] * len(sections)
+    for members in groups.values():
+        for (i, _), result in zip(members, _integrals([member for _, member in members])):
+            results[i] = result
+    for i, result in enumerate(results):
+        if isinstance(result, OverflowError):
+            return results[:i], result
+    return results, None
 
 
 def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
-    """Integrate the seven rigidities over the section (unit width).
+    """Integrate the seven rigidities over the section (unit width): the one-section
+    ``rigidity_pass``.
 
     Only the layers of ``layup.layers`` contribute.  The result is linear in
     (E_m, E_c) and the (A11, B11, B11s; B11, D11, D11s; B11s, D11s,
@@ -199,23 +279,7 @@ def compute_rigidities(mat: MaterialPair, layup: Layup) -> SectionRigidities:
     warn, that names geometry.h or the larger modulus's key, whichever is
     the larger factor of E h^3.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            z, c = _modulus_nodes(mat, layup)
-            c11, c55 = stiffness_coeffs(c, mat.nu)
-            f, g = shear_functions(z, layup.h)
-            return SectionRigidities(
-                A11=float(c11.sum()),
-                B11=float((c11 * z).sum()),
-                D11=float((c11 * z * z).sum()),
-                B11s=float((c11 * f).sum()),
-                D11s=float((c11 * z * f).sum()),
-                H11s=float((c11 * f * f).sum()),
-                A55s=float((c55 * g * g).sum()),
-            )
-    except FloatingPointError as err:
-        E, key = max((mat.E_m, "material.E_m"), (mat.E_c, "material.E_c"))
-        # the rigidities scale as E h and E h^3: name the key of the larger factor of E h^3
-        key = key if E ** (1 / 3) >= layup.h else "geometry.h"
-        raise OverflowError(f"{key}: E = {E:g} Pa and h = {layup.h:g} m give section rigidities "
-                            f"(A11 ~ E h, D11 ~ E h^3) beyond float64: {err}") from err
+    (rig,) = _integrals([(mat, layup, _segments(mat, layup))])
+    if isinstance(rig, OverflowError):
+        raise rig
+    return rig

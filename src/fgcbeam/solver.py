@@ -161,9 +161,10 @@ DOF_NAMES = ("u0", "w0", "w0_x", "phi_x")
 
 _EPS = np.finfo(float).eps
 
-#: Upper-triangle entries (i, j) of Ke and their places (HALF_BAND + i - j, j) in band storage.
+#: Upper-triangle entries (i, j) of Ke and their places (j, HALF_BAND + i - j) in a slab,
+#: band storage's (HALF_BAND + i - j, j) transposed.
 _KE_UPPER = np.triu_indices(8)
-_KE_BAND = (HALF_BAND + _KE_UPPER[0] - _KE_UPPER[1], _KE_UPPER[1])
+_KE_SLAB = (_KE_UPPER[1], HALF_BAND + _KE_UPPER[0] - _KE_UPPER[1])
 
 
 class SingularSystemError(RuntimeError):
@@ -258,17 +259,18 @@ def _fill_band(mesh: Mesh, Ke: np.ndarray) -> np.ndarray:
     whose coupling entries are exact zeros.  It holds
     ``K[i, j] = ab[HALF_BAND + i - j, j]`` for ``j - HALF_BAND <= i <= j``
     and is Fortran-ordered, as LAPACK reads it, so no call copies it to
-    transpose.  In band storage ``Ke`` is an (8, 8) slab (``Ke[i, j]``,
-    i <= j, at (HALF_BAND + i - j, j)) whose columns 0-3 belong to the
-    element's left node and 4-7 to its right node, so two slab adds over
-    all nodes assemble the band.  Each entry receives at most two terms,
-    node e's before node e + 1's as in an element loop.
+    transpose.  In band storage ``Ke`` is an (8, 8) slab, stored by band
+    column (``slab[j, HALF_BAND + i - j] = Ke[i, j]``, i <= j), whose
+    columns 0-3 belong to the element's left node and 4-7 to its right
+    node, so two slab adds over all nodes, each over contiguous memory,
+    assemble the band.  Each entry receives at most two terms, node e's
+    before node e + 1's as in an element loop.
     """
-    kb = np.zeros(Ke.shape)
-    kb[..., _KE_BAND[0], _KE_BAND[1]] = Ke[..., _KE_UPPER[0], _KE_UPPER[1]]
+    slab = np.zeros(Ke.shape)
+    slab[..., _KE_SLAB[0], _KE_SLAB[1]] = Ke[..., _KE_UPPER[0], _KE_UPPER[1]]
     columns = np.zeros(Ke.shape[:-2] + (mesh.n_nodes, 4, HALF_BAND + 1))
-    columns[..., :-1, :, :] += kb[..., None, :, :4].swapaxes(-1, -2)
-    columns[..., 1:, :, :] += kb[..., None, :, 4:].swapaxes(-1, -2)
+    columns[..., :-1, :, :] += slab[..., None, :4, :]
+    columns[..., 1:, :, :] += slab[..., None, 4:, :]
     return columns.reshape(-1, HALF_BAND + 1).T
 
 
@@ -403,10 +405,10 @@ def solve_batch(mesh: Mesh, jobs: list[tuple[SectionRigidities, BoundaryConditio
     (see ``_solve_bands``).  Jobs must pass ``check_load``.
     """
     loads = {load: assemble_load(mesh, load) for load in dict.fromkeys(load for _, _, load in jobs)}
-    F = np.array([loads[load] for _, _, load in jobs])
+    F, n = np.array([loads[load] for _, _, load in jobs]), mesh.ndof
     try:
         ab = _fill_band(mesh, element_stiffness([rig for rig, _, _ in jobs], mesh))
-        _constrain(ab, F.reshape(-1), [m * mesh.ndof + k for m, (_, bc, _) in enumerate(jobs)
+        _constrain(ab, F.reshape(-1), [m * n + k for m, (_, bc, _) in enumerate(jobs)
                                        for k in bc.constrained_dofs(mesh)])
         D, error = _solve_bands(ab, F)
     except ArithmeticError as err:        # e.g. an element stiffness beyond float64

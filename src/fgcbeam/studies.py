@@ -15,8 +15,9 @@ evaluation checks no input.
 Parametric studies repeat sections and meshes, so the work is shared in
 three layers, all within one call:
 
-    section  one ``compute_rigidities`` per distinct (material, layup),
-             and for uniform-load cases one stress-factor call for z = h/2 and 0;
+    section  one ``rigidity_pass`` over the distinct (material, layup)
+             sections, numbered once per case, and for uniform-load cases
+             one stress-factor call per section for z = h/2 and 0;
     solver   the cases are grouped by ``Mesh``, and ``solve_batch`` solves
              each group as one block-diagonal band (one ``Ke`` stack, one
              band), or, if anything in it fails, each of its cases alone;
@@ -43,7 +44,7 @@ from .postproc import (
     _stresses,
     deflection_point,
 )
-from .section import compute_rigidities
+from .section import rigidity_pass
 from .solver import solve_batch
 
 
@@ -86,16 +87,15 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     overflow raises.  No case is solved twice, except in a failing group,
     whose cases are each solved again alone.
     """
-    rigs, groups, jobs, last = {}, {}, [], None
-    for i, cfg in enumerate(configs):
-        section = cfg.material, cfg.layup
-        if section not in rigs:
-            try:
-                rigs[section] = compute_rigidities(*section)
-            except ArithmeticError as err:   # raised once the cases before it pass
-                configs, last = configs[:i], err
-                break
-        jobs.append((rigs[section], cfg.bc, cfg.load))
+    sections: dict = {}                  # each distinct section's number, in input order
+    numbers = [sections.setdefault((cfg.material, cfg.layup), len(sections)) for cfg in configs]
+    rigs, last = rigidity_pass(list(sections))
+    groups, jobs = {}, []
+    for i, (cfg, k) in enumerate(zip(configs, numbers)):
+        if k == len(rigs):                # its section overflowed: raised after the cases before it
+            configs = configs[:i]
+            break
+        jobs.append((rigs[k], cfg.bc, cfg.load))
         groups.setdefault(cfg.mesh, []).append(i)
     stacks, failures = [], []
     for mesh, members in groups.items():
@@ -114,7 +114,7 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
             strains = dict(zip(udl, zip(*eps)))
         for m, (i, x) in enumerate(zip(members, x_w)):
             cfg, w = configs[i], w_at[x][m]
-            bars = (_uniform_load_bars(cfg, w, strains[m], factors)
+            bars = (_uniform_load_bars(cfg, w, strains[m], factors, numbers[i])
                     if m in strains else (None, None, None))
             results[i] = CaseResults(cfg, d[m], x, w, *bars)
     if last is not None:
@@ -122,14 +122,14 @@ def evaluate_cases(configs: list[CaseConfig]) -> list[CaseResults]:
     return results
 
 
-def _uniform_load_bars(cfg, w, strains, factors) -> tuple[float, float, float]:
+def _uniform_load_bars(cfg, w, strains, factors, k) -> tuple[float, float, float]:
     """w_bar, sigma_bar at (L/2, h/2) and tau_bar at (0, 0) from the generalized strains
-    at x = L/2 and x = 0; ``factors`` caches each section's stress factors."""
-    section = cfg.material, cfg.layup
-    if section not in factors:        # (C11, f, C55 g) at z = h/2, then at z = 0
-        cols = _stress_factors(*section, [cfg.h / 2.0, 0.0], (None, None))
-        factors[section] = list(zip(*(c.tolist() for c in cols)))
-    (top, mid), (eps_mid, eps_end), (w_scale, stress_scale) = factors[section], strains, cfg.scales
+    at x = L/2 and x = 0; ``factors`` caches the stress factors of each section, by its
+    number k."""
+    if k not in factors:              # (C11, f, C55 g) at z = h/2, then at z = 0
+        cols = _stress_factors(cfg.material, cfg.layup, [cfg.h / 2.0, 0.0], (None, None))
+        factors[k] = list(zip(*(c.tolist() for c in cols)))
+    (top, mid), (eps_mid, eps_end), (w_scale, stress_scale) = factors[k], strains, cfg.scales
     sigma = _stresses(eps_mid, top, cfg.h / 2.0)[0]
     tau = _stresses(eps_end, mid, 0.0)[1]
     return w_scale * w, stress_scale * sigma, stress_scale * tau

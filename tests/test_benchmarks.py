@@ -171,8 +171,11 @@ class TestBenchmarkCompare:
         assert all(r.computed != 0.0 for r in skipped)
 
     def test_cells_share_their_configs(self, monkeypatch):
-        # one instance per distinct case, built with the fixtures, none per call
+        # one instance per distinct case, built with the fixtures, none per call, and one
+        # Layup per distinct layup, so a call's section lookups match the same object
         assert len({id(c.config) for c in ALL_CELLS}) == len({c.config for c in ALL_CELLS}) == 420
+        layups = {c.config.layup for c in ALL_CELLS}
+        assert len({id(c.config.layup) for c in ALL_CELLS}) == len(layups) == 30
         calls = []
         real = CaseConfig.__post_init__
 

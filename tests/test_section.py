@@ -26,11 +26,12 @@ from fgcbeam import (
     LayupKind,
     MaterialPair,
     compute_rigidities,
+    section,
     shear_functions,
 )
 from fgcbeam.benchmarks import ALL_CELLS
 from fgcbeam.materials import _P_MAX, effective_moduli
-from fgcbeam.section import SectionRigidities, _modulus_nodes
+from fgcbeam.section import SectionRigidities, _modulus_nodes, _segments, rigidity_pass
 
 from conftest import layer_edges
 
@@ -124,14 +125,19 @@ class TestShearFunctions:
     def test_array_call_equals_scalar_calls_on_every_fixture_section(self):
         # numpy's array ** dispatches to SIMD code that rounds some (z/h)**4 unlike
         # libm pow; each node must get the bits of a scalar call, on every host
-        sections = {(cell.config.material, cell.config.layup) for cell in ALL_CELLS}
-        assert len(sections) == 30
-        for mat, layup in sections:
-            z, _ = _modulus_nodes(mat, layup)
-            f, g = shear_functions(z, layup.h)
-            scalar = np.array([shear_functions(zi, layup.h) for zi in z.tolist()])
-            assert f.tobytes() == scalar[:, 0].tobytes()
-            assert g.tobytes() == scalar[:, 1].tobytes()
+        # and so must each node of a section pass's node array
+        groups = {}
+        for mat, layup in {(cell.config.material, cell.config.layup) for cell in ALL_CELLS}:
+            segments = _segments(mat, layup)
+            groups.setdefault(len(segments), []).append((mat, layup, segments))
+        assert sorted(len(group) for group in groups.values()) == [5, 5, 20]
+        for group in groups.values():
+            z, _, h, _ = _modulus_nodes(group)
+            f, g = shear_functions(z, h)
+            scalar = np.array([[shear_functions(zi, hi) for zi in row]
+                               for hi, row in zip(h[:, 0].tolist(), z.tolist())])
+            assert f.tobytes() == scalar[..., 0].tobytes()
+            assert g.tobytes() == scalar[..., 1].tobytes()
 
 
 class TestHomogeneousSection:
@@ -229,7 +235,7 @@ class TestGradedSection:
         # t w (E_c - E_m) are negative, so stiffness_coeffs checks no sign
         mat = MaterialPair(380e9, 70e9, 0.3)
         layup = Layup(LayupKind(kind), scheme, 2.0, 1.0)
-        assert (_modulus_nodes(mat, layup)[1] < 0).any()
+        assert (_modulus_nodes([(mat, layup, _segments(mat, layup))])[1] < 0).any()
         assert_rigidities_close(compute_rigidities(mat, layup), oracle_rigidities(mat, layup),
                                 mat, layup.h)
 
@@ -240,3 +246,87 @@ class TestGradedSection:
             Layup.single_layer(p=1e6, h=1.0)
         rig = compute_rigidities(MAT, Layup.single_layer(p=_P_MAX, h=1.0))
         assert rig.A11 == pytest.approx(MAT.E_m + (MAT.E_c - MAT.E_m) / (_P_MAX + 1), rel=1e-13)
+
+
+def lone_rigidities(mat: MaterialPair, layup: Layup) -> list[str]:
+    """The seven rigidities of one section as float.hex, from 1-D numpy arrays: each
+    layer's nodes by its own formula (z = lo + t s up a layer, hi - t s down it),
+    concatenated, and each moment a 1-D ``sum``."""
+    dE, zs, cs = mat.E_c - mat.E_m, [], []
+    gl_s, gl_w = section._GL
+    for _, lo, hi, grade in layup.layers:
+        t, graded = hi - lo, grade in ("up", "down")
+        zs.append(lo + t * gl_s)
+        cs.append(t * gl_w * (mat.E_m if graded else mat.E_m + dE * grade))
+        if graded:
+            s, w = section._jacobi_rule(layup.p)
+            zs.append(lo + t * s if grade == "up" else hi - t * s)
+            cs.append(t * w * dE)
+    z, c = np.concatenate(zs), np.concatenate(cs)
+    c11, c55 = c, c / (2.0 * (1.0 + mat.nu))
+    f, g = shear_functions(z, layup.h)
+    return [float(v.sum()).hex() for v in (c11, c11 * z, c11 * z * z, c11 * f, c11 * z * f,
+                                            c11 * f * f, c55 * g * g)]
+
+
+def hexes(rig: SectionRigidities) -> list[str]:
+    return [v.hex() for v in (rig.A11, rig.B11, rig.D11, rig.B11s, rig.D11s, rig.H11s,
+                              rig.A55s)]
+
+
+def seeded_sections(n: int, seed: int) -> list[tuple[MaterialPair, Layup]]:
+    """n sections of kinds A, B and C, some schemes with a zero ratio (8 to 40 nodes in one
+    list), p = 0, the paper's p, random p in (0, 800] and p = 800, random moduli, nu and h."""
+    rng = np.random.default_rng(seed)
+    schemes = [(1, 1, 1), (1, 2, 1), (2, 2, 1), (1, 8, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1),
+               (0, 1, 0), (0.5, 3, 0)]
+    sections = []
+    for i in range(n):
+        kind = LayupKind(("A", "B", "C")[i % 3])
+        p = [0.0, 1.0, 2.0, 5.0, 10.0, _P_MAX, float(_P_MAX * (1.0 - rng.random()))][i % 7]
+        scheme = tuple(float(r) for r in schemes[int(rng.integers(len(schemes)))])
+        E_m, E_c = (float(E) for E in 10.0 ** rng.uniform(9.0, 12.0, 2))
+        mat = MaterialPair(E_m, E_c, float(rng.uniform(0.0, 0.49)))
+        sections.append((mat, Layup(kind, scheme, p, float(10.0 ** rng.uniform(-3.0, 1.0)))))
+    return sections
+
+
+class TestSectionPass:
+    """``rigidity_pass``: the sections of one node count as the rows of (k, n) arrays."""
+
+    def test_equals_the_per_section_loop_bit_for_bit(self):
+        sections = seeded_sections(210, seed=39)
+        counts = {len(_segments(mat, layup)) for mat, layup in sections}
+        assert {2, 3, 4, 5} <= counts        # 16, 24, 32 and 40 nodes in one call
+        rigs, error = rigidity_pass(sections)
+        assert error is None and len(rigs) == len(sections)
+        for rig, (mat, layup) in zip(rigs, sections):
+            assert hexes(rig) == hexes(compute_rigidities(mat, layup)) == lone_rigidities(mat,
+                                                                                          layup)
+
+    def test_fixture_sections_equal_the_loop(self):
+        sections = list(dict.fromkeys((c.config.material, c.config.layup) for c in ALL_CELLS))
+        rigs, error = rigidity_pass(sections)
+        assert error is None
+        assert [hexes(r) for r in rigs] == [lone_rigidities(*s) for s in sections]
+
+    @pytest.mark.parametrize("at", [0, 57, 209])
+    def test_an_overflowing_section_ends_the_pass_with_the_loops_error(self, at):
+        # h = 1e100 puts D11 ~ E h^3 beyond float64; a second one later is not the one raised
+        sections = seeded_sections(210, seed=41)
+        for i in (at, min(at + 90, 209)):
+            mat, layup = sections[i]
+            sections[i] = mat, Layup(layup.kind, layup.scheme, layup.p, 1e100 * (i + 1))
+        rigs, error = rigidity_pass(sections)
+        loop = []
+        with pytest.raises(OverflowError) as lone:
+            for mat, layup in sections:
+                loop.append(compute_rigidities(mat, layup))
+        assert len(rigs) == len(loop) == at
+        assert [hexes(r) for r in rigs] == [hexes(r) for r in loop]
+        assert type(error) is OverflowError and str(error) == str(lone.value)
+        assert isinstance(error.__cause__, FloatingPointError)
+        assert f"h = {1e100 * (at + 1):g} m" in str(error)
+
+    def test_empty_pass(self):
+        assert rigidity_pass([]) == ([], None)

@@ -119,14 +119,25 @@ class TestAssemble:
 
     @pytest.mark.parametrize("ne", [1, 2, 5, 9])
     def test_band_holds_the_element_loop_sum(self, ne):
+        # one Ke, and a stack of M = 3, which gives the band of the block-diagonal matrix of
+        # the M systems: block m holds system m's element loop sum bit for bit, and every
+        # coupling entry is 0
         mesh = Mesh(L=3.0, ne=ne, inv_R=0.1)
-        K = dense_by_element_loop(mesh, RIG)
-        ab = band(mesh, RIG)
-        assert ab.shape == (HALF_BAND + 1, mesh.ndof)
-        for i in range(mesh.ndof):
-            for j in range(i, min(i + HALF_BAND + 1, mesh.ndof)):
-                assert ab[HALF_BAND + i - j, j] == K[i, j]
-        assert np.array_equal(dense_from_band(ab), K)
+        stack = [RIG, compute_rigidities(MAT, make_layup("B", (1, 2, 1), 2.0)),
+                 compute_rigidities(MAT, make_layup("C", (1, 8, 1), 5.0))]
+        n = mesh.ndof
+        for rigs in (stack[:1], stack):
+            ab = _fill_band(mesh, element_stiffness(rigs, mesh))
+            assert ab.shape == (HALF_BAND + 1, len(rigs) * n) and ab.flags.f_contiguous
+            for m, rig in enumerate(rigs):
+                K = dense_by_element_loop(mesh, rig)
+                block = ab[:, m * n:(m + 1) * n]
+                for i in range(n):
+                    for j in range(i, min(i + HALF_BAND + 1, n)):
+                        assert block[HALF_BAND + i - j, j].tobytes() == K[i, j].tobytes()
+                for k in range(1, HALF_BAND + 1):      # K[i, j], i in block m - 1, j in block m
+                    assert (block[HALF_BAND - k, :k] == 0.0).all()
+                assert np.array_equal(dense_from_band(block), K)
 
     def test_axial_rigid_mode_survives_assembly(self):
         mesh = Mesh(L=5.0, ne=6)

@@ -7,7 +7,8 @@ Gauss-Jacobi rules come from a table and any other p's rule from numpy's own
 command imports scipy, which is checked in a subprocess where any scipy import
 fails.  Where numpy ships no OpenBLAS of its own, the solver falls back to
 ``scipy.linalg``'s public wrappers, whose results must be the binding's bits.  A cold
-``run`` imports no ``configparser`` either: ``config`` reads the INI text itself.
+``run`` imports no ``configparser`` either: ``config`` reads the INI text itself; nor
+``numpy.polynomial``: ``element`` and ``section`` store numpy's ``leggauss`` rules.
 """
 
 import dataclasses
@@ -19,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 import fgcbeam
-from fgcbeam import compute_rigidities, section, solver
+from fgcbeam import compute_rigidities, element, section, solver
 from fgcbeam.benchmarks import ALL_CELLS
 from fgcbeam.element import element_stiffness
 
@@ -180,11 +182,31 @@ def test_run_leaves_the_benchmark_fixtures_unbuilt():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
 
-def test_run_imports_no_configparser():
-    """``config`` reads INI text itself; ``run`` under ``-X importtime``, as in CI."""
+@pytest.fixture(scope="module")
+def run_imports() -> list[str]:
+    """The modules that ``run`` imports, under ``-X importtime``, as in CI."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "fgcbeam.cli", "run",
                            str(CASE)], env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "fgcbeam.config" in imported and "configparser" not in imported
+    return [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_run_imports_no_configparser(run_imports):
+    """``config`` reads INI text itself."""
+    assert "fgcbeam.config" in run_imports and "configparser" not in run_imports
+
+
+def test_run_imports_no_numpy_polynomial(run_imports):
+    """``element`` and ``section`` store their Gauss-Legendre rules."""
+    assert "fgcbeam.element" in run_imports
+    assert not [name for name in run_imports if name.startswith("numpy.polynomial")]
+
+
+def test_stored_legendre_rules_are_leggauss_bit_for_bit():
+    x, w = leggauss(4)
+    assert element._GAUSS_X.tobytes() == x.tobytes() and element._GAUSS_W.tobytes() == w.tobytes()
+    x, w = leggauss(section._NPOINTS)
+    assert section._LEGENDRE_HEX.split() == [v.hex() for v in (*x, *w)]
+    # the section maps its rule to s in (0, 1): s = (x + 1) / 2, with weights w / 2
+    assert section._GL.tobytes() == np.array([0.5 * (x + 1.0), 0.5 * w]).tobytes()

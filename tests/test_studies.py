@@ -141,22 +141,24 @@ def test_first_failing_case_in_input_order_is_raised(stage, monkeypatch):
 
 
 def test_shared_work_per_call(monkeypatch):
-    """benchmark_compare: one rigidity set per section, one Ke stack per mesh."""
-    calls = {"rig": 0, "ke": 0}
-    real_rig, real_ke = section.compute_rigidities, element.element_stiffness
+    """benchmark_compare: one section pass of one row per section, one Ke stack per mesh."""
+    calls = {"pass": 0, "rig": 0, "ke": 0}
+    real_rig, real_ke = section.rigidity_pass, element.element_stiffness
 
-    def rig(*args):
-        calls["rig"] += 1
-        return real_rig(*args)
+    def rig(sections):
+        calls["pass"] += 1
+        calls["rig"] += len(sections)
+        return real_rig(sections)
 
     def ke(*args):
         calls["ke"] += 1
         return real_ke(*args)
 
-    monkeypatch.setattr(studies, "compute_rigidities", rig)
+    monkeypatch.setattr(studies, "rigidity_pass", rig)
     monkeypatch.setattr(solver, "element_stiffness", ke)
     assert benchmark_compare().n_fail == 0
     configs = FIXTURE_CONFIGS
+    assert calls["pass"] == 1
     assert calls["rig"] == len({(c.material, c.layup) for c in configs}) == 30
     assert calls["ke"] == len({c.mesh for c in configs}) <= 13
 

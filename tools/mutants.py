@@ -37,8 +37,22 @@ MUTANTS = [
      "backward_error adds each mirrored entry to its column's row, not to its own row"),
     ("src/fgcbeam/solver.py", "row_sums.reshape(d.shape)", "row_sums.reshape(d.shape[::-1]).T",
      "backward_error takes each system's ||K||_inf over a stride of the band, not its block"),
-    ("src/fgcbeam/solver.py", "m * mesh.ndof + k", "m * (mesh.ndof - 1) + k",
+    ("src/fgcbeam/solver.py", "m * n + k", "m * (n - 1) + k",
      "a group's job m is constrained at DOFs offset by m (ndof - 1), not m ndof"),
+    ("src/fgcbeam/solver.py", "_KE_SLAB = (_KE_UPPER[1], HALF_BAND",
+     "_KE_SLAB = (_KE_UPPER[0], HALF_BAND",
+     "Ke[i, j] goes to the slab's column i, not j: the slab's (i, j) pair transposed"),
+    ("src/fgcbeam/solver.py", "    columns[..., 1:, :, :] += slab[..., None, 4:, :]\n",
+     "    columns[..., 1:, :, :] += slab[..., None, :4, :]\n",
+     "the band adds the left node's slab columns at the right node too"),
+    ("src/fgcbeam/section.py", "_integrals([member for _, member in members])",
+     "_integrals([member for _, member in members[::-1]])",
+     "a node count's sections are stacked in one order and scattered in another"),
+    ("src/fgcbeam/section.py", "return [_integrals([member])[0] for member in members]",
+     "return [_integrals(members[:1])[0]] * len(members)",
+     "a group that overflows gives every section the first section's lone result"),
+    ("src/fgcbeam/benchmarks.py", "layup_key := (kind, scheme, p)", "layup_key := (kind, scheme)",
+     "the fixtures' layups are shared by kind and scheme, whatever their p"),
     ("src/fgcbeam/section.py", "1.0 - 4.5 * zh * zh + 2.0 * zh4",
      "1.0 - 4.5 * zh * zh + 2.0000001 * zh4", "g(z)'s coefficient 2 perturbed in its 8th digit"),
     ("src/fgcbeam/studies.py", "a - 1e-12 * scale", "a - 1e-2 * scale",
@@ -99,6 +113,20 @@ MUTANTS = [
      "a repeated section is accepted"),
     ("src/fgcbeam/config.py", 'if "scheme" in ini["layup"]:', "if False:",
      "a kind A scheme's a-b-c shape goes unchecked"),
+    ("src/fgcbeam/config.py", "if key is not None and depth > indent:",
+     "if key is not None and depth > indent + 1:",
+     "a line indented one column deeper than its key line is a key, not a continuation"),
+    ("src/fgcbeam/config.py", "        indent = depth\n", "",
+     "the indentation of a header or key line is not kept, so a whole indented case is refused"),
+    ("src/fgcbeam/config.py", "depth = len(line) - len(line.lstrip())",
+     'depth = len(line) - len(line.lstrip(" "))',
+     "a tab does not indent a line, so a tab-indented continuation is read as a key"),
+    ("src/fgcbeam/config.py", "section, key = body[1:close], None", "section = body[1:close]",
+     "a header keeps the key before it current, so an indented key under it is refused"),
+    ("src/fgcbeam/config.py", '(close := body.rfind("]")) > 1', '(close := body.rfind("]")) > 0',
+     "'[]' is a header of an empty section name, not a line with no '=' or ':'"),
+    ("src/fgcbeam/config.py", 'body.rfind("]")', 'body.find("]")',
+     "a header's name ends at its first ']', not its last"),
     ("src/fgcbeam/postproc.py", "0.5 * (ep[0] + ep[1])", "ep[1]",
      "strains at an interior node are the right element's, not both elements' mean"),
     ("src/fgcbeam/postproc.py", '["below", "above"] * len(inner)',
